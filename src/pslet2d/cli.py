@@ -1,7 +1,7 @@
 """Command-line interface: single computations, benchmark table presets,
 parameter sweeps and wavefunction dumps.
 
-Exit codes: 0 success, 2 usage error, 3 expression parse error,
+Exit codes: 0 success, 2 usage error, 3 expression or parameter error,
 4 solver failure, 5 table check failure.
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -18,6 +19,7 @@ from .expressions import (
     BoundPotential,
     ConstantPotentialError,
     PotentialEvalError,
+    PotentialSpec,
     PotentialSyntaxError,
     bind_params,
     parse_potential,
@@ -38,6 +40,10 @@ class UsageError(Exception):
     pass
 
 
+class ParameterError(Exception):
+    pass
+
+
 def _fmt(v: float) -> str:
     return f"{v:.9f}"
 
@@ -49,14 +55,16 @@ def _parse_param_flags(pairs: list[str] | None) -> dict[str, float]:
             raise UsageError(f"malformed -p/--param {pair!r}, expected name=value")
         name, _, raw = pair.partition("=")
         try:
-            values[name.strip()] = float(raw)
+            value = float(raw)
         except ValueError:
             raise UsageError(f"non-numeric value in -p/--param {pair!r}") from None
+        if not math.isfinite(value):
+            raise ParameterError(f"non-finite value in -p/--param {pair!r}")
+        values[name.strip()] = value
     return values
 
 
-def _bind(expr: str, params: dict[str, float], m: int) -> BoundPotential:
-    spec = parse_potential(expr)
+def _bind(spec: PotentialSpec, params: dict[str, float], m: int) -> BoundPotential:
     # the signed magnetic quantum number doubles as the Zeeman parameter
     if "m" in spec.params and "m" not in params:
         params = dict(params, m=float(m))
@@ -67,7 +75,8 @@ def _bind(expr: str, params: dict[str, float], m: int) -> BoundPotential:
 # compute
 
 def cmd_compute(args) -> int:
-    bound = _bind(args.potential, _parse_param_flags(args.param), args.m)
+    params = _parse_param_flags(args.param)
+    bound = _bind(parse_potential(args.potential), params, args.m)
     geom, table, breakdown = solve(bound, args.m, max_order=args.order)
 
     geometry = {
@@ -131,7 +140,7 @@ def cmd_table(args) -> int:
         failures = []
         for r in results:
             cell = published[r.x]
-            for k in range(4):
+            for k in range(min(len(cell.sums), args.order + 1)):
                 name = f"EN{k}"
                 if cell.erratum == name:
                     continue  # documented misprint in the published table
@@ -163,6 +172,8 @@ def cmd_sweep(args) -> int:
         ) from None
     if steps < 2:
         raise UsageError("sweep needs at least 2 steps")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParameterError(f"non-finite value in --range {args.range!r}")
 
     base_params = _parse_param_flags(args.param)
     spec = parse_potential(args.potential)
@@ -182,7 +193,7 @@ def cmd_sweep(args) -> int:
         try:
             params = dict(base_params)
             params[args.sweep_param] = float(value)
-            bound = _bind(args.potential, params, args.m)
+            bound = _bind(spec, params, args.m)
             geom, _, breakdown = solve(bound, args.m, max_order=args.order)
             row.append(_fmt(geom.rho0))
             row.extend(_fmt(s) for s in breakdown.partial_sums)
@@ -207,10 +218,11 @@ def cmd_wavefunction(args) -> int:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise UsageError(f"malformed --grid {args.grid!r}, expected lo,hi,n") from None
-    if n < 2 or not 0 < lo < hi:
-        raise UsageError("grid must satisfy 0 < lo < hi with n >= 2 points")
+    if n < 2 or not 0 < lo < hi < math.inf:
+        raise UsageError("grid must satisfy 0 < lo < hi < inf with n >= 2 points")
 
-    bound = _bind(args.potential, _parse_param_flags(args.param), args.m)
+    params = _parse_param_flags(args.param)
+    bound = _bind(parse_potential(args.potential), params, args.m)
     geom, table, _ = solve(bound, args.m, max_order=args.order)
     grid = np.linspace(lo, hi, n)
     wf = synthesize_wavefunction(geom, table, grid)
@@ -308,6 +320,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_dash_values(list(argv)))
     try:
+        if args.order < 1:
+            raise UsageError(f"--order must be >= 1, got {args.order}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -315,7 +329,7 @@ def main(argv=None) -> int:
     except PotentialSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except KeyError as exc:
+    except (KeyError, ParameterError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (SolverError, ConstantPotentialError, PotentialEvalError, GridError) as exc:

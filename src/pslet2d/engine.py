@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .expressions import BoundPotential
-from .jets import Jet, jet_lift
+from .jets import jet_lift
 
 __all__ = [
     "SolverError",
@@ -264,31 +264,27 @@ def _scan_residuals(bound: BoundPotential, grid: np.ndarray, l: int, n_rho: int)
         )
 
 
-def _frame_quantities(bound: BoundPotential, rho: float, n_rho: int):
-    """Return (s, rad) with s = rho^3 V' / 2 and rad = 3 + rho V''/V'.
+def _frame(bound: BoundPotential, rho: float, l: int, n_rho: int):
+    """(F, rad, V'') at rho from one order-2 jet, or None where the frame is undefined.
 
-    Either may be None when undefined (V' <= 0 or non-finite data).
+    F(rho) = sqrt(s) - l - (n_rho + 1/2) w / 2 with s = rho^3 V'/2,
+    rad = 3 + rho V''/V' and w = 2 sqrt(rad); undefined for non-finite data,
+    V' <= 0, s <= 0 or rad <= 0.
     """
     try:
         jet = jet_lift(bound, rho, 2)
     except ArithmeticError:
-        return None, None
+        return None
     v1 = jet.coeffs[1]
     v2 = 2.0 * jet.coeffs[2]
     if not (math.isfinite(v1) and math.isfinite(v2)) or v1 <= 0.0:
-        return None, None
+        return None
     s = rho ** 3 * v1 / 2.0
     rad = 3.0 + rho * v2 / v1
-    return s, rad
-
-
-def _frame_residual(bound: BoundPotential, rho: float, l: int, n_rho: int):
-    """F(rho) = sqrt(rho^3 V'/2) - l - (n_rho + 1/2) w / 2, or None if undefined."""
-    s, rad = _frame_quantities(bound, rho, n_rho)
-    if s is None or s <= 0.0 or rad is None or rad <= 0.0:
+    if s <= 0.0 or rad <= 0.0:
         return None
     w = 2.0 * math.sqrt(rad)
-    return math.sqrt(s) - l - (n_rho + 0.5) * w / 2.0
+    return math.sqrt(s) - l - (n_rho + 0.5) * w / 2.0, rad, v2
 
 
 def solve_geometry(
@@ -301,42 +297,34 @@ def solve_geometry(
 
     rho0 solves sqrt(rho^3 V'(rho)/2) = l - beta with beta = -(n_rho+1/2) w/2,
     which simultaneously makes the leading energy term stationary and kills
-    the next-to-leading correction.  The scan is logarithmic over
-    [rho_lo, rho_hi]; every bracketed root is refined and, if several stable
-    frames exist, the one with the lowest leading energy wins (with a warning).
+    the next-to-leading correction.  A vectorized logarithmic scan over
+    [rho_lo, rho_hi] brackets the roots; each bracket is refined by brentq on
+    the frame function, and each root is validated from the same order-2 jet
+    (no finite differences).  If several stable frames exist, the one with
+    the lowest leading energy wins (with a warning).
     """
     bound, l, n_rho = problem.bound, problem.l, problem.n_rho
     grid = np.logspace(math.log10(rho_lo), math.log10(rho_hi), scan_points)
     try:
         scan = _scan_residuals(bound, grid, l, n_rho)
     except ArithmeticError:
-        scan = np.array([_frame_residual(bound, r, l, n_rho) for r in grid],
-                        dtype=object)
-    values = [
-        (None if f is None or not np.isfinite(f) else float(f), float(r))
-        for f, r in zip(scan, grid)
-    ]
+        # rho-independent failure (rho^rho, 1/(0)*rho): undefined everywhere
+        scan = np.full_like(grid, np.nan)
 
-    roots: list[float] = []
-    for (f0, r0), (f1, r1) in zip(values, values[1:]):
-        if f0 is None or f1 is None:
-            continue
-        if f0 == 0.0:
-            roots.append(r0)
-        elif f0 * f1 < 0.0:
-            try:
-                root = brentq(
-                    lambda r: _frame_residual(bound, r, l, n_rho),
-                    r0,
-                    r1,
-                    xtol=1e-15,
-                    rtol=8.9e-16,
-                )
-            except (TypeError, ValueError):
-                continue  # frame equation undefined somewhere inside the bracket
-            roots.append(root)
-    if values[-1][0] == 0.0:
-        roots.append(values[-1][1])
+    def residual(r):
+        frame = _frame(bound, r, l, n_rho)
+        return None if frame is None else frame[0]  # None makes brentq raise
+
+    roots = [float(r) for r in grid[scan == 0.0]]
+    sign = np.sign(scan)  # NaN where undefined, so no bracket touches it
+    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
+        try:
+            # xtol ~ 0 leaves rtol = 4 eps as the only stop: rho0 to a few ulps
+            roots.append(
+                brentq(residual, grid[i], grid[i + 1], xtol=1e-300, rtol=8.9e-16)
+            )
+        except (TypeError, ValueError):
+            continue  # frame equation undefined somewhere inside the bracket
     if not roots:
         raise NoStableFrameError(
             "no stable frame: the frame equation has no root in "
@@ -363,39 +351,16 @@ def solve_geometry(
 
 
 def _finish_frame(bound: BoundPotential, rho0: float, l: int, n_rho: int):
-    """Newton-polish rho0, then validate the frame invariants."""
-    for _ in range(3):
-        f = _frame_residual(bound, rho0, l, n_rho)
-        if f is None:
-            return None
-        h = 1e-7 * rho0
-        fp = _frame_residual(bound, rho0 + h, l, n_rho)
-        fm = _frame_residual(bound, rho0 - h, l, n_rho)
-        if fp is None or fm is None:
-            break
-        dF = (fp - fm) / (2.0 * h)
-        if dF == 0.0:
-            break
-        step = f / dF
-        if not math.isfinite(step) or abs(step) > 0.5 * rho0:
-            break
-        rho0 -= step
-    f = _frame_residual(bound, rho0, l, n_rho)
-    if f is None or abs(f) > FRAME_TOL * max(1.0, l):
+    """Validate the frame at a refined root from one jet; None if F(rho0) misses."""
+    frame = _frame(bound, rho0, l, n_rho)
+    if frame is None or abs(frame[0]) > FRAME_TOL * max(1.0, l):
         return None
-
-    s, rad = _frame_quantities(bound, rho0, n_rho)
-    if rad is None or rad <= 0.0:
-        raise FrequencyUndefinedError(
-            f"frequency undefined: 3 + rho V''/V' = {rad} at rho0 = {rho0}"
-        )
+    _, rad, v2 = frame
     w = 2.0 * math.sqrt(rad)
     beta = -(n_rho + 0.5) * w / 2.0
     lbar = l - beta
     Q = lbar ** 2
     # second-derivative test on E^(-2)(rho) = 1/rho^2 + V(rho)/Q at fixed Q
-    jet = jet_lift(bound, rho0, 2)
-    v2 = 2.0 * jet.coeffs[2]
     curvature = 6.0 / rho0 ** 4 + v2 / Q
     if curvature <= 0.0:
         raise NotAMinimumError(

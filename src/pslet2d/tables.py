@@ -23,7 +23,7 @@ import csv
 from dataclasses import dataclass
 from importlib import resources
 
-from .expressions import bind_params, parse_potential
+from .expressions import PotentialSpec, bind_params, parse_potential
 from .engine import EnergyBreakdown, Geometry, solve
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 HYBRID_EXPRESSION = "m*g - 2/rho + g^2*rho^2/4"
-COULOMB_EXPRESSION = "-2/rho"
 
 
 @dataclass(frozen=True)
@@ -134,22 +133,27 @@ def load_published_values(preset_name: str) -> list[PublishedCell]:
     return cells
 
 
-def solve_hybrid(gamma: float, m: int, max_order: int = 3):
-    """Solve the hybrid potential at field strength gamma (Coulomb when 0)."""
-    if gamma == 0.0:
-        bound = bind_params(parse_potential(COULOMB_EXPRESSION), {})
-    else:
-        bound = bind_params(
-            parse_potential(HYBRID_EXPRESSION), {"m": float(m), "g": gamma}
-        )
+def solve_hybrid(
+    gamma: float, m: int, max_order: int = 3, spec: PotentialSpec | None = None
+):
+    """Solve the hybrid potential at field strength gamma.
+
+    ``spec`` is the parsed ``HYBRID_EXPRESSION``; it is parsed here when not given.
+    """
+    if spec is None:
+        spec = parse_potential(HYBRID_EXPRESSION)
+    bound = bind_params(spec, {"m": float(m), "g": gamma})
     return solve(bound, m, max_order=max_order)
 
 
 def run_preset(preset: TablePreset, max_order: int = 3) -> list[TableRowResult]:
+    spec = parse_potential(HYBRID_EXPRESSION)
     results = []
     for x in preset.rows:
         gamma = preset.gamma(x)
-        geom, _, breakdown = solve_hybrid(gamma, preset.m, max_order=max_order)
+        geom, _, breakdown = solve_hybrid(
+            gamma, preset.m, max_order=max_order, spec=spec
+        )
         results.append(
             TableRowResult(x=x, gamma=gamma, geometry=geom, breakdown=breakdown)
         )

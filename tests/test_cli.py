@@ -93,6 +93,40 @@ def test_solver_failure_exit_code(capsys):
     assert "no stable frame" in err
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_order_below_one_is_usage_error(capsys, order):
+    for argv in (("compute", "-V", "-2/rho"), ("table", "hybrid-1s-gamma")):
+        code, out, err = run_cli(capsys, *argv, "--order", order)
+        assert code == EXIT_USAGE
+        assert "usage error" in err and "--order" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_parameter_exit_code(capsys, value):
+    code, _, err = run_cli(
+        capsys, "compute", "-V", "m*g - 2/rho + g^2*rho^2/4", "-p", f"g={value}"
+    )
+    assert code == EXIT_PARSE
+    assert "parameter error" in err and "non-finite" in err
+    code, out, err = run_cli(
+        capsys, "sweep", "-V", "g^2*rho^2/4", "--sweep-param", "g",
+        "--range", f"{value},1,3",
+    )
+    assert code == EXIT_PARSE
+    assert "parameter error" in err and "non-finite" in err
+    assert out == ""
+
+
+def test_table_check_below_order_three(capsys):
+    code, out, err = run_cli(
+        capsys, "table", "hybrid-2p-minus", "--order", "2", "--check"
+    )
+    assert code == 0, err
+    assert list(csv.reader(io.StringIO(out)))[0][1:] == ["EN0", "EN1", "EN2"]
+    assert "max abs deviation" in err
+
+
 def test_table_check_passes(capsys):
     for preset in ("hybrid-1s-gamma", "hybrid-1s-gprime", "hybrid-2p-minus",
                    "hybrid-3d-minus"):
@@ -237,6 +271,10 @@ def test_wavefunction_bad_grid(capsys):
     assert code == EXIT_USAGE
     code, _, err = run_cli(
         capsys, "wavefunction", "-V", "-2/rho", "--grid", "0.01,5"
+    )
+    assert code == EXIT_USAGE
+    code, _, err = run_cli(
+        capsys, "wavefunction", "-V", "-2/rho", "--grid", "0.01,inf,10"
     )
     assert code == EXIT_USAGE
 

@@ -107,6 +107,77 @@ def test_nodeless_only():
         ProblemInput(bound=_coulomb(), m=0, n_rho=1)
 
 
+def _bisect_frame_root(bound, l, lo, hi, steps=48):
+    """Reference rho0: bisection of F(rho) = sqrt(rho^3 V'/2) - l - w/4 in
+    30-digit arithmetic, with V' and V'' from mpmath's numerical
+    differentiation of the expression (no jets, no engine code)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+
+        def frame(rho):
+            v1, v2 = mp.diff(bound, rho, 1), mp.diff(bound, rho, 2)
+            return mp.sqrt(rho**3 * v1 / 2) - l - mp.sqrt(3 + rho * v2 / v1) / 2
+
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        lo_negative = frame(lo) < 0
+        assert lo_negative != (frame(hi) < 0), "reference bracket holds no root"
+        for _ in range(steps):
+            mid = (lo + hi) / 2
+            if (frame(mid) < 0) == lo_negative:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
+def _frame_cases():
+    from test_acceptance import _random_corpus
+
+    from pslet2d import tables
+
+    spec = parse_potential(tables.HYBRID_EXPRESSION)
+    for preset in tables.PRESETS.values():
+        for x in preset.rows:
+            values = {"m": float(preset.m), "g": preset.gamma(x)}
+            yield bind_params(spec, values), preset.m
+    for bound, m, _ in _random_corpus():
+        yield bound, m
+
+
+def test_rho0_matches_bisection_on_presets_and_corpus():
+    cases = list(_frame_cases())
+    assert len(cases) == 43 + 20
+    for bound, m in cases:
+        geom = solve_geometry(ProblemInput(bound=bound, m=m))
+        lo, hi = 0.9999 * geom.rho0, 1.0001 * geom.rho0
+        ref = _bisect_frame_root(bound, abs(m), lo, hi)
+        assert geom.rho0 == pytest.approx(ref, rel=1e-13), (str(bound), m)
+
+
+def test_two_stable_frames_lowest_leading_energy_wins():
+    # V' > 0 on two disjoint intervals, each holding one stable frame
+    bound = _bound("rho^4-6*rho^2-2/rho")
+
+    def leading_energy(rho0):
+        v1 = 4.0 * rho0**3 - 12.0 * rho0 + 2.0 / rho0**2
+        v2 = 12.0 * rho0**2 - 12.0 - 4.0 / rho0**3
+        lbar = math.sqrt(3.0 + rho0 * v2 / v1) / 2.0  # l = 0, lbar = w/4
+        return lbar**2 / rho0**2 + float(bound(rho0))
+
+    inner = _bisect_frame_root(bound, 0, 0.15, 0.3)
+    outer = _bisect_frame_root(bound, 0, 1.75, 2.0)
+    assert leading_energy(outer) < leading_energy(inner)
+    with pytest.warns(UserWarning, match="2 stable frames"):
+        geom = solve_geometry(ProblemInput(bound=bound, m=0))
+    assert geom.rho0 == pytest.approx(outer, rel=1e-13)
+
+
+@pytest.mark.parametrize("text", ["rho^rho", "1/(0)*rho", "0^(-1)*rho"])
+def test_structural_evaluation_error_has_no_stable_frame(text):
+    with pytest.raises(NoStableFrameError, match="no root"):
+        solve_geometry(ProblemInput(bound=_bound(text), m=0))
+
+
 # ---------------------------------------------------------------------------
 # v-series
 
