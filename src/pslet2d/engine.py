@@ -265,7 +265,7 @@ def _scan_residuals(bound: BoundPotential, grid: np.ndarray, l: int, n_rho: int)
 
 
 def _frame(bound: BoundPotential, rho: float, l: int, n_rho: int):
-    """(F, rad, V'') at rho from one order-2 jet, or None where the frame is undefined.
+    """(F, w, V'') at rho from one order-2 jet, or None where the frame is undefined.
 
     F(rho) = sqrt(s) - l - (n_rho + 1/2) w / 2 with s = rho^3 V'/2,
     rad = 3 + rho V''/V' and w = 2 sqrt(rad); undefined for non-finite data,
@@ -284,7 +284,7 @@ def _frame(bound: BoundPotential, rho: float, l: int, n_rho: int):
     if s <= 0.0 or rad <= 0.0:
         return None
     w = 2.0 * math.sqrt(rad)
-    return math.sqrt(s) - l - (n_rho + 0.5) * w / 2.0, rad, v2
+    return math.sqrt(s) - l - (n_rho + 0.5) * w / 2.0, w, v2
 
 
 def solve_geometry(
@@ -355,8 +355,7 @@ def _finish_frame(bound: BoundPotential, rho0: float, l: int, n_rho: int):
     frame = _frame(bound, rho0, l, n_rho)
     if frame is None or abs(frame[0]) > FRAME_TOL * max(1.0, l):
         return None
-    _, rad, v2 = frame
-    w = 2.0 * math.sqrt(rad)
+    _, w, v2 = frame
     beta = -(n_rho + 0.5) * w / 2.0
     lbar = l - beta
     Q = lbar ** 2

@@ -23,7 +23,7 @@ import csv
 from dataclasses import dataclass
 from importlib import resources
 
-from .expressions import PotentialSpec, bind_params, parse_potential
+from .expressions import bind_params, parse_potential
 from .engine import EnergyBreakdown, Geometry, solve
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 HYBRID_EXPRESSION = "m*g - 2/rho + g^2*rho^2/4"
+_HYBRID_SPEC = parse_potential(HYBRID_EXPRESSION)
 
 
 @dataclass(frozen=True)
@@ -133,27 +134,17 @@ def load_published_values(preset_name: str) -> list[PublishedCell]:
     return cells
 
 
-def solve_hybrid(
-    gamma: float, m: int, max_order: int = 3, spec: PotentialSpec | None = None
-):
-    """Solve the hybrid potential at field strength gamma.
-
-    ``spec`` is the parsed ``HYBRID_EXPRESSION``; it is parsed here when not given.
-    """
-    if spec is None:
-        spec = parse_potential(HYBRID_EXPRESSION)
-    bound = bind_params(spec, {"m": float(m), "g": gamma})
+def solve_hybrid(gamma: float, m: int, max_order: int = 3):
+    """Solve the hybrid potential at field strength gamma."""
+    bound = bind_params(_HYBRID_SPEC, {"m": float(m), "g": gamma})
     return solve(bound, m, max_order=max_order)
 
 
 def run_preset(preset: TablePreset, max_order: int = 3) -> list[TableRowResult]:
-    spec = parse_potential(HYBRID_EXPRESSION)
     results = []
     for x in preset.rows:
         gamma = preset.gamma(x)
-        geom, _, breakdown = solve_hybrid(
-            gamma, preset.m, max_order=max_order, spec=spec
-        )
+        geom, _, breakdown = solve_hybrid(gamma, preset.m, max_order=max_order)
         results.append(
             TableRowResult(x=x, gamma=gamma, geometry=geom, breakdown=breakdown)
         )
