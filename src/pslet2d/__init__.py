@@ -19,7 +19,6 @@ from .engine import (
     HierarchyInconsistencyError,
     NoStableFrameError,
     NotAMinimumError,
-    ProblemInput,
     SolverError,
     VSeries,
     assemble_energy,
@@ -54,7 +53,6 @@ __all__ = [
     "PotentialEvalError",
     "PotentialSpec",
     "PotentialSyntaxError",
-    "ProblemInput",
     "SolverError",
     "VSeries",
     "WavefunctionSeries",

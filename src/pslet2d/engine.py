@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .expressions import BoundPotential
-from .jets import jet_lift
+from .jets import jet_lift, taylor_coeffs
 
 __all__ = [
     "SolverError",
@@ -34,7 +34,6 @@ __all__ = [
     "FrequencyUndefinedError",
     "NotAMinimumError",
     "HierarchyInconsistencyError",
-    "ProblemInput",
     "Geometry",
     "VSeries",
     "CoefficientTable",
@@ -72,23 +71,6 @@ FRAME_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ProblemInput:
-    """A potential plus quantum numbers; only nodeless states are supported."""
-
-    bound: BoundPotential
-    m: int
-    n_rho: int = 0
-
-    def __post_init__(self):
-        if self.n_rho != 0:
-            raise ValueError("only nodeless states (n_rho = 0) are supported")
-
-    @property
-    def l(self) -> int:
-        return abs(self.m)
-
-
-@dataclass(frozen=True)
 class Geometry:
     """Solved expansion frame for a (potential, l) pair.
 
@@ -100,14 +82,10 @@ class Geometry:
     beta: float
     lbar: float
     l: int
-    n_rho: int = 0
 
     @property
     def Q(self) -> float:
         return self.lbar ** 2
-
-    def x_of_rho(self, rho):
-        return math.sqrt(self.lbar) * (np.asarray(rho) - self.rho0) / self.rho0
 
 
 @dataclass(frozen=True)
@@ -122,16 +100,6 @@ class VSeries:
     def __getitem__(self, n: int) -> np.ndarray:
         return self.polys[n]
 
-    @property
-    def B1(self) -> float:
-        """x^3 coefficient of v^(1)."""
-        return float(self.polys[1][3])
-
-    @property
-    def B2(self) -> float:
-        """x^4 coefficient of v^(2)."""
-        return float(self.polys[2][4])
-
 
 @dataclass(frozen=True)
 class CoefficientTable:
@@ -141,18 +109,6 @@ class CoefficientTable:
     G: tuple[np.ndarray, ...]
     lambdas: tuple[float, ...]
     residuals: tuple[float, ...]
-
-    def D(self, j: int, n: int) -> float:
-        """Coefficient of x^(2j-1) in U^(n)."""
-        poly = self.U[n]
-        k = 2 * j - 1
-        return float(poly[k]) if 0 <= k < len(poly) else 0.0
-
-    def C(self, j: int, n: int) -> float:
-        """Coefficient of x^(2j) in G^(n)."""
-        poly = self.G[n]
-        k = 2 * j
-        return float(poly[k]) if 0 <= k < len(poly) else 0.0
 
 
 @dataclass(frozen=True)
@@ -172,168 +128,74 @@ class EnergyBreakdown:
     partial_sums: tuple[float, ...]
     e_minus1: float  # identically ~0 by the choice of beta; kept as a self-check
 
-    @property
-    def energy(self) -> float:
-        return self.partial_sums[-1]
-
 
 # ---------------------------------------------------------------------------
 # Geometry
 
-class _D2:
-    """Batched (value, V', V'') over an array of radii; used only to make the
-    bracketing scan a handful of array operations instead of one jet per point.
-    Root refinement and all frame invariants still use exact jets."""
-
-    __slots__ = ("v", "d1", "d2")
-
-    def __init__(self, v, d1, d2):
-        self.v, self.d1, self.d2 = v, d1, d2
-
-    def _coerce(self, other):
-        if isinstance(other, _D2):
-            return other
-        z = np.zeros_like(self.v)
-        return _D2(np.full_like(self.v, float(other)), z, z)
-
-    def __add__(self, o):
-        o = self._coerce(o)
-        return _D2(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _D2(-self.v, -self.d1, -self.d2)
-
-    def __sub__(self, o):
-        o = self._coerce(o)
-        return _D2(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
-
-    def __rsub__(self, o):
-        return (-self) + o
-
-    def __mul__(self, o):
-        o = self._coerce(o)
-        return _D2(
-            self.v * o.v,
-            self.d1 * o.v + self.v * o.d1,
-            self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        o = self._coerce(o)
-        q = self.v / o.v
-        q1 = (self.d1 - q * o.d1) / o.v
-        q2 = (self.d2 - 2.0 * q1 * o.d1 - q * o.d2) / o.v
-        return _D2(q, q1, q2)
-
-    def __rtruediv__(self, o):
-        return self._coerce(o) / self
-
-    def __pow__(self, p):
-        p = float(p)
-        f, f1, f2 = self.v, self.d1, self.d2
-        g = f ** p
-        gp = p * f ** (p - 1.0)
-        return _D2(g, gp * f1, p * (p - 1.0) * f ** (p - 2.0) * f1 * f1 + gp * f2)
+# the logarithmic scan that brackets the roots of the frame equation
+RHO_LO, RHO_HI, SCAN_POINTS = 1e-4, 1e4, 400
+_SCAN_GRID = np.logspace(math.log10(RHO_LO), math.log10(RHO_HI), SCAN_POINTS)
 
 
-def _scan_residuals(bound: BoundPotential, grid: np.ndarray, l: int, n_rho: int):
-    """F(rho) on the whole scan grid at once; NaN where the frame is undefined."""
-    from .expressions import evaluate
+def _frame(bound: BoundPotential, rho, l: int):
+    """(F, w, V'') at rho, a float or an array, from one order-2 expansion.
 
-    trip = _D2(grid, np.ones_like(grid), np.zeros_like(grid))
-    with np.errstate(all="ignore"):
-        out = evaluate(bound.spec.tree, trip, bound.values)
-        if not isinstance(out, _D2):  # constant in rho (cannot happen post-parse)
-            return np.full_like(grid, np.nan)
-        v1, v2 = out.d1, out.d2
-        s = grid ** 3 * v1 / 2.0
-        rad = 3.0 + grid * v2 / v1
-        ok = (
-            np.isfinite(v1) & np.isfinite(v2) & (v1 > 0.0) & (s > 0.0) & (rad > 0.0)
-        )
-        safe_s = np.where(ok, s, 1.0)
-        safe_rad = np.where(ok, rad, 1.0)
-        return np.where(
-            ok,
-            np.sqrt(safe_s) - l - (n_rho + 0.5) * np.sqrt(safe_rad),
-            np.nan,
-        )
-
-
-def _frame(bound: BoundPotential, rho: float, l: int, n_rho: int):
-    """(F, w, V'') at rho from one order-2 jet, or None where the frame is undefined.
-
-    F(rho) = sqrt(s) - l - (n_rho + 1/2) w / 2 with s = rho^3 V'/2,
-    rad = 3 + rho V''/V' and w = 2 sqrt(rad); undefined for non-finite data,
-    V' <= 0, s <= 0 or rad <= 0.
+    F(rho) = sqrt(s) - l - w / 4 with s = rho^3 V'/2, rad = 3 + rho V''/V'
+    and w = 2 sqrt(rad); F is NaN where the frame is undefined: non-finite
+    V' or V'', V' <= 0, s <= 0 or rad <= 0.
     """
-    try:
-        jet = jet_lift(bound, rho, 2)
-    except ArithmeticError:
-        return None
-    v1 = jet.coeffs[1]
-    v2 = 2.0 * jet.coeffs[2]
-    if not (math.isfinite(v1) and math.isfinite(v2)) or v1 <= 0.0:
-        return None
-    s = rho ** 3 * v1 / 2.0
-    rad = 3.0 + rho * v2 / v1
-    if s <= 0.0 or rad <= 0.0:
-        return None
-    w = 2.0 * math.sqrt(rad)
-    return math.sqrt(s) - l - (n_rho + 0.5) * w / 2.0, w, v2
+    a = taylor_coeffs(bound, rho, 2)
+    v1 = a[1]
+    v2 = 2.0 * a[2]
+    with np.errstate(all="ignore"):
+        s = rho ** 3 * v1 / 2.0
+        rad = 3.0 + rho * v2 / v1
+        w = 2.0 * np.sqrt(rad)
+        F = np.sqrt(s) - l - w / 4.0
+        ok = np.isfinite(v1) & np.isfinite(v2) & (v1 > 0.0) & (s > 0.0) & (rad > 0.0)
+    return np.where(ok, F, np.nan), w, v2
 
 
-def solve_geometry(
-    problem: ProblemInput,
-    rho_lo: float = 1e-4,
-    rho_hi: float = 1e4,
-    scan_points: int = 400,
-) -> Geometry:
+def solve_geometry(bound: BoundPotential, m: int) -> Geometry:
     """Locate the expansion point rho0 and the derived frame quantities.
 
-    rho0 solves sqrt(rho^3 V'(rho)/2) = l - beta with beta = -(n_rho+1/2) w/2,
-    which simultaneously makes the leading energy term stationary and kills
-    the next-to-leading correction.  A vectorized logarithmic scan over
-    [rho_lo, rho_hi] brackets the roots; each bracket is refined by brentq on
-    the frame function, and each root is validated from the same order-2 jet
-    (no finite differences).  If several stable frames exist, the one with
-    the lowest leading energy wins (with a warning).
+    rho0 solves sqrt(rho^3 V'(rho)/2) = l - beta with l = |m| and
+    beta = -w/4, which simultaneously makes the leading energy term
+    stationary and kills the next-to-leading correction.  The frame function
+    evaluated on a logarithmic grid over [RHO_LO, RHO_HI] brackets the roots;
+    brentq refines each bracket on the same function at single points, and
+    each root is validated from the same order-2 expansion (no finite
+    differences).  If several stable frames exist, the one with the lowest
+    leading energy wins (with a warning).
     """
-    bound, l, n_rho = problem.bound, problem.l, problem.n_rho
-    grid = np.logspace(math.log10(rho_lo), math.log10(rho_hi), scan_points)
+    l = abs(m)
     try:
-        scan = _scan_residuals(bound, grid, l, n_rho)
+        scan = _frame(bound, _SCAN_GRID, l)[0]
     except ArithmeticError:
         # rho-independent failure (rho^rho, 1/(0)*rho): undefined everywhere
-        scan = np.full_like(grid, np.nan)
+        scan = np.full_like(_SCAN_GRID, np.nan)
 
     def residual(r):
-        frame = _frame(bound, r, l, n_rho)
-        return None if frame is None else frame[0]  # None makes brentq raise
+        return _frame(bound, r, l)[0]  # NaN makes brentq raise ValueError
 
-    roots = [float(r) for r in grid[scan == 0.0]]
+    roots = [float(r) for r in _SCAN_GRID[scan == 0.0]]
     sign = np.sign(scan)  # NaN where undefined, so no bracket touches it
     for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
         try:
             # xtol ~ 0 leaves rtol = 4 eps as the only stop: rho0 to a few ulps
-            roots.append(
-                brentq(residual, grid[i], grid[i + 1], xtol=1e-300, rtol=8.9e-16)
-            )
-        except (TypeError, ValueError):
+            roots.append(brentq(residual, _SCAN_GRID[i], _SCAN_GRID[i + 1],
+                                xtol=1e-300, rtol=8.9e-16))
+        except ValueError:
             continue  # frame equation undefined somewhere inside the bracket
     if not roots:
         raise NoStableFrameError(
             "no stable frame: the frame equation has no root in "
-            f"[{rho_lo}, {rho_hi}] for l={l}"
+            f"[{RHO_LO}, {RHO_HI}] for l={l}"
         )
 
     candidates: list[Geometry] = []
     for root in roots:
-        geom = _finish_frame(bound, root, l, n_rho)
+        geom = _finish_frame(bound, root, l)
         if geom is not None:
             candidates.append(geom)
     if not candidates:
@@ -350,13 +212,13 @@ def solve_geometry(
     return candidates[0]
 
 
-def _finish_frame(bound: BoundPotential, rho0: float, l: int, n_rho: int):
-    """Validate the frame at a refined root from one jet; None if F(rho0) misses."""
-    frame = _frame(bound, rho0, l, n_rho)
-    if frame is None or abs(frame[0]) > FRAME_TOL * max(1.0, l):
+def _finish_frame(bound: BoundPotential, rho0: float, l: int):
+    """Validate the frame at a refined root; None if F(rho0) misses or is undefined."""
+    F, w, v2 = _frame(bound, rho0, l)
+    if not abs(F) <= FRAME_TOL * max(1.0, l):
         return None
-    _, w, v2 = frame
-    beta = -(n_rho + 0.5) * w / 2.0
+    w = float(w)
+    beta = -w / 4.0
     lbar = l - beta
     Q = lbar ** 2
     # second-derivative test on E^(-2)(rho) = 1/rho^2 + V(rho)/Q at fixed Q
@@ -365,7 +227,7 @@ def _finish_frame(bound: BoundPotential, rho0: float, l: int, n_rho: int):
         raise NotAMinimumError(
             f"expansion point rho0 = {rho0} is not a minimum of the leading energy"
         )
-    return Geometry(rho0=float(rho0), w=w, beta=beta, lbar=lbar, l=l, n_rho=n_rho)
+    return Geometry(rho0=float(rho0), w=w, beta=beta, lbar=lbar, l=l)
 
 
 def _leading_energy(bound: BoundPotential, geom: Geometry) -> float:
@@ -413,10 +275,6 @@ def build_v_series(bound: BoundPotential, geom: Geometry, max_order: int) -> VSe
 # ---------------------------------------------------------------------------
 # Coefficient hierarchy
 
-def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
-
-
 def _padded_sum(terms: list[np.ndarray], length: int) -> np.ndarray:
     out = np.zeros(length)
     for t in terms:
@@ -461,7 +319,7 @@ def solve_hierarchy(v: VSeries, geom: Geometry, max_order: int) -> CoefficientTa
 
     for s in range(1, n_orders + 1):
         cross = [
-            _polymul(W[p], W[s - p]) for p in range(1, s) if p < len(W) and s - p < len(W)
+            np.convolve(W[p], W[s - p]) for p in range(1, s) if p < len(W) and s - p < len(W)
         ]
         length = s + 3  # deg v^(s) = s+2
         K = _padded_sum([np.asarray(v[s])] + [-c for c in cross], length)
@@ -536,7 +394,7 @@ def assemble_energy(
     v_at_rho0 = float(bound(rho0))
 
     e_minus2 = 1.0 / rho0 ** 2 + v_at_rho0 / Q
-    e_minus1 = (2.0 * beta + (geom.n_rho + 0.5) * geom.w) / rho0 ** 2
+    e_minus1 = (2.0 * beta + 0.5 * geom.w) / rho0 ** 2
     corrections = [(beta * beta - 0.25 + table.lambdas[0]) / rho0 ** 2]
     for n in range(1, max_order):
         corrections.append(table.lambdas[n] / rho0 ** 2)
@@ -562,8 +420,7 @@ def solve(
     """End-to-end solve: frame, hierarchy and energy for a nodeless state."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    problem = ProblemInput(bound=bound, m=m)
-    geom = solve_geometry(problem)
+    geom = solve_geometry(bound, m)
     v = build_v_series(bound, geom, 2 * max_order)
     table = solve_hierarchy(v, geom, max_order)
     breakdown = assemble_energy(geom, table, bound, max_order)

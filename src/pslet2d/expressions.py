@@ -17,8 +17,6 @@ which is how the Taylor-jet machinery reuses the same tree.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -329,25 +327,14 @@ def parse_potential(text: str) -> PotentialSpec:
     return PotentialSpec(tree=tree, params=tuple(sorted(names)))
 
 
-def bind_params(
-    spec: PotentialSpec,
-    values: Mapping[str, float],
-    strict: bool = True,
-) -> BoundPotential:
-    """Bind every parameter of ``spec``.
-
-    Missing parameters always raise; extraneous ones raise under ``strict``
-    and warn otherwise.
-    """
+def bind_params(spec: PotentialSpec, values: Mapping[str, float]) -> BoundPotential:
+    """Bind every parameter of ``spec``; missing or extraneous names raise KeyError."""
     missing = [p for p in spec.params if p not in values]
     if missing:
         raise KeyError(f"missing parameter(s): {', '.join(missing)}")
     extra = [k for k in values if k not in spec.params]
     if extra:
-        msg = f"extraneous parameter(s): {', '.join(sorted(extra))}"
-        if strict:
-            raise KeyError(msg)
-        warnings.warn(msg, stacklevel=2)
+        raise KeyError(f"extraneous parameter(s): {', '.join(sorted(extra))}")
     kept = {p: float(values[p]) for p in spec.params}
     return BoundPotential(spec=spec, values=kept)
 
@@ -415,13 +402,3 @@ def _int_pow(base, n: int):
         if n:
             acc = acc * acc
     return result
-
-
-def eval_potential(bound: BoundPotential, rho: float) -> float:
-    """Evaluate a bound potential at a single radius, with finiteness checks."""
-    if rho <= 0:
-        raise PotentialEvalError(f"rho must be positive, got {rho}")
-    value = bound(rho)
-    if not math.isfinite(value):
-        raise PotentialEvalError(f"non-finite value {value} at rho={rho}")
-    return value

@@ -18,20 +18,24 @@ import numpy as np
 
 from .expressions import BoundPotential, PotentialEvalError, evaluate
 
-__all__ = ["Jet", "jet_lift", "derivative"]
+__all__ = ["Jet", "jet_lift", "taylor_coeffs", "derivative"]
 
 
 class _Series:
-    """Internal truncated-series scalar used while traversing the tree."""
+    """Truncated series used while traversing the tree, for a point or a batch.
+
+    ``c`` has shape (K+1, *batch): row k holds the k-th coefficient at every
+    expansion point, and both operands of an operation share one batch shape.
+    Each point goes through the same floating-point operations in the same
+    order whatever the batch shape, so a batch entry equals the single-point
+    result.  A pole, a non-positive base under a real power or an overflow
+    gives inf or NaN in that entry instead of raising.
+    """
 
     __slots__ = ("c",)
 
-    def __init__(self, coeffs):
-        self.c = np.asarray(coeffs, dtype=float)
-
-    @property
-    def order(self) -> int:
-        return len(self.c) - 1
+    def __init__(self, coeffs: np.ndarray):
+        self.c = coeffs
 
     # -- ring operations ----------------------------------------------------
 
@@ -39,7 +43,7 @@ class _Series:
         if isinstance(other, _Series):
             return other
         out = np.zeros_like(self.c)
-        out[0] = float(other)
+        out[0] = other
         return _Series(out)
 
     def __add__(self, other):
@@ -60,15 +64,21 @@ class _Series:
         return _Series(o.c - self.c)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        n = len(self.c)
-        return _Series(np.convolve(self.c, o.c)[:n])
+        if not isinstance(other, _Series):
+            return _Series(self.c * other)
+        # Cauchy product, each coefficient summed in order of a's index
+        a, b = self.c, other.c
+        out = a[0] * b
+        for j in range(1, len(a)):
+            out[j:] += a[j] * b[: len(a) - j]
+        return _Series(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return _series_div(self, o)
+        if not isinstance(other, _Series):
+            return _Series(self.c / other)
+        return _series_div(self, other)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -79,14 +89,12 @@ class _Series:
 
 
 def _series_div(num: _Series, den: _Series) -> _Series:
-    if den.c[0] == 0.0:
-        raise PotentialEvalError("division by a series with zero constant term (pole)")
-    n = len(num.c)
-    out = np.empty(n)
-    for k in range(n):
+    """num / den; a zero constant term of den (a pole) gives inf or NaN."""
+    out = np.empty_like(num.c)
+    for k in range(len(out)):
         acc = num.c[k]
         for j in range(1, k + 1):
-            acc -= den.c[j] * out[k - j]
+            acc = acc - den.c[j] * out[k - j]  # not -=: acc may view num.c
         out[k] = acc / den.c[0]
     return _Series(out)
 
@@ -96,16 +104,12 @@ def _series_pow(base: _Series, p: float) -> _Series:
 
     g = f^p satisfies f g' = p f' g, giving
         k f_0 g_k = sum_{j=1..k} (j p - (k - j)) f_j g_{k-j}.
+    A non-positive constant term f_0 gives NaN.
     """
     f = base.c
-    if f[0] <= 0.0:
-        raise PotentialEvalError(
-            f"real power of a series with non-positive constant term {f[0]}"
-        )
-    n = len(f)
-    g = np.zeros(n)
-    g[0] = f[0] ** p
-    for k in range(1, n):
+    g = np.empty_like(f)
+    g[0] = np.where(f[0] > 0.0, f[0] ** p, np.nan)
+    for k in range(1, len(f)):
         acc = 0.0
         for j in range(1, k + 1):
             acc += (j * p - (k - j)) * f[j] * g[k - j]
@@ -129,22 +133,33 @@ class Jet:
         return len(self.coeffs)
 
 
+def taylor_coeffs(bound: BoundPotential, center, order: int) -> np.ndarray:
+    """Taylor coefficients of ``bound`` about ``center``, a float or an array.
+
+    Returns shape (order+1, *np.shape(center)), entry [k, i] being
+    V^(k)(center[i]) / k!, from one walk of the expression tree.  Unchecked:
+    an entry where V or a derivative is undefined is inf or NaN.
+    """
+    seed = np.zeros((order + 1,) + np.shape(center))
+    seed[0] = center
+    if order >= 1:
+        seed[1] = 1.0
+    with np.errstate(all="ignore"):
+        result = evaluate(bound.spec.tree, _Series(seed), bound.values)
+    if isinstance(result, _Series):
+        return result.c
+    coeffs = np.zeros_like(seed)  # the tree reduced to a constant (e.g. rho^0)
+    coeffs[0] = result
+    return coeffs
+
+
 def jet_lift(bound: BoundPotential, center: float, order: int) -> Jet:
     """Expand ``bound`` about ``center`` to the given truncation order."""
     if center <= 0:
         raise PotentialEvalError(f"expansion center must be positive, got {center}")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    seed = np.zeros(order + 1)
-    seed[0] = center
-    if order >= 1:
-        seed[1] = 1.0
-    result = evaluate(bound.spec.tree, _Series(seed), bound.values)
-    if isinstance(result, _Series):
-        coeffs = result.c
-    else:  # tree degenerated to a constant in rho (cannot happen post-parse)
-        coeffs = np.zeros(order + 1)
-        coeffs[0] = float(result)
+    coeffs = taylor_coeffs(bound, center, order)
     if not np.all(np.isfinite(coeffs)):
         raise PotentialEvalError(
             f"non-finite jet coefficients when expanding about rho={center}"

@@ -43,7 +43,6 @@ _HYBRID_SPEC = parse_potential(HYBRID_EXPRESSION)
 @dataclass(frozen=True)
 class TablePreset:
     name: str
-    table_number: int
     m: int
     field_name: str  # column header for the swept variable
     rows: tuple[float, ...]
@@ -58,7 +57,6 @@ PRESETS: dict[str, TablePreset] = {
     for p in (
         TablePreset(
             name="hybrid-1s-gamma",
-            table_number=1,
             m=0,
             field_name="gamma",
             rows=(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 20, 28, 36, 40),
@@ -66,7 +64,6 @@ PRESETS: dict[str, TablePreset] = {
         ),
         TablePreset(
             name="hybrid-1s-gprime",
-            table_number=2,
             m=0,
             field_name="gamma_prime",
             rows=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8),
@@ -74,7 +71,6 @@ PRESETS: dict[str, TablePreset] = {
         ),
         TablePreset(
             name="hybrid-2p-minus",
-            table_number=3,
             m=-1,
             field_name="gamma_prime",
             rows=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8),
@@ -82,7 +78,6 @@ PRESETS: dict[str, TablePreset] = {
         ),
         TablePreset(
             name="hybrid-3d-minus",
-            table_number=4,
             m=-2,
             field_name="gamma_prime",
             rows=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8),

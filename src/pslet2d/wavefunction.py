@@ -20,7 +20,7 @@ away from rho0 (the geometric tail of the log series diverges for |y| > 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import simpson
@@ -173,15 +173,7 @@ def synthesize_wavefunction(
             f"grid does not cover the support: tail mass fraction {tail:.2e}"
         )
 
-    return WavefunctionSeries(
-        geometry=geom,
-        log_power=log_power,
-        blocks=blocks,
-        grid=grid,
-        psi=psi,
-        radial=radial,
-        norm=norm,
-    )
+    return replace(wf, psi=psi, radial=radial, norm=norm)
 
 
 def _whole_line_mass(wf: WavefunctionSeries, geom: Geometry, grid_max: float):

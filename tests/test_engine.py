@@ -7,7 +7,6 @@ import pytest
 from pslet2d.expressions import bind_params, parse_potential
 from pslet2d.engine import (
     NoStableFrameError,
-    ProblemInput,
     build_v_series,
     solve,
     solve_geometry,
@@ -36,7 +35,7 @@ def _hybrid(gamma, m):
 # geometry
 
 def test_coulomb_geometry():
-    geom = solve_geometry(ProblemInput(bound=_coulomb(), m=0))
+    geom = solve_geometry(_coulomb(), 0)
     assert geom.lbar == pytest.approx(0.5, abs=1e-13)
     assert geom.rho0 == pytest.approx(0.25, abs=1e-13)
     assert geom.w == pytest.approx(2.0, abs=1e-13)
@@ -47,7 +46,7 @@ def test_coulomb_geometry():
 def test_coulomb_geometry_all_m():
     # lbar = |m| + 1/2, rho0 = lbar^2
     for m in range(6):
-        geom = solve_geometry(ProblemInput(bound=_coulomb(), m=m))
+        geom = solve_geometry(_coulomb(), m)
         lbar = abs(m) + 0.5
         assert geom.lbar == pytest.approx(lbar, rel=1e-12)
         assert geom.rho0 == pytest.approx(lbar**2, rel=1e-12)
@@ -55,7 +54,7 @@ def test_coulomb_geometry_all_m():
 
 
 def test_oscillator_geometry():
-    geom = solve_geometry(ProblemInput(bound=_oscillator(2.0), m=1))
+    geom = solve_geometry(_oscillator(2.0), 1)
     assert geom.lbar == pytest.approx(2.0, rel=1e-12)
     assert geom.rho0 == pytest.approx(math.sqrt(2.0), rel=1e-12)
     assert geom.w == pytest.approx(4.0, rel=1e-12)
@@ -81,13 +80,13 @@ def test_hybrid_geometry_matches_independent_bisection():
             lo = mid
         else:
             hi = mid
-    geom = solve_geometry(ProblemInput(bound=bound, m=m))
+    geom = solve_geometry(bound, m)
     assert geom.rho0 == pytest.approx(0.5 * (lo + hi), rel=1e-10)
 
 
 def test_frame_invariants_on_solved_geometry():
     for bound, m in [(_coulomb(), 0), (_oscillator(1.5), 2), (_hybrid(0.7, -1), -1)]:
-        geom = solve_geometry(ProblemInput(bound=bound, m=m))
+        geom = solve_geometry(bound, m)
         jet = jet_lift(bound, geom.rho0, 2)
         v1, v2 = derivative(jet, 1), derivative(jet, 2)
         # frame residual, beta relation, frequency relation, curvature
@@ -99,12 +98,7 @@ def test_frame_invariants_on_solved_geometry():
 
 def test_no_stable_frame_for_repulsive_decreasing_potential():
     with pytest.raises(NoStableFrameError):
-        solve_geometry(ProblemInput(bound=_bound("-rho"), m=0))
-
-
-def test_nodeless_only():
-    with pytest.raises(ValueError):
-        ProblemInput(bound=_coulomb(), m=0, n_rho=1)
+        solve_geometry(_bound("-rho"), 0)
 
 
 def _bisect_frame_root(bound, l, lo, hi, steps=48):
@@ -148,7 +142,7 @@ def test_rho0_matches_bisection_on_presets_and_corpus():
     cases = list(_frame_cases())
     assert len(cases) == 43 + 20
     for bound, m in cases:
-        geom = solve_geometry(ProblemInput(bound=bound, m=m))
+        geom = solve_geometry(bound, m)
         lo, hi = 0.9999 * geom.rho0, 1.0001 * geom.rho0
         ref = _bisect_frame_root(bound, abs(m), lo, hi)
         assert geom.rho0 == pytest.approx(ref, rel=1e-13), (str(bound), m)
@@ -168,44 +162,56 @@ def test_two_stable_frames_lowest_leading_energy_wins():
     outer = _bisect_frame_root(bound, 0, 1.75, 2.0)
     assert leading_energy(outer) < leading_energy(inner)
     with pytest.warns(UserWarning, match="2 stable frames"):
-        geom = solve_geometry(ProblemInput(bound=bound, m=0))
+        geom = solve_geometry(bound, 0)
     assert geom.rho0 == pytest.approx(outer, rel=1e-13)
 
 
 @pytest.mark.parametrize("text", ["rho^rho", "1/(0)*rho", "0^(-1)*rho"])
 def test_structural_evaluation_error_has_no_stable_frame(text):
     with pytest.raises(NoStableFrameError, match="no root"):
-        solve_geometry(ProblemInput(bound=_bound(text), m=0))
+        solve_geometry(_bound(text), 0)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "-2/rho + 0*(5-rho)^0.5",  # undefined for rho > 5
+        "-2/rho + 1e-300*rho^200",  # overflows at large rho
+    ],
+)
+def test_points_where_the_frame_is_undefined_leave_the_rest_of_the_scan(text):
+    _, _, breakdown = solve(_bound(text), 0)
+    assert breakdown.partial_sums[3] == pytest.approx(-4.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # v-series
 
 def test_coulomb_v_series():
-    geom = solve_geometry(ProblemInput(bound=_coulomb(), m=0))
+    geom = solve_geometry(_coulomb(), 0)
     v = build_v_series(_coulomb(), geom, 2)
     assert v[0] == pytest.approx([-1.0, 0.0, 1.0], abs=1e-13)  # x^2 - 1
     assert v[1] == pytest.approx([0.0, 2.0, 0.0, -2.0], abs=1e-13)  # 2x - 2x^3
-    assert v.B1 == pytest.approx(-2.0, abs=1e-13)
-    assert v.B2 == pytest.approx(3.0, abs=1e-13)
+    assert v[1][3] == pytest.approx(-2.0, abs=1e-13)
+    assert v[2][4] == pytest.approx(3.0, abs=1e-13)
 
 
 def test_oscillator_v1_cubic_only():
     # the third-derivative contribution vanishes for a quadratic potential
     for gamma, m in [(1.0, 0), (2.0, 1), (5.0, 2)]:
         bound = _oscillator(gamma)
-        geom = solve_geometry(ProblemInput(bound=bound, m=m))
+        geom = solve_geometry(bound, m)
         v = build_v_series(bound, geom, 2)
         expected = np.zeros(4)
         expected[1] = -4.0 * geom.beta
         expected[3] = -4.0
         assert v[1] == pytest.approx(expected, abs=1e-12)
-        assert v.B1 == pytest.approx(-4.0, abs=1e-12)
-        assert v.B2 == pytest.approx(5.0, abs=1e-12)
+        assert v[1][3] == pytest.approx(-4.0, abs=1e-12)
+        assert v[2][4] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_v_series_degrees():
-    geom = solve_geometry(ProblemInput(bound=_hybrid(1.0, 0), m=0))
+    geom = solve_geometry(_hybrid(1.0, 0), 0)
     v = build_v_series(_hybrid(1.0, 0), geom, 6)
     for n in range(len(v)):
         assert len(v[n]) <= n + 3  # degree <= n + 2
@@ -222,10 +228,10 @@ def test_u0_is_minus_half_w_x():
 
 def test_coulomb_low_order_coefficients():
     _, table, _ = solve(_coulomb(), 0)
-    assert table.C(1, 0) == pytest.approx(1.0, abs=1e-12)
-    assert table.C(0, 0) == pytest.approx(0.0, abs=1e-12)
-    assert table.D(2, 2) == pytest.approx(-1.0, abs=1e-12)
-    assert table.D(1, 2) == pytest.approx(0.0, abs=1e-12)
+    assert table.G[0][2] == pytest.approx(1.0, abs=1e-12)
+    assert table.G[0][0] == pytest.approx(0.0, abs=1e-12)
+    assert table.U[2][3] == pytest.approx(-1.0, abs=1e-12)
+    assert table.U[2][1] == pytest.approx(0.0, abs=1e-12)
     assert table.lambdas[0] == pytest.approx(0.0, abs=1e-12)
     # U^(1) = 0 and G^(1) = 0 at these orders
     assert np.max(np.abs(table.U[1])) < 1e-12
@@ -234,19 +240,20 @@ def test_coulomb_low_order_coefficients():
 
 def test_oscillator_low_order_coefficients():
     _, table, _ = solve(_oscillator(2.0), 1)
-    assert table.C(1, 0) == pytest.approx(1.0, abs=1e-12)
-    assert table.C(0, 0) == pytest.approx(-0.5, abs=1e-12)
-    assert table.D(2, 2) == pytest.approx(-1.0, abs=1e-12)
-    assert table.D(1, 2) == pytest.approx(0.5, abs=1e-12)
+    assert table.G[0][2] == pytest.approx(1.0, abs=1e-12)
+    assert table.G[0][0] == pytest.approx(-0.5, abs=1e-12)
+    assert table.U[2][3] == pytest.approx(-1.0, abs=1e-12)
+    assert table.U[2][1] == pytest.approx(0.5, abs=1e-12)
     assert table.lambdas[0] == pytest.approx(-0.75, abs=1e-12)
 
 
 def test_lambda0_identity():
-    # lambda^(0) = -(D_{1,2} + C_{0,0}^2)
+    # lambda^(0) = -(D_{1,2} + C_{0,0}^2): the x coefficient of U^(2) and the
+    # constant term of G^(0)
     for bound, m in [(_coulomb(), 0), (_oscillator(1.0), 0), (_hybrid(2.0, -1), -1)]:
         _, table, _ = solve(bound, m)
         assert table.lambdas[0] == pytest.approx(
-            -(table.D(1, 2) + table.C(0, 0) ** 2), rel=1e-10, abs=1e-12
+            -(table.U[2][1] + table.G[0][0] ** 2), rel=1e-10, abs=1e-12
         )
 
 
@@ -277,7 +284,7 @@ def test_degree_bounds():
 
 def test_insufficient_v_series_rejected():
     bound = _coulomb()
-    geom = solve_geometry(ProblemInput(bound=bound, m=0))
+    geom = solve_geometry(bound, 0)
     v = build_v_series(bound, geom, 3)
     with pytest.raises(ValueError):
         solve_hierarchy(v, geom, max_order=3)  # needs orders 0..6

@@ -12,7 +12,6 @@ from pslet2d.expressions import (
     PotentialSyntaxError,
     Rho,
     bind_params,
-    eval_potential,
     parse_potential,
     render,
 )
@@ -82,29 +81,26 @@ def test_bind_missing_parameter():
         bind_params(spec, {"g": 1.0})
 
 
-def test_bind_extraneous_strict_and_lax():
+def test_bind_extraneous_parameter_raises():
     spec = parse_potential("-2/rho")
     with pytest.raises(KeyError, match="extraneous"):
         bind_params(spec, {"zz": 1.0})
-    with pytest.warns(UserWarning):
-        bound = bind_params(spec, {"zz": 1.0}, strict=False)
-    assert bound(1.0) == -2.0
 
 
 def test_eval_examples():
     coulomb = bind_params(parse_potential("-2/rho"), {})
-    assert eval_potential(coulomb, 1.0) == -2.0
+    assert coulomb(1.0) == -2.0
 
     hybrid = bind_params(
         parse_potential("m*g - 2/rho + g^2*rho^2/4"), {"m": 0.0, "g": 2.0}
     )
-    assert eval_potential(hybrid, 1.0) == pytest.approx(-1.0, abs=1e-15)
+    assert hybrid(1.0) == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_eval_at_pole():
     coulomb = bind_params(parse_potential("-2/rho"), {})
     with pytest.raises(ArithmeticError):
-        eval_potential(coulomb, 0.0)
+        coulomb(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from pslet2d.expressions import (
     bind_params,
     parse_potential,
 )
-from pslet2d.jets import Jet, derivative, jet_lift
+from pslet2d.engine import _SCAN_GRID
+from pslet2d.jets import Jet, derivative, jet_lift, taylor_coeffs
 
 
 def _bound(text, params=None):
@@ -163,3 +164,26 @@ def test_jet_dataclass_basics():
     jet = Jet(center=1.0, coeffs=[1.0, 2.0, 3.0])
     assert jet.order == 2
     assert len(jet) == 3
+
+
+@pytest.mark.parametrize("order", [2, 6])
+@pytest.mark.parametrize(
+    "text, params, rel",
+    [
+        ("m*g - 2/rho + g^2*rho^2/4", {"m": 0.0, "g": 1.0}, 0.0),
+        ("-2/rho", {}, 0.0),
+        ("rho^4-6*rho^2-2/rho", {}, 0.0),
+        # numpy's array ** and scalar ** may differ in the last bit
+        ("a*rho^1.5 + b*rho", {"a": 1.3, "b": 0.4}, 1e-15),
+    ],
+)
+def test_grid_expansion_matches_single_points(text, params, rel, order):
+    # one walk over the scan grid gives each point's single-point coefficients
+    bound = _bound(text, params)
+    batch = taylor_coeffs(bound, _SCAN_GRID, order)
+    stacked = np.stack([jet_lift(bound, r, order).coeffs for r in _SCAN_GRID], axis=1)
+    assert batch.shape == (order + 1, len(_SCAN_GRID))
+    if rel == 0.0:
+        assert np.array_equal(batch, stacked)
+    else:
+        np.testing.assert_allclose(batch, stacked, rtol=rel, atol=0.0)
