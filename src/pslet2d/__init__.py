@@ -20,7 +20,6 @@ from .engine import (
     NoStableFrameError,
     NotAMinimumError,
     SolverError,
-    VSeries,
     assemble_energy,
     build_v_series,
     solve,
@@ -54,7 +53,6 @@ __all__ = [
     "PotentialSpec",
     "PotentialSyntaxError",
     "SolverError",
-    "VSeries",
     "WavefunctionSeries",
     "assemble_energy",
     "bind_params",

@@ -202,9 +202,8 @@ def cmd_sweep(args) -> int:
                 row.append(_fmt(fd_ground_energy(bound, geom.l, grid)))
             row.append("")
         except (SolverError, PotentialEvalError, ConstantPotentialError) as exc:
-            pad = len(header) - 2
-            row.extend([""] * pad)
-            row.append(str(exc).replace(",", ";"))
+            # the row may be partly filled: keep only the swept value
+            row = row[:1] + [""] * (len(header) - 2) + [str(exc).replace(",", ";")]
         print(",".join(row))
     return 0
 

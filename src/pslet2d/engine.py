@@ -7,9 +7,9 @@ Pipeline for a bound potential V and magnetic quantum number m (l = |m|):
                          the shift beta and the shifted quantum number lbar.
   2. build_v_series   -- perturbation polynomials v^(n)(x) in the scaled
                          coordinate x = sqrt(lbar) (rho - rho0) / rho0.
-  3. solve_hierarchy  -- order-by-order coefficient matching producing the odd
-                         U-polynomials, even G-polynomials and the eigenvalue
-                         corrections lambda^(k).
+  3. solve_hierarchy  -- order-by-order coefficient matching producing the
+                         polynomials W_s of the log-derivative series and the
+                         eigenvalue corrections lambda^(k).
   4. assemble_energy  -- corrections E^(-2), E^(0), E^(1), ... and cumulative
                          partial sums EN_0..EN_K.
 
@@ -35,7 +35,6 @@ __all__ = [
     "NotAMinimumError",
     "HierarchyInconsistencyError",
     "Geometry",
-    "VSeries",
     "CoefficientTable",
     "EnergyBreakdown",
     "solve_geometry",
@@ -89,24 +88,10 @@ class Geometry:
 
 
 @dataclass(frozen=True)
-class VSeries:
-    """Perturbation polynomials v^(0)..v^(N), dense coefficient vectors in x."""
-
-    polys: tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
-    def __getitem__(self, n: int) -> np.ndarray:
-        return self.polys[n]
-
-
-@dataclass(frozen=True)
 class CoefficientTable:
-    """Hierarchy outputs: U^(s) (odd), G^(s) (even), lambda^(k), residuals."""
+    """Hierarchy outputs: W_s as dense vectors in x, lambda^(k), residuals."""
 
-    U: tuple[np.ndarray, ...]
-    G: tuple[np.ndarray, ...]
+    W: tuple[np.ndarray, ...]
     lambdas: tuple[float, ...]
     residuals: tuple[float, ...]
 
@@ -238,7 +223,9 @@ def _leading_energy(bound: BoundPotential, geom: Geometry) -> float:
 # ---------------------------------------------------------------------------
 # Perturbation polynomials
 
-def build_v_series(bound: BoundPotential, geom: Geometry, max_order: int) -> VSeries:
+def build_v_series(
+    bound: BoundPotential, geom: Geometry, max_order: int
+) -> tuple[np.ndarray, ...]:
     """Build v^(0)..v^(max_order) as dense coefficient vectors in x.
 
     v^(n) needs the (n+2)-th derivative of V at rho0; a single jet of order
@@ -269,18 +256,11 @@ def build_v_series(bound: BoundPotential, geom: Geometry, max_order: int) -> VSe
             v[n] = sign * 2.0 * beta * (n + 1)
             v[n - 2] = sign * (beta * beta - 0.25) * (n - 1)
         polys.append(v)
-    return VSeries(polys=tuple(polys))
+    return tuple(polys)
 
 
 # ---------------------------------------------------------------------------
 # Coefficient hierarchy
-
-def _padded_sum(terms: list[np.ndarray], length: int) -> np.ndarray:
-    out = np.zeros(length)
-    for t in terms:
-        out[: len(t)] += t[:length] if len(t) > length else t
-    return out
-
 
 def _apply_L(poly: np.ndarray, w: float) -> np.ndarray:
     """L[P] = P' - w x P, the linearized operator of the order-s balance."""
@@ -291,18 +271,20 @@ def _apply_L(poly: np.ndarray, w: float) -> np.ndarray:
     return out
 
 
-def solve_hierarchy(v: VSeries, geom: Geometry, max_order: int) -> CoefficientTable:
+def solve_hierarchy(
+    v: tuple[np.ndarray, ...], geom: Geometry, max_order: int
+) -> CoefficientTable:
     """Run the order-by-order coefficient matching through order 2*max_order.
 
     Writing the log-derivative of the nodeless state as
-        W(x) = sum_s W_s(x) lbar^(-s/2),   W_s = U^(s) + G^(s-1),
+        W(x) = sum_s W_s(x) lbar^(-s/2),
     the order-s balance reads
-        W_s' - w x W_s = v^(s) - sum_{p+q=s, p,q>=1} W_p W_q - RHS_s,
+        W_s' - w x W_s = K_s - RHS_s,   K_s = v^(s) - sum_{p+q=s, p,q>=1} W_p W_q,
     with RHS_2 = beta^2 - 1/4 + lambda^(0), RHS_{2k} = lambda^(k-1) for k >= 2
-    and RHS_s = 0 at odd s.  The even-parity part is triangular in the odd
-    polynomial U^(s) (solved top coefficient downward), the odd-parity part in
-    the even polynomial G^(s-1); at even s the leftover constant equation
-    yields the lambda.  After each order the full residual is verified.
+    and RHS_s = 0 at odd s.  Its x^k equation (k+1) c_{k+1} - w c_{k-1} = K_k,
+    k >= 1, is triangular in the coefficients c of W_s, solved from the top
+    down; at even s the leftover x^0 equation yields the lambda.  After each
+    order the full residual is verified.
     """
     n_orders = 2 * max_order
     if len(v) < n_orders + 1:
@@ -311,69 +293,39 @@ def solve_hierarchy(v: VSeries, geom: Geometry, max_order: int) -> CoefficientTa
         )
     w, beta = geom.w, geom.beta
 
-    W: list[np.ndarray] = [np.array([0.0, -w / 2.0])]  # W_0 = U^(0) = -(w/2) x
-    U: list[np.ndarray] = [W[0]]
-    G: list[np.ndarray] = []
+    W: list[np.ndarray] = [np.array([0.0, -w / 2.0])]  # W_0 = -(w/2) x
     lambdas: list[float] = []
     residuals: list[float] = []
 
     for s in range(1, n_orders + 1):
-        cross = [
-            np.convolve(W[p], W[s - p]) for p in range(1, s) if p < len(W) and s - p < len(W)
-        ]
-        length = s + 3  # deg v^(s) = s+2
-        K = _padded_sum([np.asarray(v[s])] + [-c for c in cross], length)
+        K = v[s].copy()  # deg v^(s) = s+2 bounds the degree of every cross term
+        for p in range(1, s):
+            cross = np.convolve(W[p], W[s - p])
+            K[: len(cross)] -= cross
 
-        # even-parity part -> odd polynomial U^(s)
-        J = (length - 1) // 2  # highest even power present is 2J
-        D = np.zeros(J + 2)  # D[j] multiplies x^(2j-1); D[0] unused (= 0)
-        for j in range(J, 0, -1):
-            t = K[2 * j] if 2 * j < length else 0.0
-            D[j] = ((2 * j + 1) * D[j + 1] - t) / w
-        u_poly = np.zeros(2 * J + 2)
-        for j in range(1, J + 2):
-            if 2 * j - 1 < len(u_poly):
-                u_poly[2 * j - 1] = D[j]
+        c = np.zeros(len(K) + 1)
+        for k in range(len(K) - 1, 0, -1):
+            c[k - 1] = ((k + 1) * c[k + 1] - K[k]) / w
+        W.append(np.trim_zeros(c, "b") if np.any(c) else np.zeros(1))
 
         rhs_const = 0.0
         if s % 2 == 0:
-            lam = K[0] - D[1]
-            if s == 2:
-                lam -= beta * beta - 0.25
-            lambdas.append(lam)
-            rhs_const = K[0] - D[1]
+            rhs_const = K[0] - c[1]
+            lambdas.append(rhs_const - (beta * beta - 0.25) if s == 2 else rhs_const)
 
-        # odd-parity part -> even polynomial G^(s-1)
-        M = (length - 2) // 2  # highest odd power present is 2M+1
-        C = np.zeros(M + 2)
-        for j in range(M, -1, -1):
-            t = K[2 * j + 1] if 2 * j + 1 < length else 0.0
-            C[j] = ((2 * j + 2) * C[j + 1] - t) / w
-        g_poly = C[: M + 1].copy()
-        g_dense = np.zeros(2 * M + 1 if M >= 0 else 1)
-        for j in range(M + 1):
-            g_dense[2 * j] = g_poly[j]
-
-        w_s = _padded_sum([u_poly, g_dense], max(len(u_poly), len(g_dense)))
-        W.append(np.trim_zeros(w_s, "b") if np.any(w_s) else np.zeros(1))
-        U.append(np.trim_zeros(u_poly, "b") if np.any(u_poly) else np.zeros(1))
-        G.append(np.trim_zeros(g_dense, "b") if np.any(g_dense) else np.zeros(1))
-
-        # full residual of the order-s balance
-        target = K.copy()
-        target[0] -= rhs_const
-        res_poly = _apply_L(W[s], w)
-        res = _padded_sum([res_poly, -target], max(len(res_poly), len(target)))
-        res_max = float(np.max(np.abs(res))) if len(res) else 0.0
+        # full residual of the order-s balance: target minus L[W_s]
+        res = K.copy()
+        res[0] -= rhs_const
+        lw = _apply_L(W[s], w)
+        res[: len(lw)] -= lw
+        res_max = float(np.max(np.abs(res)))
         residuals.append(res_max)
         if res_max > RESIDUAL_TOL:
             raise HierarchyInconsistencyError(
                 f"hierarchy inconsistency at order {s}: residual {res_max:.3e}"
             )
 
-    return CoefficientTable(
-        U=tuple(U), G=tuple(G), lambdas=tuple(lambdas), residuals=tuple(residuals)
-    )
+    return CoefficientTable(W=tuple(W), lambdas=tuple(lambdas), residuals=tuple(residuals))
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,8 @@ def evaluate(node: Node, rho, params: Mapping[str, float]):
             raise PotentialEvalError("exponent must not depend on rho")
         if _is_int(p):
             return _int_pow(a, int(p))
+        if isinstance(a, (int, float)) and a < 0.0:
+            raise PotentialEvalError("negative number raised to a non-integer power")
         return a ** p
     b = evaluate(node.rhs, rho, params)
     if node.op == "+":

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .expressions import BoundPotential
+from .expressions import BoundPotential, PotentialEvalError
 
 __all__ = ["FdGrid", "coulomb_exact", "oscillator_exact", "fd_ground_energy"]
 
@@ -80,11 +80,12 @@ def _lowest_eigenvalue(
     centers = centers[keep]
     faces = np.arange(np.flatnonzero(keep)[0], n_cells + 1) * h
 
-    v = np.asarray(bound(centers), dtype=float)
+    with np.errstate(all="ignore"):  # overflow and poles are caught just below
+        v = np.asarray(bound(centers), dtype=float)
     if v.ndim == 0:
         v = np.full_like(centers, float(v))
     if not np.all(np.isfinite(v)):
-        raise ArithmeticError("non-finite matrix entries; potential singular on mesh")
+        raise PotentialEvalError("non-finite matrix entries; potential singular on mesh")
 
     # finite volume for -(rho phi')' + rho (l^2/rho^2 + V) phi = E rho phi,
     # symmetrized to a standard tridiagonal problem by the rho^(1/2) similarity

@@ -1,7 +1,7 @@
 """Nodeless wavefunction synthesis from the solved coefficient hierarchy.
 
-The log-derivative series U'(x) = sum_s [U^(s) + G^(s-1)] lbar^(-s/2) is
-integrated termwise (U(0) = 0 at rho = rho0) and regrouped in the relative
+The log-derivative series W(x) = sum_s W_s(x) lbar^(-s/2) is integrated
+termwise (U(0) = 0 at rho = rho0, U' = W) and regrouped in the relative
 coordinate y = (rho - rho0)/rho0, in which each power of lbar carries a
 truncated power series.
 
@@ -87,24 +87,17 @@ def _integrate_poly(poly: np.ndarray) -> np.ndarray:
 def assemble_exponent_blocks(
     geom: Geometry, table: CoefficientTable
 ) -> tuple[float, dict[int, np.ndarray]]:
-    """Regroup the integrated U' series by powers of lbar and split off the log.
+    """Regroup the integrated W series by powers of lbar and split off the log.
 
     Returns (log_power, blocks) with log_power = l + 1/2 and blocks[t] the
     y-polynomial multiplying lbar^(-t/2) after the log subtraction.
     """
-    S = len(table.U) - 1
-    lbar = geom.lbar
+    S = len(table.W) - 1
 
     # blocks[t][k]: coefficient of y^k at lbar^(-t/2); t = s - k
     blocks: dict[int, np.ndarray] = {}
     for s in range(S + 1):
-        w_s = table.U[s].copy()
-        if s >= 1:
-            g = table.G[s - 1]
-            if len(g) > len(w_s):
-                w_s = np.concatenate([w_s, np.zeros(len(g) - len(w_s))])
-            w_s[: len(g)] += g
-        p_s = _integrate_poly(w_s)  # polynomial in x, zero constant term
+        p_s = _integrate_poly(table.W[s])  # polynomial in x, zero constant term
         for k in range(1, len(p_s)):
             if p_s[k] == 0.0:
                 continue

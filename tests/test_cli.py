@@ -93,6 +93,13 @@ def test_solver_failure_exit_code(capsys):
     assert "no stable frame" in err
 
 
+def test_negative_number_under_real_power_exit_code(capsys):
+    code, out, err = run_cli(capsys, "compute", "-V", "(0-8)^0.5*rho - 2/rho", "-m", "0")
+    assert code == EXIT_SOLVER
+    assert "solver error" in err and "no stable frame" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("order", ["0", "-1"])
 def test_order_below_one_is_usage_error(capsys, order):
     for argv in (("compute", "-V", "-2/rho"), ("table", "hybrid-1s-gamma")):
@@ -239,6 +246,29 @@ def test_sweep_with_oracle_column(capsys):
     assert len(rows) == 3
     for r in rows:
         assert abs(float(r["EN3"]) - float(r["fd"])) <= 5e-3
+
+
+def test_sweep_oracle_failure_keeps_the_row_width(capsys):
+    # the potential overflows on the FD mesh after the expansion has filled the row
+    code, out, err = run_cli(
+        capsys,
+        "sweep",
+        "-V",
+        "-a/rho + 1e-300*rho^400",
+        "--sweep-param",
+        "a",
+        "--range",
+        "1,2,2",
+        "--oracle",
+    )
+    assert code == 0, err
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert header == ["a", "rho0", "EN0", "EN1", "EN2", "EN3", "fd", "error"]
+    assert [r[0] for r in rows] == ["1", "2"]
+    for r in rows:
+        assert len(r) == len(header)
+        assert r[1:-1] == [""] * (len(header) - 2)
+        assert "non-finite matrix entries" in r[-1]
 
 
 def test_wavefunction_csv(capsys):

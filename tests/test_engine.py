@@ -223,41 +223,41 @@ def test_v_series_degrees():
 def test_u0_is_minus_half_w_x():
     for bound, m in [(_coulomb(), 0), (_oscillator(3.0), 1)]:
         geom, table, _ = solve(bound, m)
-        assert table.U[0] == pytest.approx([0.0, -geom.w / 2.0], abs=1e-14)
+        assert table.W[0] == pytest.approx([0.0, -geom.w / 2.0], abs=1e-14)
 
 
 def test_coulomb_low_order_coefficients():
     _, table, _ = solve(_coulomb(), 0)
-    assert table.G[0][2] == pytest.approx(1.0, abs=1e-12)
-    assert table.G[0][0] == pytest.approx(0.0, abs=1e-12)
-    assert table.U[2][3] == pytest.approx(-1.0, abs=1e-12)
-    assert table.U[2][1] == pytest.approx(0.0, abs=1e-12)
+    assert table.W[1][2] == pytest.approx(1.0, abs=1e-12)
+    assert table.W[1][0] == pytest.approx(0.0, abs=1e-12)
+    assert table.W[2][3] == pytest.approx(-1.0, abs=1e-12)
+    assert table.W[2][1] == pytest.approx(0.0, abs=1e-12)
     assert table.lambdas[0] == pytest.approx(0.0, abs=1e-12)
-    # U^(1) = 0 and G^(1) = 0 at these orders
-    assert np.max(np.abs(table.U[1])) < 1e-12
-    assert np.max(np.abs(table.G[1])) < 1e-12
+    # the odd part of W_1 and the even part of W_2 vanish at these orders
+    assert np.max(np.abs(table.W[1][1::2])) < 1e-12
+    assert np.max(np.abs(table.W[2][0::2])) < 1e-12
 
 
 def test_oscillator_low_order_coefficients():
     _, table, _ = solve(_oscillator(2.0), 1)
-    assert table.G[0][2] == pytest.approx(1.0, abs=1e-12)
-    assert table.G[0][0] == pytest.approx(-0.5, abs=1e-12)
-    assert table.U[2][3] == pytest.approx(-1.0, abs=1e-12)
-    assert table.U[2][1] == pytest.approx(0.5, abs=1e-12)
+    assert table.W[1][2] == pytest.approx(1.0, abs=1e-12)
+    assert table.W[1][0] == pytest.approx(-0.5, abs=1e-12)
+    assert table.W[2][3] == pytest.approx(-1.0, abs=1e-12)
+    assert table.W[2][1] == pytest.approx(0.5, abs=1e-12)
     assert table.lambdas[0] == pytest.approx(-0.75, abs=1e-12)
 
 
 def test_lambda0_identity():
-    # lambda^(0) = -(D_{1,2} + C_{0,0}^2): the x coefficient of U^(2) and the
-    # constant term of G^(0)
+    # lambda^(0) = -(D_{1,2} + C_{0,0}^2): the x coefficient of W_2 and the
+    # constant term of W_1
     for bound, m in [(_coulomb(), 0), (_oscillator(1.0), 0), (_hybrid(2.0, -1), -1)]:
         _, table, _ = solve(bound, m)
         assert table.lambdas[0] == pytest.approx(
-            -(table.U[2][1] + table.G[0][0] ** 2), rel=1e-10, abs=1e-12
+            -(table.W[2][1] + table.W[1][0] ** 2), rel=1e-10, abs=1e-12
         )
 
 
-def test_parity_and_residuals_random_corpus():
+def test_residuals_random_corpus():
     rng = random.Random(42)
     for _ in range(10):
         a = rng.uniform(0.5, 4.0)
@@ -265,21 +265,14 @@ def test_parity_and_residuals_random_corpus():
         c = rng.uniform(0.0, 1.5)
         bound = _bound("-a/rho + b*rho^2 + c*rho", {"a": a, "b": b, "c": c})
         m = rng.choice([0, 1, -1, 2])
-        geom, table, _ = solve(bound, m)
-        for u in table.U:
-            assert np.max(np.abs(u[0::2])) < 1e-12  # odd polynomial
-        for g in table.G:
-            if len(g) > 1:
-                assert np.max(np.abs(g[1::2])) < 1e-12  # even polynomial
+        _, table, _ = solve(bound, m)
         assert max(table.residuals) <= 1e-9
 
 
 def test_degree_bounds():
     _, table, _ = solve(_hybrid(1.0, 0), 0)
-    for n, u in enumerate(table.U):
-        assert len(u) - 1 <= 2 * n + 1
-    for n, g in enumerate(table.G):
-        assert len(g) - 1 <= 2 * n + 2
+    for n, w_n in enumerate(table.W):
+        assert len(w_n) - 1 <= 2 * n + 1
 
 
 def test_insufficient_v_series_rejected():
@@ -310,6 +303,34 @@ def test_oscillator_exact_grid():
                 gamma * (abs(m) + 1), abs=1e-12
             )
             assert all(abs(c) < 1e-10 for c in breakdown.corrections)
+
+
+# Rounding amplified by the hierarchy's back-substitution breaks Coulomb's
+# exactness from K = 9 on (ROADMAP item 3); the oscillator holds at every order.
+ORDERS = (3, 6, 9, 12, 15)
+ROUNDING_DEFECT = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 3: rounding grows in the hierarchy with K"
+)
+
+
+@pytest.mark.parametrize(
+    "order", [K if K <= 6 else pytest.param(K, marks=ROUNDING_DEFECT) for K in ORDERS]
+)
+def test_coulomb_exact_at_every_order(order):
+    for m in range(6):
+        _, _, breakdown = solve(_coulomb(), m, max_order=order)
+        exact = -((abs(m) + 0.5) ** -2)
+        assert breakdown.partial_sums[order] == pytest.approx(exact, abs=1e-12), m
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_oscillator_exact_at_every_order(order):
+    for gamma in (0.5, 1.0, 2.0, 5.0):
+        for m in range(6):
+            _, _, breakdown = solve(_oscillator(gamma), m, max_order=order)
+            assert breakdown.partial_sums[order] == pytest.approx(
+                gamma * (abs(m) + 1), abs=1e-12
+            ), (gamma, m)
 
 
 def test_hybrid_gamma2_partial_sums():

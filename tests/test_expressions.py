@@ -9,6 +9,7 @@ from pslet2d.expressions import (
     Neg,
     Num,
     Param,
+    PotentialEvalError,
     PotentialSyntaxError,
     Rho,
     bind_params,
@@ -101,6 +102,15 @@ def test_eval_at_pole():
     coulomb = bind_params(parse_potential("-2/rho"), {})
     with pytest.raises(ArithmeticError):
         coulomb(0.0)
+
+
+@pytest.mark.parametrize(
+    "text, rho", [("(0-8)^0.5*rho - 2/rho", 1.0), ("(rho-5)^0.5", 2.0)]
+)
+def test_negative_number_under_real_power_raises(text, rho):
+    bound = bind_params(parse_potential(text), {})
+    with pytest.raises(PotentialEvalError, match="non-integer power"):
+        bound(rho)
 
 
 # ---------------------------------------------------------------------------
