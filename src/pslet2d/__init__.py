@@ -10,7 +10,7 @@ from .expressions import (
     bind_params,
     parse_potential,
 )
-from .jets import Jet, derivative, jet_lift
+from .jets import jet_lift
 from .engine import (
     CoefficientTable,
     EnergyBreakdown,
@@ -26,7 +26,7 @@ from .engine import (
     solve_geometry,
     solve_hierarchy,
 )
-from .oracle import FdGrid, coulomb_exact, fd_ground_energy, oscillator_exact
+from .oracle import coulomb_exact, fd_ground_energy, oscillator_exact
 from .wavefunction import (
     GridError,
     WavefunctionSeries,
@@ -41,12 +41,10 @@ __all__ = [
     "CoefficientTable",
     "ConstantPotentialError",
     "EnergyBreakdown",
-    "FdGrid",
     "FrequencyUndefinedError",
     "Geometry",
     "GridError",
     "HierarchyInconsistencyError",
-    "Jet",
     "NoStableFrameError",
     "NotAMinimumError",
     "PotentialEvalError",
@@ -58,7 +56,6 @@ __all__ = [
     "bind_params",
     "build_v_series",
     "coulomb_exact",
-    "derivative",
     "fd_ground_energy",
     "jet_lift",
     "oscillator_exact",

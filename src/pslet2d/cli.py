@@ -25,7 +25,7 @@ from .expressions import (
     parse_potential,
 )
 from .engine import SolverError, solve
-from .oracle import FdGrid, fd_ground_energy
+from .oracle import fd_ground_energy
 from .wavefunction import GridError, synthesize_wavefunction
 
 EXIT_USAGE = 2
@@ -62,6 +62,13 @@ def _parse_param_flags(pairs: list[str] | None) -> dict[str, float]:
             raise ParameterError(f"non-finite value in -p/--param {pair!r}")
         values[name.strip()] = value
     return values
+
+
+def _linspace(lo: float, hi: float, count: int, flag: str) -> np.ndarray:
+    try:
+        return np.linspace(lo, hi, count)
+    except (ValueError, MemoryError) as exc:
+        raise UsageError(f"cannot build {count} points for {flag}: {exc}") from None
 
 
 def _bind(spec: PotentialSpec, params: dict[str, float], m: int) -> BoundPotential:
@@ -174,6 +181,7 @@ def cmd_sweep(args) -> int:
         raise UsageError("sweep needs at least 2 steps")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParameterError(f"non-finite value in --range {args.range!r}")
+    values = _linspace(lo, hi, steps, "--range")
 
     base_params = _parse_param_flags(args.param)
     spec = parse_potential(args.potential)
@@ -188,7 +196,7 @@ def cmd_sweep(args) -> int:
     header.append("error")
     print(",".join(header))
 
-    for value in np.linspace(lo, hi, steps):
+    for value in values:
         row = [f"{value:.9g}"]
         try:
             params = dict(base_params)
@@ -198,8 +206,8 @@ def cmd_sweep(args) -> int:
             row.append(_fmt(geom.rho0))
             row.extend(_fmt(s) for s in breakdown.partial_sums)
             if args.oracle:
-                grid = FdGrid(1e-4, max(20.0, 8.0 * geom.rho0), 4000)
-                row.append(_fmt(fd_ground_energy(bound, geom.l, grid)))
+                rho_max = max(20.0, 8.0 * geom.rho0)
+                row.append(_fmt(fd_ground_energy(bound, geom.l, rho_max, 4000)))
             row.append("")
         except (SolverError, PotentialEvalError, ConstantPotentialError) as exc:
             # the row may be partly filled: keep only the swept value
@@ -219,11 +227,11 @@ def cmd_wavefunction(args) -> int:
         raise UsageError(f"malformed --grid {args.grid!r}, expected lo,hi,n") from None
     if n < 2 or not 0 < lo < hi < math.inf:
         raise UsageError("grid must satisfy 0 < lo < hi < inf with n >= 2 points")
+    grid = _linspace(lo, hi, n, "--grid")
 
     params = _parse_param_flags(args.param)
     bound = _bind(parse_potential(args.potential), params, args.m)
     geom, table, _ = solve(bound, args.m, max_order=args.order)
-    grid = np.linspace(lo, hi, n)
     wf = synthesize_wavefunction(geom, table, grid)
 
     print("rho,psi,R")

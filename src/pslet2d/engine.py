@@ -81,6 +81,7 @@ class Geometry:
     beta: float
     lbar: float
     l: int
+    v0: float  # V(rho0)
 
     @property
     def Q(self) -> float:
@@ -123,22 +124,23 @@ _SCAN_GRID = np.logspace(math.log10(RHO_LO), math.log10(RHO_HI), SCAN_POINTS)
 
 
 def _frame(bound: BoundPotential, rho, l: int):
-    """(F, w, V'') at rho, a float or an array, from one order-2 expansion.
+    """(F, w, a) at rho, a float or an array, from one order-2 expansion.
 
-    F(rho) = sqrt(s) - l - w / 4 with s = rho^3 V'/2, rad = 3 + rho V''/V'
-    and w = 2 sqrt(rad); F is NaN where the frame is undefined: non-finite
-    V' or V'', V' <= 0, s <= 0 or rad <= 0.
+    ``a`` holds the coefficients V, V', V''/2.  F(rho) = sqrt(s) - l - w / 4
+    with s = rho^3 V'/2, rad = 3 + rho V''/V' and w = 2 sqrt(rad); F is NaN
+    where the frame is undefined: non-finite V' or V'', V' <= 0, s <= 0 or
+    rad <= 0.
     """
     a = taylor_coeffs(bound, rho, 2)
     v1 = a[1]
-    v2 = 2.0 * a[2]
     with np.errstate(all="ignore"):
+        v2 = 2.0 * a[2]
         s = rho ** 3 * v1 / 2.0
         rad = 3.0 + rho * v2 / v1
         w = 2.0 * np.sqrt(rad)
         F = np.sqrt(s) - l - w / 4.0
         ok = np.isfinite(v1) & np.isfinite(v2) & (v1 > 0.0) & (s > 0.0) & (rad > 0.0)
-    return np.where(ok, F, np.nan), w, v2
+    return np.where(ok, F, np.nan), w, a
 
 
 def solve_geometry(bound: BoundPotential, m: int) -> Geometry:
@@ -188,7 +190,7 @@ def solve_geometry(bound: BoundPotential, m: int) -> Geometry:
             "frequency undefined or unstable at every candidate expansion point"
         )
     if len(candidates) > 1:
-        candidates.sort(key=lambda g: _leading_energy(bound, g))
+        candidates.sort(key=lambda g: g.Q * (1.0 / g.rho0 ** 2 + g.v0 / g.Q))
         warnings.warn(
             f"{len(candidates)} stable frames found; choosing the one with the "
             "lowest leading-order energy",
@@ -199,7 +201,7 @@ def solve_geometry(bound: BoundPotential, m: int) -> Geometry:
 
 def _finish_frame(bound: BoundPotential, rho0: float, l: int):
     """Validate the frame at a refined root; None if F(rho0) misses or is undefined."""
-    F, w, v2 = _frame(bound, rho0, l)
+    F, w, a = _frame(bound, rho0, l)
     if not abs(F) <= FRAME_TOL * max(1.0, l):
         return None
     w = float(w)
@@ -207,17 +209,12 @@ def _finish_frame(bound: BoundPotential, rho0: float, l: int):
     lbar = l - beta
     Q = lbar ** 2
     # second-derivative test on E^(-2)(rho) = 1/rho^2 + V(rho)/Q at fixed Q
-    curvature = 6.0 / rho0 ** 4 + v2 / Q
+    curvature = 6.0 / rho0 ** 4 + 2.0 * a[2] / Q
     if curvature <= 0.0:
         raise NotAMinimumError(
             f"expansion point rho0 = {rho0} is not a minimum of the leading energy"
         )
-    return Geometry(rho0=float(rho0), w=w, beta=beta, lbar=lbar, l=l)
-
-
-def _leading_energy(bound: BoundPotential, geom: Geometry) -> float:
-    v0 = float(bound(geom.rho0))
-    return geom.Q * (1.0 / geom.rho0 ** 2 + v0 / geom.Q)
+    return Geometry(rho0=float(rho0), w=w, beta=beta, lbar=lbar, l=l, v0=float(a[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +231,7 @@ def build_v_series(
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     rho0, w, beta, Q = geom.rho0, geom.w, geom.beta, geom.Q
-    jet = jet_lift(bound, rho0, max_order + 2)
-    a = jet.coeffs  # a[k] = V^(k)(rho0) / k!
+    a = jet_lift(bound, rho0, max_order + 2)  # a[k] = V^(k)(rho0) / k!
 
     polys: list[np.ndarray] = []
     v0 = np.zeros(3)
@@ -334,7 +330,6 @@ def solve_hierarchy(
 def assemble_energy(
     geom: Geometry,
     table: CoefficientTable,
-    bound: BoundPotential,
     max_order: int,
 ) -> EnergyBreakdown:
     """Corrections E^(-2), E^(0)..E^(max_order-1) and partial sums EN_0..EN_max_order."""
@@ -343,9 +338,8 @@ def assemble_energy(
             f"table holds lambda^(0..{len(table.lambdas) - 1}), need {max_order}"
         )
     rho0, beta, lbar, Q = geom.rho0, geom.beta, geom.lbar, geom.Q
-    v_at_rho0 = float(bound(rho0))
 
-    e_minus2 = 1.0 / rho0 ** 2 + v_at_rho0 / Q
+    e_minus2 = 1.0 / rho0 ** 2 + geom.v0 / Q
     e_minus1 = (2.0 * beta + 0.5 * geom.w) / rho0 ** 2
     corrections = [(beta * beta - 0.25 + table.lambdas[0]) / rho0 ** 2]
     for n in range(1, max_order):
@@ -375,5 +369,5 @@ def solve(
     geom = solve_geometry(bound, m)
     v = build_v_series(bound, geom, 2 * max_order)
     table = solve_hierarchy(v, geom, max_order)
-    breakdown = assemble_energy(geom, table, bound, max_order)
+    breakdown = assemble_energy(geom, table, max_order)
     return geom, table, breakdown

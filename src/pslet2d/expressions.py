@@ -17,6 +17,8 @@ which is how the Taylor-jet machinery reuses the same tree.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -94,6 +96,10 @@ class _Token:
     offset: int  # byte offset into the utf-8 encoding of the input
 
 
+# ASCII digits only: str.isdigit() would also accept e.g. a superscript two
+_NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
@@ -105,22 +111,9 @@ def _tokenize(text: str) -> list[_Token]:
             boff += len(c.encode("utf-8"))
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            # scientific notation
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
+        number = _NUMBER.match(text, i)
+        if number:
+            j = number.end()
             tokens.append(_Token("num", text[i:j], boff))
             boff += len(text[i:j].encode("utf-8"))
             i = j
@@ -205,7 +198,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise PotentialSyntaxError(f"number {tok.text} out of range", tok.offset)
+            return Num(value)
         if tok.kind == "ident":
             self.advance()
             if tok.text == RADIAL_NAME:
@@ -368,6 +364,8 @@ def evaluate(node: Node, rho, params: Mapping[str, float]):
         p = evaluate(node.rhs, rho, params)
         if not isinstance(p, (int, float)):
             raise PotentialEvalError("exponent must not depend on rho")
+        if not math.isfinite(p):
+            raise PotentialEvalError(f"non-finite exponent {p}")
         if _is_int(p):
             return _int_pow(a, int(p))
         if isinstance(a, (int, float)) and a < 0.0:

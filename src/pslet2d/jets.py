@@ -7,18 +7,18 @@ A jet stores the coefficients a_0..a_K of the expansion
 Propagating jets through a potential's expression tree yields every
 derivative d^n V / d rho^n at the expansion point in one pass, exact to
 floating-point rounding -- no finite differencing, no symbolic algebra.
+Both entry points return plain coefficient arrays, row k holding a_k:
+``jet_lift`` about one point with every entry checked finite, and
+``taylor_coeffs`` about a point or a whole grid, unchecked.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .expressions import BoundPotential, PotentialEvalError, evaluate
 
-__all__ = ["Jet", "jet_lift", "taylor_coeffs", "derivative"]
+__all__ = ["jet_lift", "taylor_coeffs"]
 
 
 class _Series:
@@ -117,22 +117,6 @@ def _series_pow(base: _Series, p: float) -> _Series:
     return _Series(g)
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Taylor coefficients of V about ``center``: coeffs[k] = V^(k)(center)/k!."""
-
-    center: float
-    coeffs: np.ndarray
-    order: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        object.__setattr__(self, "order", len(self.coeffs) - 1)
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-
 def taylor_coeffs(bound: BoundPotential, center, order: int) -> np.ndarray:
     """Taylor coefficients of ``bound`` about ``center``, a float or an array.
 
@@ -153,8 +137,8 @@ def taylor_coeffs(bound: BoundPotential, center, order: int) -> np.ndarray:
     return coeffs
 
 
-def jet_lift(bound: BoundPotential, center: float, order: int) -> Jet:
-    """Expand ``bound`` about ``center`` to the given truncation order."""
+def jet_lift(bound: BoundPotential, center: float, order: int) -> np.ndarray:
+    """Coefficients a_0..a_order of ``bound`` about ``center``, checked finite."""
     if center <= 0:
         raise PotentialEvalError(f"expansion center must be positive, got {center}")
     if order < 0:
@@ -164,11 +148,4 @@ def jet_lift(bound: BoundPotential, center: float, order: int) -> Jet:
         raise PotentialEvalError(
             f"non-finite jet coefficients when expanding about rho={center}"
         )
-    return Jet(center=float(center), coeffs=coeffs)
-
-
-def derivative(jet: Jet, k: int) -> float:
-    """k-th derivative of V at the jet's center, i.e. k! * coeffs[k]."""
-    if not 0 <= k <= jet.order:
-        raise IndexError(f"derivative order {k} outside jet range 0..{jet.order}")
-    return math.factorial(k) * float(jet.coeffs[k])
+    return coeffs

@@ -16,47 +16,19 @@ Psi = sqrt(rho) phi and solve the exactly equivalent cylindrical form
     -(1/rho) d/drho (rho dphi/drho) + (l^2/rho^2) phi + V phi = E phi,
 
 which is regular at the origin, with a conservative finite-volume scheme on
-cell centers rho_i = (i - 1/2) h.  Same operator, same spectrum, clean h^2
-convergence.
+cell centers rho_i = (i - 1/2) h, h = rho_max / points, over the whole of
+(0, rho_max] with a hard wall at rho_max.  Same operator, same spectrum,
+clean h^2 convergence.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .expressions import BoundPotential, PotentialEvalError
 
-__all__ = ["FdGrid", "coulomb_exact", "oscillator_exact", "fd_ground_energy"]
-
-
-@dataclass(frozen=True)
-class FdGrid:
-    """Uniform radial mesh: cells of width (rho_max)/points, centers >= rho_min.
-
-    ``rho_min`` is a near-origin cutoff: cells whose center falls below it are
-    dropped (a hard wall at the cutoff face).  With rho_min below the cell
-    width, as in the defaults, no cell is dropped and the scheme sees the full
-    origin behavior.
-    """
-
-    rho_min: float
-    rho_max: float
-    points: int
-
-    def __post_init__(self):
-        if self.points < 200:
-            raise ValueError(f"need at least 200 points, got {self.points}")
-        if self.rho_min <= 0.0:
-            raise ValueError("rho_min must be positive")
-        if self.rho_max <= self.rho_min:
-            raise ValueError("rho_max must exceed rho_min")
-
-    @property
-    def spacing(self) -> float:
-        return self.rho_max / self.points
+__all__ = ["coulomb_exact", "oscillator_exact", "fd_ground_energy"]
 
 
 def coulomb_exact(m: int) -> float:
@@ -71,14 +43,10 @@ def oscillator_exact(m: int, gamma: float) -> float:
     return gamma * (abs(m) + 1)
 
 
-def _lowest_eigenvalue(
-    bound: BoundPotential, l: int, rho_min: float, rho_max: float, n_cells: int
-) -> float:
+def _lowest_eigenvalue(bound: BoundPotential, l: int, rho_max: float, n_cells: int) -> float:
     h = rho_max / n_cells
     centers = (np.arange(1, n_cells + 1) - 0.5) * h
-    keep = centers >= rho_min
-    centers = centers[keep]
-    faces = np.arange(np.flatnonzero(keep)[0], n_cells + 1) * h
+    faces = np.arange(n_cells + 1) * h
 
     with np.errstate(all="ignore"):  # overflow and poles are caught just below
         v = np.asarray(bound(centers), dtype=float)
@@ -95,14 +63,19 @@ def _lowest_eigenvalue(
     return float(vals[0])
 
 
-def fd_ground_energy(bound: BoundPotential, l: int, grid: FdGrid) -> float:
-    """Lowest eigenvalue, Richardson-extrapolated over the grid and its halving.
+def fd_ground_energy(bound: BoundPotential, l: int, rho_max: float, points: int) -> float:
+    """Lowest eigenvalue on (0, rho_max], Richardson-extrapolated over a halving.
 
-    Solves with ``grid.points`` cells and with twice as many (spacing h and
-    h/2); the scheme is second order, so E = E_half + (E_half - E_full)/3
-    cancels the leading h^2 error.  The lowest eigenvalue itself comes from
-    Sturm-sequence bisection on the tridiagonal matrix.
+    Solves with ``points`` uniform cells and with twice as many (spacing h
+    and h/2), with a hard wall at rho_max; the scheme is second order, so
+    E = E_half + (E_half - E_full)/3 cancels the leading h^2 error.  The
+    lowest eigenvalue itself comes from Sturm-sequence bisection on the
+    tridiagonal matrix.
     """
-    e1 = _lowest_eigenvalue(bound, l, grid.rho_min, grid.rho_max, grid.points)
-    e2 = _lowest_eigenvalue(bound, l, grid.rho_min, grid.rho_max, 2 * grid.points)
+    if points < 200:
+        raise ValueError(f"need at least 200 points, got {points}")
+    if not rho_max > 0.0:
+        raise ValueError(f"rho_max must be positive, got {rho_max}")
+    e1 = _lowest_eigenvalue(bound, l, rho_max, points)
+    e2 = _lowest_eigenvalue(bound, l, rho_max, 2 * points)
     return e2 + (e2 - e1) / 3.0

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .expressions import bind_params, parse_potential
-from .engine import EnergyBreakdown, Geometry, solve
+from .engine import EnergyBreakdown, solve
 
 __all__ = [
     "HYBRID_EXPRESSION",
@@ -100,7 +100,6 @@ class PublishedCell:
 class TableRowResult:
     x: float
     gamma: float
-    geometry: Geometry
     breakdown: EnergyBreakdown
 
 
@@ -139,8 +138,6 @@ def run_preset(preset: TablePreset, max_order: int = 3) -> list[TableRowResult]:
     results = []
     for x in preset.rows:
         gamma = preset.gamma(x)
-        geom, _, breakdown = solve_hybrid(gamma, preset.m, max_order=max_order)
-        results.append(
-            TableRowResult(x=x, gamma=gamma, geometry=geom, breakdown=breakdown)
-        )
+        _, _, breakdown = solve_hybrid(gamma, preset.m, max_order=max_order)
+        results.append(TableRowResult(x=x, gamma=gamma, breakdown=breakdown))
     return results

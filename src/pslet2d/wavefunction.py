@@ -65,9 +65,6 @@ class WavefunctionSeries:
             expo = expo + lbar ** (-t / 2.0) * _polyval_no_const(coeffs, y)
         return np.exp(expo)
 
-    def __call__(self, rho) -> np.ndarray:
-        return self.unnormalized(rho) / self.norm
-
 
 def _polyval_no_const(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
     # coeffs[0] is always 0 (U(0) = 0); Horner from the top

@@ -22,8 +22,8 @@ import pytest
 from pslet2d import tables
 from pslet2d.expressions import bind_params, parse_potential
 from pslet2d.engine import SolverError, solve
-from pslet2d.jets import derivative, jet_lift
-from pslet2d.oracle import FdGrid, coulomb_exact, fd_ground_energy, oscillator_exact
+from pslet2d.jets import jet_lift
+from pslet2d.oracle import coulomb_exact, fd_ground_energy, oscillator_exact
 from pslet2d.wavefunction import overlap, synthesize_wavefunction
 
 
@@ -176,8 +176,7 @@ def test_criterion_5_oracle_cross_validation():
                 "m*g - 2/rho + g^2*rho^2/4", {"m": float(m), "g": gamma}
             )
             geom, _, bd = solve(bound, m)
-            grid = FdGrid(1e-4, max(20.0, 8.0 * geom.rho0), 4000)
-            fd = fd_ground_energy(bound, geom.l, grid)
+            fd = fd_ground_energy(bound, geom.l, max(20.0, 8.0 * geom.rho0), 4000)
             worst = max(worst, abs(bd.partial_sums[3] - fd))
     elapsed = time.perf_counter() - t0
     ok = worst <= 5e-3 and elapsed < 30.0
@@ -233,8 +232,8 @@ def test_criterion_8_geometry_invariants(corpus):
     worst_frame, worst_beta = 0.0, 0.0
     curvature_ok = True
     for bound, m, (geom, _, _) in corpus:
-        jet = jet_lift(bound, geom.rho0, 2)
-        v1, v2 = derivative(jet, 1), derivative(jet, 2)
+        a = jet_lift(bound, geom.rho0, 2)
+        v1, v2 = a[1], 2.0 * a[2]
         frame = abs(geom.lbar - math.sqrt(geom.rho0**3 * v1 / 2.0)) / geom.lbar
         worst_frame = max(worst_frame, frame)
         worst_beta = max(worst_beta, abs(geom.beta + geom.w / 4.0))

@@ -1,9 +1,12 @@
+import contextlib
 import csv
 import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pslet2d.cli import (
     EXIT_CHECK,
@@ -98,6 +101,53 @@ def test_negative_number_under_real_power_exit_code(capsys):
     assert code == EXIT_SOLVER
     assert "solver error" in err and "no stable frame" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("²*rho-2/rho", 0),
+        ("1²*rho-2/rho", 1),
+        ("rho^(1e400^0)-2/rho", 5),
+        ("1e400*rho-2/rho", 0),
+    ],
+)
+def test_bad_number_literal_exit_code(capsys, text, offset):
+    code, out, err = run_cli(capsys, "compute", "-V", text)
+    assert code == EXIT_PARSE
+    assert err.startswith("parse error") and f"byte offset {offset}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("-V", "rho^(1e308*10-1e308*10)-2/rho"),  # NaN exponent
+        ("-V", "rho^(1e308*10)-2/rho"),  # inf exponent
+        # V''/2 is finite on the scan but 2 * V''/2 overflows, warning nothing
+        ("-V", "(((a*2)^-1e308)-(-1e308/-rho))", "-p", "a=1.5", "-m", "-2"),
+    ],
+)
+def test_non_finite_evaluation_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, "compute", *argv)
+    assert code == EXIT_SOLVER
+    assert "solver error" in err
+    assert out == ""
+
+
+# numpy refuses this count before it allocates anything
+HUGE_COUNT = "100000000000000000000"
+
+
+def test_unbuildable_point_count_is_usage_error(capsys):
+    for argv in (
+        ("wavefunction", "-V", "-2/rho", "--grid", f"0.01,20,{HUGE_COUNT}"),
+        ("sweep", "-V", "-a/rho", "--sweep-param", "a", "--range", f"1,2,{HUGE_COUNT}"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert "usage error" in err and HUGE_COUNT in err
+        assert out == ""
 
 
 @pytest.mark.parametrize("order", ["0", "-1"])
@@ -315,3 +365,46 @@ def test_wavefunction_grid_missing_support(capsys):
     )
     assert code == EXIT_SOLVER
     assert "support" in err
+
+
+# ---------------------------------------------------------------------------
+# property: every request ends in a documented exit code, never a traceback
+
+_ATOMS = ("rho", "0", "2", "0.5", "1e308", "1e-300", "(0-8)", "a", "m", "²")
+
+
+def _binary(children):
+    return st.tuples(children, st.sampled_from("+-*/^"), children, st.booleans()).map(
+        lambda t: f"({t[0]}{t[1]}{t[2]})" if t[3] else f"{t[0]}{t[1]}{t[2]}"
+    )
+
+
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(_ATOMS),
+    lambda children: st.one_of(_binary(children), children.map(lambda e: "-" + e)),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _requests(draw):
+    text = draw(_EXPRESSIONS)
+    m = str(draw(st.integers(-2, 2)))
+    a = draw(st.sampled_from(["1.5", "0", "-2", "1e-300"]))
+    params = ["-p", f"a={a}"] if "a" in text else []
+    command = draw(st.sampled_from(["compute", "sweep", "wavefunction"]))
+    if command == "compute":
+        return ["compute", "-V", text, "-m", m, *params]
+    if command == "sweep":
+        return ["sweep", "-V", text, "-m", m, "--sweep-param", "a",
+                "--range", "1,2,2", "--oracle"]
+    return ["wavefunction", "-V", text, "-m", m, *params, "--grid", "0.01,20,50"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_requests())
+def test_cli_never_raises(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, EXIT_USAGE, EXIT_PARSE, EXIT_SOLVER), (argv, code)

@@ -113,6 +113,34 @@ def test_negative_number_under_real_power_raises(text, rho):
         bound(rho)
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [("²*rho-2/rho", 0), ("1²*rho-2/rho", 1), ("rho*٣", 4)],
+)
+def test_number_literal_takes_ascii_digits_only(text, offset):
+    with pytest.raises(PotentialSyntaxError, match="unknown character") as exc:
+        parse_potential(text)
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "text, offset", [("1e400*rho-2/rho", 0), ("rho^(1e400^0)-2/rho", 5)]
+)
+def test_number_literal_overflowing_to_inf_rejected(text, offset):
+    with pytest.raises(PotentialSyntaxError, match="1e400 out of range") as exc:
+        parse_potential(text)
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "text", ["rho^(1e308*10-1e308*10)-2/rho", "rho^(1e308*10)-2/rho"]
+)
+def test_non_finite_exponent_raises(text):
+    bound = bind_params(parse_potential(text), {})
+    with pytest.raises(PotentialEvalError, match="non-finite exponent"):
+        bound(1.0)
+
+
 # ---------------------------------------------------------------------------
 # randomized round-trip and agreement checks
 

@@ -2,7 +2,6 @@ import pytest
 
 from pslet2d.expressions import bind_params, parse_potential
 from pslet2d.oracle import (
-    FdGrid,
     coulomb_exact,
     fd_ground_energy,
     oscillator_exact,
@@ -32,37 +31,34 @@ def test_oscillator_exact_values():
 
 
 def test_fdgrid_invariants():
+    bound = _bound("-2/rho")
     with pytest.raises(ValueError):
-        FdGrid(rho_min=1e-4, rho_max=20.0, points=100)
+        fd_ground_energy(bound, 0, 20.0, 100)
     with pytest.raises(ValueError):
-        FdGrid(rho_min=0.0, rho_max=20.0, points=500)
+        fd_ground_energy(bound, 0, 0.0, 500)
     with pytest.raises(ValueError):
-        FdGrid(rho_min=5.0, rho_max=2.0, points=500)
-    grid = FdGrid(rho_min=1e-4, rho_max=20.0, points=400)
-    assert grid.spacing == pytest.approx(0.05)
+        fd_ground_energy(bound, 0, -2.0, 500)
 
 
 def test_fd_reproduces_coulomb():
     bound = _bound("-2/rho")
-    grid = FdGrid(1e-4, 20.0, 4000)
     for m in (0, 1, 2):
-        e = fd_ground_energy(bound, abs(m), grid)
+        e = fd_ground_energy(bound, abs(m), 20.0, 4000)
         assert abs(e - coulomb_exact(m)) <= 1e-3
 
 
 def test_fd_reproduces_oscillator():
     for gamma in (0.5, 2.0):
         bound = _bound("g^2*rho^2/4", {"g": gamma})
-        grid = FdGrid(1e-4, 20.0, 4000)
         for m in (0, 1, 2):
-            e = fd_ground_energy(bound, abs(m), grid)
+            e = fd_ground_energy(bound, abs(m), 20.0, 4000)
             assert abs(e - oscillator_exact(m, gamma)) <= 1e-3
 
 
 def test_fd_coulomb_ground_state_high_accuracy():
     # the l = 0 case exercises the regular-at-origin discretization
     bound = _bound("-2/rho")
-    e = fd_ground_energy(bound, 0, FdGrid(1e-4, 30.0, 6000))
+    e = fd_ground_energy(bound, 0, 30.0, 6000)
     assert e == pytest.approx(-4.0, abs=2e-6)
 
 
@@ -71,7 +67,7 @@ def test_grid_halving_second_order():
     bound = _bound("g^2*rho^2/4", {"g": 1.0})
     exact = oscillator_exact(1, 1.0)
     errs = [
-        abs(_lowest_eigenvalue(bound, 1, 1e-4, 20.0, n) - exact)
+        abs(_lowest_eigenvalue(bound, 1, 20.0, n) - exact)
         for n in (500, 1000, 2000)
     ]
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
@@ -80,5 +76,5 @@ def test_grid_halving_second_order():
 
 def test_hybrid_reference_value():
     bound = _bound("m*g - 2/rho + g^2*rho^2/4", {"m": 0.0, "g": 1.0})
-    e = fd_ground_energy(bound, 0, FdGrid(1e-4, 20.0, 4000))
+    e = fd_ground_energy(bound, 0, 20.0, 4000)
     assert e == pytest.approx(-3.9105, abs=2e-3)
