@@ -23,6 +23,7 @@ from .engine import (
     assemble_energy,
     build_v_series,
     solve,
+    solve_batch,
     solve_geometry,
     solve_hierarchy,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "overlap",
     "parse_potential",
     "solve",
+    "solve_batch",
     "solve_geometry",
     "solve_hierarchy",
     "synthesize_wavefunction",

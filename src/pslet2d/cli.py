@@ -321,11 +321,13 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+_PARSER = build_parser()  # built once: it costs as much as a small solve
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_dash_values(list(argv)))
+    args = _PARSER.parse_args(_merge_dash_values(list(argv)))
     try:
         if args.order < 1:
             raise UsageError(f"--order must be >= 1, got {args.order}")

@@ -21,11 +21,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .expressions import BoundPotential
+from .expressions import (
+    BoundPotential,
+    PotentialEvalError,
+    PotentialSpec,
+    bind_params,
+    evaluate,
+    exponent_params,
+    float_pow,
+)
 from .jets import jet_lift, taylor_coeffs
 
 __all__ = [
@@ -42,6 +50,7 @@ __all__ = [
     "solve_hierarchy",
     "assemble_energy",
     "solve",
+    "solve_batch",
 ]
 
 
@@ -121,26 +130,240 @@ class EnergyBreakdown:
 # the logarithmic scan that brackets the roots of the frame equation
 RHO_LO, RHO_HI, SCAN_POINTS = 1e-4, 1e4, 400
 _SCAN_GRID = np.logspace(math.log10(RHO_LO), math.log10(RHO_HI), SCAN_POINTS)
+_SCAN_CUBES = float_pow(_SCAN_GRID, 3.0)
 
 
-def _frame(bound: BoundPotential, rho, l: int):
+def _frame(bound: BoundPotential, rho, l: int, rho3=None):
     """(F, w, a) at rho, a float or an array, from one order-2 expansion.
 
     ``a`` holds the coefficients V, V', V''/2.  F(rho) = sqrt(s) - l - w / 4
     with s = rho^3 V'/2, rad = 3 + rho V''/V' and w = 2 sqrt(rad); F is NaN
     where the frame is undefined: non-finite V' or V'', V' <= 0, s <= 0 or
-    rad <= 0.
+    rad <= 0.  Every entry goes through the operations a lone float would, so
+    it does not depend on the shape of ``rho``; ``rho3``, if given, is
+    ``float_pow(rho, 3.0)``.
     """
     a = taylor_coeffs(bound, rho, 2)
     v1 = a[1]
     with np.errstate(all="ignore"):
         v2 = 2.0 * a[2]
-        s = rho ** 3 * v1 / 2.0
+        s = (float_pow(rho, 3.0) if rho3 is None else rho3) * v1 / 2.0
         rad = 3.0 + rho * v2 / v1
         w = 2.0 * np.sqrt(rad)
         F = np.sqrt(s) - l - w / 4.0
         ok = np.isfinite(v1) & np.isfinite(v2) & (v1 > 0.0) & (s > 0.0) & (rad > 0.0)
     return np.where(ok, F, np.nan), w, a
+
+
+def brentq(f, a, b, fa=None, fb=None, xtol=1e-300, rtol=8.9e-16, maxiter=100) -> list:
+    """Roots in the brackets [a[i], b[i]] by Brent's method, all brackets in lockstep.
+
+    Each bracket (a lane) takes exactly the steps of scipy.optimize.brentq
+    (Brent 1973, as in scipy's C routine), so it ends on the same float.
+    ``f(lanes, x)`` returns the function of each lane in the list ``lanes``
+    at the matching entry of the list ``x``.  It is called once per
+    iteration for every live lane, and once before for both ends unless
+    their values ``fa`` and ``fb`` are given.  A lane's result is None where
+    f was NaN, the ends have one sign or ``maxiter`` iterations did not
+    converge: the cases in which scipy raises.
+    """
+    a, b = [float(x) for x in a], [float(x) for x in b]
+    n = len(a)
+    if fa is None:
+        ends = list(f(list(range(n)) * 2, a + b))
+        fa, fb = ends[:n], ends[n:]
+    roots: list = [None] * n
+    live = {}  # lane -> [xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, iterations]
+    for i, xpre, xcur, fpre, fcur in zip(range(n), a, b, map(float, fa), map(float, fb)):
+        if math.isnan(fpre) or math.isnan(fcur):
+            continue
+        if fpre == 0.0:
+            roots[i] = xpre
+        elif fcur == 0.0:
+            roots[i] = xcur
+        elif (fpre < 0.0) != (fcur < 0.0):  # scipy's signbit test, for nonzero f
+            live[i] = [xpre, xcur, 0.0, fpre, fcur, 0.0, 0.0, 0.0, 0]
+    while live:
+        lanes, points = [], []
+        for i, (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, it) in list(live.items()):
+            if it == maxiter:
+                del live[i]  # not converged
+                continue
+            if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+                xblk, fblk = xpre, fpre
+                spre = scur = xcur - xpre
+            if abs(fblk) < abs(fcur):
+                xpre, xcur, xblk = xcur, xblk, xcur
+                fpre, fcur, fblk = fcur, fblk, fcur
+            delta = (xtol + rtol * abs(xcur)) / 2.0
+            sbis = (xblk - xcur) / 2.0
+            if fcur == 0.0 or abs(sbis) < delta:
+                roots[i] = xcur
+                del live[i]
+                continue
+            if abs(spre) > delta and abs(fcur) < abs(fpre):
+                try:
+                    if xpre == xblk:  # interpolate
+                        stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                    else:  # extrapolate
+                        dpre = (fpre - fcur) / (xpre - xcur)
+                        dblk = (fblk - fcur) / (xblk - xcur)
+                        stry = (-fcur * (fblk * dblk - fpre * dpre)
+                                / (dblk * dpre * (fblk - fpre)))
+                except ZeroDivisionError:
+                    stry = math.inf  # C gives inf or NaN: either way a bisection
+                limit = 3.0 * abs(sbis) - delta
+                if 2.0 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                    spre, scur = scur, stry  # good short step
+                else:
+                    spre = scur = sbis
+            else:
+                spre = scur = sbis
+            xpre, fpre = xcur, fcur
+            xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+            live[i] = [xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, it + 1]
+            lanes.append(i)
+            points.append(xcur)
+        for i, fx in zip(lanes, f(lanes, points) if lanes else ()):
+            if math.isnan(fx):
+                del live[i]
+            else:
+                live[i][4] = fx
+    return roots
+
+
+def _frames_at(rows: list, values, owners: list, rho: list, l: int) -> list:
+    """(F, w, V, V''/2) as floats at each point of ``rho``, for the row in ``owners``.
+
+    ``rows`` holds each row's BoundPotential and ``values`` the batched
+    parameter values (see ``_solve_frames``).  One or two points go one at a
+    time, as scalars: numpy is faster so.
+    """
+    if len(rho) <= 2:
+        out = []
+        for i, r in zip(owners, rho):
+            F, w, a = _frame(rows[i], r, l)
+            out.append((float(F), float(w), float(a[0]), float(a[2])))
+        return out
+    bound = BoundPotential(rows[0].spec, _pick(values, np.array(owners)))
+    F, w, a = _frame(bound, np.array(rho), l)
+    return list(zip(F.tolist(), w.tolist(), a[0].tolist(), a[2].tolist()))
+
+
+def _pick(values: Mapping[str, object], rows) -> dict:
+    """The parameter values of ``rows``: batched arrays indexed, floats kept."""
+    return {k: v[rows] if isinstance(v, np.ndarray) else v for k, v in values.items()}
+
+
+def _scan(spec: PotentialSpec, values, n: int, l: int) -> np.ndarray:
+    """F of each of ``n`` rows on the scan grid, shape (n, SCAN_POINTS), in one walk.
+
+    Each entry equals ``_frame`` at that grid point alone.
+    """
+    grid = np.broadcast_to(_SCAN_GRID, (n, SCAN_POINTS))
+    columns = {k: v[:, None] if isinstance(v, np.ndarray) else v for k, v in values.items()}
+    try:
+        return _frame(BoundPotential(spec, columns), grid, l, _SCAN_CUBES)[0]
+    except ArithmeticError:
+        # rho-independent failure (rho^rho, 1/(0)*rho): undefined everywhere
+        return np.full(grid.shape, np.nan)
+
+
+def _solve_frames(rows: list, values, l: int, undefined=()) -> list:
+    """The chosen frame of each row, or the row's SolverError.
+
+    ``rows`` holds each row's BoundPotential, and ``values`` maps each
+    parameter to a float or to an array with one value per row.  One walk of
+    the tree scans every row on the logarithmic grid; the sign changes of
+    each row's frame function F bracket its roots, which one lockstep
+    ``brentq`` refines; ``_finish_frame`` validates every root from the
+    expansion F was computed from.  Rows in ``undefined`` have a
+    parameter-only term that fails, so their frame equation is undefined
+    everywhere.  If a row has several stable frames, the one with the lowest
+    leading energy wins (with a warning).
+    """
+    scan = _scan(rows[0].spec, values, len(rows), l)
+    if undefined:
+        scan[undefined] = np.nan
+
+    roots = [[float(r) for r in _SCAN_GRID[row == 0.0]] for row in scan]
+    seen = {}  # (row, rho) -> (F, w, V, V''/2) where the root finder evaluated
+    sign = np.sign(scan)  # NaN where undefined, so no bracket touches it
+    owners, cells = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
+    if len(owners):
+        def lane_frame(lanes, x):
+            points = list(zip(owners[lanes].tolist(), x))
+            frames = _frames_at(rows, values, [i for i, _ in points], x, l)
+            seen.update(zip(points, frames))
+            return [fr[0] for fr in frames]
+
+        # The scan's entries are the frame function at the bracket ends, as
+        # lone points give it.  xtol ~ 0 leaves rtol = 4 eps as the only stop:
+        # rho0 to a few ulps.
+        found = brentq(lane_frame, _SCAN_GRID[cells], _SCAN_GRID[cells + 1],
+                       scan[owners, cells], scan[owners, cells + 1])
+        for i, root in zip(owners.tolist(), found):
+            if root is not None:
+                roots[i].append(root)
+
+    # roots on the grid were not evaluated alone: expand there now
+    unseen = [(i, r) for i, rs in enumerate(roots) for r in rs if (i, r) not in seen]
+    if unseen:
+        seen.update(zip(unseen, _frames_at(rows, values, [i for i, _ in unseen],
+                                           [r for _, r in unseen], l)))
+    checked = iter(_finish_frame([(r,) + seen[i, r] for i, rs in enumerate(roots) for r in rs], l))
+
+    frames = []
+    for rs in roots:
+        if not rs:
+            frames.append(NoStableFrameError(
+                "no stable frame: the frame equation has no root in "
+                f"[{RHO_LO}, {RHO_HI}] for l={l}"
+            ))
+            continue
+        results = [next(checked) for _ in rs]
+        failure = next((r for r in results if isinstance(r, NotAMinimumError)), None)
+        candidates = [r for r in results if isinstance(r, Geometry)]
+        if failure is not None:
+            frames.append(failure)  # a root that is not a minimum fails the row
+        elif not candidates:
+            frames.append(FrequencyUndefinedError(
+                "frequency undefined or unstable at every candidate expansion point"
+            ))
+        else:
+            if len(candidates) > 1:
+                candidates.sort(key=lambda g: g.Q * (1.0 / g.rho0 ** 2 + g.v0 / g.Q))
+                warnings.warn(
+                    f"{len(candidates)} stable frames found; choosing the one with the "
+                    "lowest leading-order energy",
+                    stacklevel=3,
+                )
+            frames.append(candidates[0])
+    return frames
+
+
+def _finish_frame(points: list, l: int) -> list:
+    """Validate the frame at each refined root from its (rho0, F, w, V, V''/2).
+
+    Gives per root a Geometry, None if F(rho0) misses or is undefined, or a
+    NotAMinimumError.
+    """
+    out = []
+    for rho0, F, w, v0, half_v2 in points:
+        if not abs(F) <= FRAME_TOL * max(1.0, l):
+            out.append(None)
+            continue
+        beta = -w / 4.0
+        lbar = l - beta
+        Q = lbar ** 2
+        # second-derivative test on E^(-2)(rho) = 1/rho^2 + V(rho)/Q at fixed Q
+        if 6.0 / rho0 ** 4 + 2.0 * half_v2 / Q <= 0.0:
+            out.append(NotAMinimumError(
+                f"expansion point rho0 = {rho0} is not a minimum of the leading energy"
+            ))
+        else:
+            out.append(Geometry(rho0=rho0, w=w, beta=beta, lbar=lbar, l=l, v0=v0))
+    return out
 
 
 def solve_geometry(bound: BoundPotential, m: int) -> Geometry:
@@ -150,71 +373,16 @@ def solve_geometry(bound: BoundPotential, m: int) -> Geometry:
     beta = -w/4, which simultaneously makes the leading energy term
     stationary and kills the next-to-leading correction.  The frame function
     evaluated on a logarithmic grid over [RHO_LO, RHO_HI] brackets the roots;
-    brentq refines each bracket on the same function at single points, and
-    each root is validated from the same order-2 expansion (no finite
-    differences).  If several stable frames exist, the one with the lowest
-    leading energy wins (with a warning).
+    brentq refines each bracket on the same function, and each root is
+    validated from the same order-2 expansion (no finite differences).
     """
-    l = abs(m)
-    try:
-        scan = _frame(bound, _SCAN_GRID, l)[0]
-    except ArithmeticError:
-        # rho-independent failure (rho^rho, 1/(0)*rho): undefined everywhere
-        scan = np.full_like(_SCAN_GRID, np.nan)
-
-    def residual(r):
-        return _frame(bound, r, l)[0]  # NaN makes brentq raise ValueError
-
-    roots = [float(r) for r in _SCAN_GRID[scan == 0.0]]
-    sign = np.sign(scan)  # NaN where undefined, so no bracket touches it
-    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
-        try:
-            # xtol ~ 0 leaves rtol = 4 eps as the only stop: rho0 to a few ulps
-            roots.append(brentq(residual, _SCAN_GRID[i], _SCAN_GRID[i + 1],
-                                xtol=1e-300, rtol=8.9e-16))
-        except ValueError:
-            continue  # frame equation undefined somewhere inside the bracket
-    if not roots:
-        raise NoStableFrameError(
-            "no stable frame: the frame equation has no root in "
-            f"[{RHO_LO}, {RHO_HI}] for l={l}"
-        )
-
-    candidates: list[Geometry] = []
-    for root in roots:
-        geom = _finish_frame(bound, root, l)
-        if geom is not None:
-            candidates.append(geom)
-    if not candidates:
-        raise FrequencyUndefinedError(
-            "frequency undefined or unstable at every candidate expansion point"
-        )
-    if len(candidates) > 1:
-        candidates.sort(key=lambda g: g.Q * (1.0 / g.rho0 ** 2 + g.v0 / g.Q))
-        warnings.warn(
-            f"{len(candidates)} stable frames found; choosing the one with the "
-            "lowest leading-order energy",
-            stacklevel=2,
-        )
-    return candidates[0]
+    return _unwrap(_solve_frames([bound], bound.values, abs(m))[0])
 
 
-def _finish_frame(bound: BoundPotential, rho0: float, l: int):
-    """Validate the frame at a refined root; None if F(rho0) misses or is undefined."""
-    F, w, a = _frame(bound, rho0, l)
-    if not abs(F) <= FRAME_TOL * max(1.0, l):
-        return None
-    w = float(w)
-    beta = -w / 4.0
-    lbar = l - beta
-    Q = lbar ** 2
-    # second-derivative test on E^(-2)(rho) = 1/rho^2 + V(rho)/Q at fixed Q
-    curvature = 6.0 / rho0 ** 4 + 2.0 * a[2] / Q
-    if curvature <= 0.0:
-        raise NotAMinimumError(
-            f"expansion point rho0 = {rho0} is not a minimum of the leading energy"
-        )
-    return Geometry(rho0=float(rho0), w=w, beta=beta, lbar=lbar, l=l, v0=float(a[0]))
+def _unwrap(result):
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +398,12 @@ def build_v_series(
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    rho0, w, beta, Q = geom.rho0, geom.w, geom.beta, geom.Q
-    a = jet_lift(bound, rho0, max_order + 2)  # a[k] = V^(k)(rho0) / k!
+    return _v_polys(jet_lift(bound, geom.rho0, max_order + 2), geom, max_order)
 
+
+def _v_polys(a: np.ndarray, geom: Geometry, max_order: int) -> tuple[np.ndarray, ...]:
+    """v^(0)..v^(max_order) from the coefficients a[k] = V^(k)(rho0) / k!."""
+    rho0, w, beta, Q = geom.rho0, geom.w, geom.beta, geom.Q
     polys: list[np.ndarray] = []
     v0 = np.zeros(3)
     v0[0] = 2.0 * beta
@@ -242,7 +413,13 @@ def build_v_series(
         v = np.zeros(n + 3)
         # the x^(n+2) term: (-1)^n (n+3) + rho0^(n+4) V^(n+2)(rho0) / (Q (n+2)!)
         sign = -1.0 if n % 2 else 1.0
-        v[n + 2] = sign * (n + 3) + rho0 ** (n + 4) * a[n + 2] / Q
+        try:
+            scale = rho0 ** (n + 4)
+        except OverflowError:
+            raise PotentialEvalError(
+                f"v-series overflow: rho0^{n + 4} exceeds the float range at rho0 = {rho0}"
+            ) from None
+        v[n + 2] = sign * (n + 3) + scale * a[n + 2] / Q
         if n == 1:
             v[1] = -4.0 * beta
         elif n == 2:
@@ -261,8 +438,7 @@ def build_v_series(
 def _apply_L(poly: np.ndarray, w: float) -> np.ndarray:
     """L[P] = P' - w x P, the linearized operator of the order-s balance."""
     out = np.zeros(len(poly) + 1)
-    for k in range(1, len(poly)):
-        out[k - 1] += k * poly[k]
+    out[: len(poly) - 1] += np.arange(1, len(poly)) * poly[1:]
     out[1:] -= w * poly
     return out
 
@@ -299,14 +475,20 @@ def solve_hierarchy(
             cross = np.convolve(W[p], W[s - p])
             K[: len(cross)] -= cross
 
-        c = np.zeros(len(K) + 1)
-        for k in range(len(K) - 1, 0, -1):
-            c[k - 1] = ((k + 1) * c[k + 1] - K[k]) / w
-        W.append(np.trim_zeros(c, "b") if np.any(c) else np.zeros(1))
+        # the back-substitution in Python floats: the same IEEE operations,
+        # without numpy's per-element overhead
+        k_s = K.tolist()
+        c = [0.0] * (len(k_s) + 1)
+        for k in range(len(k_s) - 1, 0, -1):
+            c[k - 1] = ((k + 1) * c[k + 1] - k_s[k]) / w
+        top = len(c)
+        while top and c[top - 1] == 0.0:  # trailing zeros go, as np.trim_zeros drops them
+            top -= 1
+        W.append(np.array(c[:top]) if top else np.zeros(1))
 
         rhs_const = 0.0
         if s % 2 == 0:
-            rhs_const = K[0] - c[1]
+            rhs_const = k_s[0] - c[1]
             lambdas.append(rhs_const - (beta * beta - 0.25) if s == 2 else rhs_const)
 
         # full residual of the order-s balance: target minus L[W_s]
@@ -364,10 +546,91 @@ def solve(
     max_order: int = 3,
 ) -> tuple[Geometry, CoefficientTable, EnergyBreakdown]:
     """End-to-end solve: frame, hierarchy and energy for a nodeless state."""
+    return _unwrap(solve_batch(bound.spec, bound.values, m, max_order)[0])
+
+
+class _AnyRho:
+    """Stands for rho in a walk that evaluates only the parameter-only terms."""
+
+    def _absorb(self, *_):
+        return self
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _absorb
+    __truediv__ = __rtruediv__ = __neg__ = __pow__ = _absorb
+
+
+def _fails_alone(bound: BoundPotential) -> bool:
+    """True if a parameter-only term raises, as it would in a solve of this row alone."""
+    try:
+        evaluate(bound.spec.tree, _AnyRho(), bound.values)
+    except ArithmeticError:
+        return True
+    return False
+
+
+def solve_batch(spec: PotentialSpec, values: Mapping[str, object], m: int,
+                max_order: int = 3) -> list:
+    """Solve a batch of rows that share ``spec`` and ``m`` in one pass.
+
+    ``values`` maps each parameter to a float or to a 1-D array of n values,
+    one per row.  Returns one entry per row (a single entry if every value is
+    a float): the row's (Geometry, CoefficientTable, EnergyBreakdown), or the
+    SolverError or PotentialEvalError that ``solve`` raises for that row
+    alone.  Every row's numbers equal its lone solve bit for bit.  A
+    parameter that appears in an exponent cannot take an array, because
+    ``evaluate`` needs the exponent as a float.
+    """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    geom = solve_geometry(bound, m)
-    v = build_v_series(bound, geom, 2 * max_order)
-    table = solve_hierarchy(v, geom, max_order)
-    breakdown = assemble_energy(geom, table, max_order)
-    return geom, table, breakdown
+    batched = sorted(k for k, v in values.items() if np.ndim(v))
+    if not batched:
+        rows = [bind_params(spec, values)]
+        values = rows[0].values
+        undefined = []
+    else:
+        in_exponent = exponent_params(spec.tree).intersection(batched)
+        if in_exponent:
+            raise ValueError(
+                f"parameter(s) {', '.join(sorted(in_exponent))} appear in an "
+                "exponent and cannot take an array of values"
+            )
+        values = {k: np.asarray(v, dtype=float) if k in batched else v
+                  for k, v in values.items()}
+        n = len(values[batched[0]])
+        if any(values[k].shape != (n,) for k in batched):
+            raise ValueError("batched parameters must be 1-D arrays of one length")
+        rows = [bind_params(spec, _pick(values, i)) for i in range(n)]
+        values = {k: values[k] if k in batched else rows[0].values[k] for k in spec.params}
+        undefined = [i for i, row in enumerate(rows) if _fails_alone(row)]
+
+    if not rows:
+        return []
+    out = _solve_frames(rows, values, abs(m), undefined)
+    ok = [i for i, g in enumerate(out) if isinstance(g, Geometry)]
+    v_order = 2 * max_order
+    lifts = None
+    if len(ok) > 1:
+        try:  # one jet about every rho0
+            lifts = jet_lift(BoundPotential(spec, _pick(values, np.array(ok))),
+                             np.array([out[i].rho0 for i in ok]), v_order + 2).T
+        except PotentialEvalError:
+            pass  # some row's jet is not finite: lift each row alone for its own error
+    if lifts is None:
+        lifts = [_lift_alone(rows[i], out[i].rho0, v_order + 2) for i in ok]
+    for i, a in zip(ok, lifts):
+        geom = out[i]
+        try:
+            v = _v_polys(_unwrap(a), geom, v_order)
+            table = solve_hierarchy(v, geom, max_order)
+            out[i] = (geom, table, assemble_energy(geom, table, max_order))
+        except (SolverError, PotentialEvalError) as exc:
+            out[i] = exc
+    return out
+
+
+def _lift_alone(bound: BoundPotential, rho0: float, order: int):
+    """``jet_lift`` about one point, or the PotentialEvalError it raises."""
+    try:
+        return jet_lift(bound, rho0, order)
+    except PotentialEvalError as exc:
+        return exc

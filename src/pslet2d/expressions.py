@@ -22,6 +22,8 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
+import numpy as np
+
 __all__ = [
     "PotentialSyntaxError",
     "PotentialEvalError",
@@ -30,6 +32,8 @@ __all__ = [
     "BoundPotential",
     "parse_potential",
     "bind_params",
+    "exponent_params",
+    "float_pow",
 ]
 
 RADIAL_NAME = "rho"
@@ -323,6 +327,18 @@ def parse_potential(text: str) -> PotentialSpec:
     return PotentialSpec(tree=tree, params=tuple(sorted(names)))
 
 
+def exponent_params(node: Node) -> set[str]:
+    """Names of the parameters that appear in an exponent within ``node``."""
+    if isinstance(node, Neg):
+        return exponent_params(node.arg)
+    if not isinstance(node, BinOp):
+        return set()
+    names = exponent_params(node.lhs) | exponent_params(node.rhs)
+    if node.op == "^":
+        _collect_params(node.rhs, names)
+    return names
+
+
 def bind_params(spec: PotentialSpec, values: Mapping[str, float]) -> BoundPotential:
     """Bind every parameter of ``spec``; missing or extraneous names raise KeyError."""
     missing = [p for p in spec.params if p not in values]
@@ -350,15 +366,15 @@ def evaluate(node: Node, rho, params: Mapping[str, float]):
     exponents are dispatched to repeated multiplication so that exact jet
     arithmetic stays exact.
     """
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Rho):
-        return rho
-    if isinstance(node, Param):
-        return params[node.name]
-    if isinstance(node, Neg):
+    if not isinstance(node, BinOp):
+        if isinstance(node, Rho):
+            return rho
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, Param):
+            return params[node.name]
+        assert isinstance(node, Neg)
         return -evaluate(node.arg, rho, params)
-    assert isinstance(node, BinOp)
     a = evaluate(node.lhs, rho, params)
     if node.op == "^":
         p = evaluate(node.rhs, rho, params)
@@ -370,6 +386,8 @@ def evaluate(node: Node, rho, params: Mapping[str, float]):
             return _int_pow(a, int(p))
         if isinstance(a, (int, float)) and a < 0.0:
             raise PotentialEvalError("negative number raised to a non-integer power")
+        if isinstance(a, np.ndarray):  # a batch of parameter values
+            return float_pow(a, p)
         return a ** p
     b = evaluate(node.rhs, rho, params)
     if node.op == "+":
@@ -383,6 +401,22 @@ def evaluate(node: Node, rho, params: Mapping[str, float]):
             raise PotentialEvalError("division by zero (pole)")
         return a / b
     raise AssertionError(node.op)
+
+
+def float_pow(x, p: float):
+    """x ** p entry by entry through the C library's pow, as a lone float gets it.
+
+    numpy's vectorized power can differ from it in the last bit, which would
+    make an entry depend on the shape of the batch it was computed in.  A
+    negative entry gives NaN, a zero entry under a negative power gives inf.
+    """
+    flat = [x] if isinstance(x, float) else np.ravel(x).tolist()
+    try:
+        out = [math.pow(v, p) for v in flat]
+    except (ValueError, OverflowError):  # negative base, pole or overflow
+        with np.errstate(all="ignore"):
+            out = [float(np.float64(v) ** p) for v in flat]
+    return out[0] if isinstance(x, float) else np.reshape(out, np.shape(x))
 
 
 def _int_pow(base, n: int):

@@ -8,15 +8,15 @@ Propagating jets through a potential's expression tree yields every
 derivative d^n V / d rho^n at the expansion point in one pass, exact to
 floating-point rounding -- no finite differencing, no symbolic algebra.
 Both entry points return plain coefficient arrays, row k holding a_k:
-``jet_lift`` about one point with every entry checked finite, and
-``taylor_coeffs`` about a point or a whole grid, unchecked.
+``jet_lift`` with every entry checked finite, and ``taylor_coeffs``
+unchecked, each about a point or a whole array of points.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .expressions import BoundPotential, PotentialEvalError, evaluate
+from .expressions import BoundPotential, PotentialEvalError, evaluate, float_pow
 
 __all__ = ["jet_lift", "taylor_coeffs"]
 
@@ -33,22 +33,22 @@ class _Series:
     """
 
     __slots__ = ("c",)
+    __array_ufunc__ = None  # ndarray op series defers to the series' reflected op
 
     def __init__(self, coeffs: np.ndarray):
         self.c = coeffs
 
     # -- ring operations ----------------------------------------------------
 
-    def _coerce(self, other) -> "_Series":
-        if isinstance(other, _Series):
-            return other
-        out = np.zeros_like(self.c)
-        out[0] = other
-        return _Series(out)
+    # A constant enters row 0 only.  The other rows still get 0.0 added, as
+    # in the sum with a constant series: that turns -0.0 into 0.0.
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return _Series(self.c + o.c)
+        if isinstance(other, _Series):
+            return _Series(self.c + other.c)
+        out = self.c + 0.0
+        out[0] = self.c[0] + other
+        return _Series(out)
 
     __radd__ = __add__
 
@@ -56,12 +56,16 @@ class _Series:
         return _Series(-self.c)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return _Series(self.c - o.c)
+        if isinstance(other, _Series):
+            return _Series(self.c - other.c)
+        out = self.c - 0.0
+        out[0] = self.c[0] - other
+        return _Series(out)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        return _Series(o.c - self.c)
+        out = 0.0 - self.c
+        out[0] = other - self.c[0]
+        return _Series(out)
 
     def __mul__(self, other):
         if not isinstance(other, _Series):
@@ -81,8 +85,9 @@ class _Series:
         return _series_div(self, other)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return _series_div(o, self)
+        num = np.zeros_like(self.c)
+        num[0] = other
+        return _series_div(_Series(num), self)
 
     def __pow__(self, p: float):
         return _series_pow(self, float(p))
@@ -108,7 +113,7 @@ def _series_pow(base: _Series, p: float) -> _Series:
     """
     f = base.c
     g = np.empty_like(f)
-    g[0] = np.where(f[0] > 0.0, f[0] ** p, np.nan)
+    g[0] = np.where(f[0] > 0.0, float_pow(f[0], p), np.nan)
     for k in range(1, len(f)):
         acc = 0.0
         for j in range(1, k + 1):
@@ -137,15 +142,21 @@ def taylor_coeffs(bound: BoundPotential, center, order: int) -> np.ndarray:
     return coeffs
 
 
-def jet_lift(bound: BoundPotential, center: float, order: int) -> np.ndarray:
-    """Coefficients a_0..a_order of ``bound`` about ``center``, checked finite."""
-    if center <= 0:
+def jet_lift(bound: BoundPotential, center, order: int) -> np.ndarray:
+    """Coefficients a_0..a_order of ``bound`` about ``center``, checked finite.
+
+    ``center`` is a float or a 1-D array, as for ``taylor_coeffs``; the error
+    names the first center whose coefficients are not all finite.
+    """
+    if np.any(np.less_equal(center, 0.0)):
         raise PotentialEvalError(f"expansion center must be positive, got {center}")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     coeffs = taylor_coeffs(bound, center, order)
-    if not np.all(np.isfinite(coeffs)):
+    finite = np.isfinite(coeffs).all(axis=0)
+    if not finite.all():
+        bad = center if np.ndim(center) == 0 else float(center[np.argmin(finite)])
         raise PotentialEvalError(
-            f"non-finite jet coefficients when expanding about rho={center}"
+            f"non-finite jet coefficients when expanding about rho={bad}"
         )
     return coeffs

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .engine import CoefficientTable, Geometry, SolverError
 
@@ -166,16 +165,35 @@ def synthesize_wavefunction(
     return replace(wf, psi=psi, radial=radial, norm=norm)
 
 
+def simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson integral of samples ``y`` at increasing points ``x``, an odd count.
+
+    The same operations as scipy.integrate.simpson (scipy 1.17) on an odd
+    number of samples, so the two agree bit for bit.
+    """
+    if len(y) % 2 == 0:
+        raise ValueError(f"simpson needs an odd number of samples, got {len(y)}")
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    h0divh1 = h0 / h1
+    terms = hsum / 6.0 * (y[0:-2:2] * (2.0 - 1.0 / h0divh1)
+                          + y[1:-1:2] * (hsum * (hsum / (h0 * h1)))
+                          + y[2::2] * (2.0 - h0divh1))
+    return np.sum(terms)
+
+
 def _whole_line_mass(wf: WavefunctionSeries, geom: Geometry, grid_max: float):
     """Integrate |Psi_un|^2 over (0, rho_max], auto-extending rho_max."""
     rho_max = max(grid_max, 4.0 * geom.rho0)
     eps = 1e-9 * geom.rho0
     for _ in range(60):
         dense = np.linspace(eps, rho_max, 8001)
-        density = wf.unnormalized(dense) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is the error below
+            density = wf.unnormalized(dense) ** 2
         if not np.all(np.isfinite(density)):
             raise SolverError("wavefunction series overflowed during normalization")
-        total = simpson(density, x=dense)
+        total = simpson(density, dense)
         # exponential tail estimate from the last two samples
         if density[-1] >= density[-2] or density[-1] == 0.0:
             decaying = density[-1] == 0.0
@@ -194,7 +212,7 @@ def _mass_between(wf: WavefunctionSeries, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
     seg = np.linspace(lo, hi, 2001)
-    return float(simpson(wf.unnormalized(seg) ** 2, x=seg))
+    return float(simpson(wf.unnormalized(seg) ** 2, seg))
 
 
 def overlap(grid, psi_a, psi_b) -> float:
@@ -203,6 +221,8 @@ def overlap(grid, psi_a, psi_b) -> float:
     Both samples are renormalized on the grid, so a function's overlap with
     itself is exactly 1 regardless of how much mass the grid captures.
     """
+    from scipy.integrate import simpson  # any sample count; no CLI path needs it
+
     grid = np.asarray(grid, dtype=float)
     a = np.asarray(psi_a, dtype=float)
     b = np.asarray(psi_b, dtype=float)

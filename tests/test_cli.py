@@ -96,6 +96,36 @@ def test_solver_failure_exit_code(capsys):
     assert "no stable frame" in err
 
 
+def test_v_series_overflow_exit_code(capsys):
+    # rho0 ~ 316, and rho0^124 leaves the float range at order 60
+    code, _, err = run_cli(
+        capsys, "compute", "-V", "g^2*rho^2/4", "-p", "g=0.00002", "--order", "60"
+    )
+    assert code == EXIT_SOLVER
+    assert "v-series overflow" in err
+
+
+def test_main_reuses_one_parser(capsys):
+    from pslet2d import cli
+
+    parser = cli._PARSER
+    first = run_cli(capsys, "compute", "-V", "a*rho^2 - 2/rho", "-p", "a=1", "--format", "csv")
+    assert first[0] == 0
+    # a value bound in one call does not carry over into the next
+    code, _, err = run_cli(capsys, "compute", "-V", "a*rho^2 - 2/rho")
+    assert code == EXIT_PARSE and "missing" in err
+    assert run_cli(capsys, "table", "no-such-preset")[0] == EXIT_USAGE
+    with pytest.raises(SystemExit):
+        main(["compute"])  # argparse: -V is required
+    capsys.readouterr()
+    assert run_cli(capsys, "compute", "-V", "2/")[0] == EXIT_PARSE
+    code, out, _ = run_cli(capsys, "table", "hybrid-3d-minus", "--order", "2")
+    assert code == 0 and out.splitlines()[0] == "gamma_prime,EN0,EN1,EN2"
+    assert run_cli(capsys, "compute", "-V", "a*rho^2 - 2/rho", "-p", "a=1",
+                   "--format", "csv") == first
+    assert cli._PARSER is parser
+
+
 def test_negative_number_under_real_power_exit_code(capsys):
     code, out, err = run_cli(capsys, "compute", "-V", "(0-8)^0.5*rho - 2/rho", "-m", "0")
     assert code == EXIT_SOLVER
@@ -365,6 +395,31 @@ def test_wavefunction_grid_missing_support(capsys):
     )
     assert code == EXIT_SOLVER
     assert "support" in err
+
+
+def test_wavefunction_overflow_is_a_solver_error_without_warnings(capsys):
+    # pytest turns a RuntimeWarning into an error, so a leak would fail here
+    code, out, err = run_cli(
+        capsys, "wavefunction", "-V", "m*g - 2/rho + g^2*rho^2/4", "-p", "g=1",
+        "--order", "6", "--grid", "0.01,12,400",
+    )
+    assert code == EXIT_SOLVER
+    assert out == "" and err == "solver error: wavefunction series overflowed during normalization\n"
+
+
+def test_cli_import_leaves_scipy_optimize_and_integrate_out():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, pslet2d.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.optimize', 'scipy.integrate'))))")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

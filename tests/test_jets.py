@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pslet2d.expressions import (
+    BoundPotential,
     PotentialEvalError,
     bind_params,
     parse_potential,
@@ -172,3 +173,21 @@ def test_grid_expansion_matches_single_points(text, params, rel, order):
         assert np.array_equal(batch, stacked)
     else:
         np.testing.assert_allclose(batch, stacked, rtol=rel, atol=0.0)
+
+
+def test_real_powers_on_a_grid_equal_single_points():
+    # float_pow takes every entry through the C library's pow, as a float does
+    bound = _bound("a*rho^1.5 + (rho + b)^-0.5", {"a": 1.3, "b": 0.4})
+    batch = taylor_coeffs(bound, _SCAN_GRID, 4)
+    assert np.array_equal(batch, np.stack([jet_lift(bound, r, 4) for r in _SCAN_GRID], axis=1))
+
+
+def test_array_parameters_batch_along_the_points():
+    # "a*rho" puts a parameter array left of a series: the series must take
+    # the operation, where numpy would build an object array
+    spec = parse_potential("a*rho - a/rho + a^2*rho^2")
+    a = np.array([2.0, 3.0])
+    batch = taylor_coeffs(BoundPotential(spec, {"a": a}), a, 3)
+    assert batch.dtype == float
+    for j, x in enumerate(a.tolist()):
+        assert np.array_equal(batch[:, j], jet_lift(bind_params(spec, {"a": x}), x, 3))

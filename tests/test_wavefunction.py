@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from pslet2d import wavefunction
 from pslet2d.expressions import bind_params, parse_potential
 from pslet2d.engine import solve
 from pslet2d.wavefunction import (
@@ -139,3 +140,21 @@ def test_prefactor_exponent():
         geom, table, _ = solve(bound, m)
         log_power, _ = assemble_exponent_blocks(geom, table)
         assert log_power == pytest.approx(abs(m) + 0.5, abs=1e-14)
+
+
+@pytest.mark.parametrize("points", [3, 5, 101, 2001, 8001])
+def test_simpson_equals_scipy_on_odd_grids(points):
+    rng = np.random.default_rng(points)
+    for uniform in (True, False):
+        if uniform:
+            x = np.linspace(rng.uniform(1e-9, 1.0), rng.uniform(2.0, 60.0), points)
+        else:
+            x = np.cumsum(rng.uniform(0.01, 1.0, points))
+        y = np.exp(-x) * rng.uniform(0.5, 2.0, points)
+        assert wavefunction.simpson(y, x) == simpson(y, x=x)
+
+
+def test_simpson_rejects_an_even_count():
+    x = np.linspace(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="odd"):
+        wavefunction.simpson(x, x)
