@@ -155,26 +155,21 @@ def _frame(bound: BoundPotential, rho, l: int, rho3=None):
     return np.where(ok, F, np.nan), w, a
 
 
-def brentq(f, a, b, fa=None, fb=None, xtol=1e-300, rtol=8.9e-16, maxiter=100) -> list:
+def brentq(f, a, b, fa, fb, xtol=1e-300, rtol=8.9e-16, maxiter=100) -> list:
     """Roots in the brackets [a[i], b[i]] by Brent's method, all brackets in lockstep.
 
     Each bracket (a lane) takes exactly the steps of scipy.optimize.brentq
     (Brent 1973, as in scipy's C routine), so it ends on the same float.
-    ``f(lanes, x)`` returns the function of each lane in the list ``lanes``
-    at the matching entry of the list ``x``.  It is called once per
-    iteration for every live lane, and once before for both ends unless
-    their values ``fa`` and ``fb`` are given.  A lane's result is None where
-    f was NaN, the ends have one sign or ``maxiter`` iterations did not
-    converge: the cases in which scipy raises.
+    ``fa`` and ``fb`` hold the function at the ends.  ``f(lanes, x)``
+    returns the function of each lane in the list ``lanes`` at the matching
+    entry of the list ``x``; it is called once per iteration for every live
+    lane.  A lane's result is None where f was NaN, the ends have one sign or
+    ``maxiter`` iterations did not converge: the cases in which scipy raises.
     """
-    a, b = [float(x) for x in a], [float(x) for x in b]
-    n = len(a)
-    if fa is None:
-        ends = list(f(list(range(n)) * 2, a + b))
-        fa, fb = ends[:n], ends[n:]
-    roots: list = [None] * n
+    roots: list = [None] * len(a)
     live = {}  # lane -> [xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, iterations]
-    for i, xpre, xcur, fpre, fcur in zip(range(n), a, b, map(float, fa), map(float, fb)):
+    for i, xpre, xcur, fpre, fcur in zip(range(len(a)), map(float, a), map(float, b),
+                                         map(float, fa), map(float, fb)):
         if math.isnan(fpre) or math.isnan(fcur):
             continue
         if fpre == 0.0:
@@ -482,7 +477,7 @@ def solve_hierarchy(
         for k in range(len(k_s) - 1, 0, -1):
             c[k - 1] = ((k + 1) * c[k + 1] - k_s[k]) / w
         top = len(c)
-        while top and c[top - 1] == 0.0:  # trailing zeros go, as np.trim_zeros drops them
+        while top and c[top - 1] == 0.0:  # trailing zeros, -0.0 included, go
             top -= 1
         W.append(np.array(c[:top]) if top else np.zeros(1))
 

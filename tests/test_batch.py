@@ -67,8 +67,12 @@ def _brackets(bound, l):
     return _SCAN_GRID[cells], _SCAN_GRID[cells + 1]
 
 
-def _lone_points(bound, l):
-    return lambda lanes, x: [float(_frame(bound, r, l)[0]) for r in x]
+def _lanes(fs, a, b):
+    """``brentq``'s arguments for lane i solving fs[i] on [a[i], b[i]]."""
+    def f(lanes, x):
+        return [fs[i](r) for i, r in zip(lanes, x)]
+
+    return f, a, b, [g(r) for g, r in zip(fs, a)], [g(r) for g, r in zip(fs, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +91,11 @@ def test_brentq_equals_scipy_on_every_scan_bracket():
     for bound, m in _cases():
         l = abs(m)
         lo, hi = _brackets(bound, l)
-        expected = [_scipy_root(lambda r: float(_frame(bound, r, l)[0]), a, b)
-                    for a, b in zip(lo, hi)]
-        assert brentq(_lone_points(bound, l), lo, hi) == expected, (str(bound), m)
+        frame = lambda r: float(_frame(bound, r, l)[0])  # noqa: E731
+        expected = [_scipy_root(frame, a, b) for a, b in zip(lo, hi)]
+        assert brentq(*_lanes([frame] * len(lo), lo, hi)) == expected, (str(bound), m)
         brackets += len(lo)
-    assert brackets >= 63 + 21
+    assert brackets >= 84  # at least one per case
 
 
 def test_brentq_equals_scipy_on_hard_functions():
@@ -119,7 +123,7 @@ def test_brentq_equals_scipy_on_hard_functions():
         fs.append(f)
         a.append(r - rng.uniform(0.01, 3.0))
         b.append(r + rng.uniform(0.01, 3.0))
-    got = brentq(lambda lanes, x: [fs[i](v) for i, v in zip(lanes, x)], a, b)
+    got = brentq(*_lanes(fs, a, b))
     assert got == [_scipy_root(f, lo, hi) for f, lo, hi in zip(fs, a, b)]
     assert got.count(None) > 0  # some lanes run out of iterations
 
@@ -136,7 +140,7 @@ def test_brentq_lanes_match_scipy_on_failures():
 
     # a root, NaN at an end, NaN where the root is, ends of one sign
     fs, a, b = [clean, nan_beyond, nan_at_root, clean], [0.0, 0.0, 1.0, 2.0], [1.5, 3.0, 2.0, 3.0]
-    got = brentq(lambda lanes, x: [fs[i](r) for i, r in zip(lanes, x)], a, b)
+    got = brentq(*_lanes(fs, a, b))
     assert got[0] == scipy_brentq(clean, 0.0, 1.5, xtol=1e-300, rtol=8.9e-16)
     for i in (1, 2, 3):
         with pytest.raises(ValueError):
@@ -148,8 +152,7 @@ def test_brentq_lanes_match_scipy_on_failures():
             expected = scipy_brentq(clean, 0.0, 1.5, xtol=1e-300, rtol=8.9e-16, maxiter=maxiter)
         except RuntimeError:
             expected = None
-        lanes = lambda lanes, x: [clean(r) for r in x]  # noqa: E731
-        assert brentq(lanes, [0.0], [1.5], maxiter=maxiter) == [expected], maxiter
+        assert brentq(*_lanes([clean], [0.0], [1.5]), maxiter=maxiter) == [expected]
 
 
 # ---------------------------------------------------------------------------
