@@ -155,7 +155,11 @@ def _frame(bound: BoundPotential, rho, l: int, rho3=None):
     return np.where(ok, F, np.nan), w, a
 
 
-def brentq(f, a, b, fa, fb, xtol=1e-300, rtol=8.9e-16, maxiter=100) -> list:
+# brentq's stopping rule, scipy's with xtol ~ 0: rtol = 4 eps is the only stop
+_XTOL, _RTOL, _MAXITER = 1e-300, 8.9e-16, 100
+
+
+def brentq(f, a, b, fa, fb) -> list:
     """Roots in the brackets [a[i], b[i]] by Brent's method, all brackets in lockstep.
 
     Each bracket (a lane) takes exactly the steps of scipy.optimize.brentq
@@ -164,7 +168,7 @@ def brentq(f, a, b, fa, fb, xtol=1e-300, rtol=8.9e-16, maxiter=100) -> list:
     returns the function of each lane in the list ``lanes`` at the matching
     entry of the list ``x``; it is called once per iteration for every live
     lane.  A lane's result is None where f was NaN, the ends have one sign or
-    ``maxiter`` iterations did not converge: the cases in which scipy raises.
+    ``_MAXITER`` iterations did not converge: the cases in which scipy raises.
     """
     roots: list = [None] * len(a)
     live = {}  # lane -> [xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, iterations]
@@ -181,7 +185,7 @@ def brentq(f, a, b, fa, fb, xtol=1e-300, rtol=8.9e-16, maxiter=100) -> list:
     while live:
         lanes, points = [], []
         for i, (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, it) in list(live.items()):
-            if it == maxiter:
+            if it == _MAXITER:
                 del live[i]  # not converged
                 continue
             if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
@@ -190,7 +194,7 @@ def brentq(f, a, b, fa, fb, xtol=1e-300, rtol=8.9e-16, maxiter=100) -> list:
             if abs(fblk) < abs(fcur):
                 xpre, xcur, xblk = xcur, xblk, xcur
                 fpre, fcur, fblk = fcur, fblk, fcur
-            delta = (xtol + rtol * abs(xcur)) / 2.0
+            delta = (_XTOL + _RTOL * abs(xcur)) / 2.0
             sbis = (xblk - xcur) / 2.0
             if fcur == 0.0 or abs(sbis) < delta:
                 roots[i] = xcur
@@ -227,14 +231,20 @@ def brentq(f, a, b, fa, fb, xtol=1e-300, rtol=8.9e-16, maxiter=100) -> list:
     return roots
 
 
+# Up to this many points, _frames_at expands each alone as a float.  One
+# array expansion costs about as much as two float ones; a lone solve's root
+# finder asks for one point per iteration, and taking that point as an array
+# made solve_geometry 1.28x slower over the high_order requests.
+_FLOAT_POINTS = 2
+
+
 def _frames_at(rows: list, values, owners: list, rho: list, l: int) -> list:
     """(F, w, V, V''/2) as floats at each point of ``rho``, for the row in ``owners``.
 
     ``rows`` holds each row's BoundPotential and ``values`` the batched
-    parameter values (see ``_solve_frames``).  One or two points go one at a
-    time, as scalars: numpy is faster so.
+    parameter values (see ``_solve_frames``).  Both paths give the same bits.
     """
-    if len(rho) <= 2:
+    if len(rho) <= _FLOAT_POINTS:
         out = []
         for i, r in zip(owners, rho):
             F, w, a = _frame(rows[i], r, l)
@@ -293,8 +303,7 @@ def _solve_frames(rows: list, values, l: int, undefined=()) -> list:
             return [fr[0] for fr in frames]
 
         # The scan's entries are the frame function at the bracket ends, as
-        # lone points give it.  xtol ~ 0 leaves rtol = 4 eps as the only stop:
-        # rho0 to a few ulps.
+        # lone points give it; rho0 comes to a few ulps.
         found = brentq(lane_frame, _SCAN_GRID[cells], _SCAN_GRID[cells + 1],
                        scan[owners, cells], scan[owners, cells + 1])
         for i, root in zip(owners.tolist(), found):

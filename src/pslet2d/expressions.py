@@ -386,7 +386,9 @@ def evaluate(node: Node, rho, params: Mapping[str, float]):
             return _int_pow(a, int(p))
         if isinstance(a, (int, float)) and a < 0.0:
             raise PotentialEvalError("negative number raised to a non-integer power")
-        if isinstance(a, np.ndarray):  # a batch of parameter values
+        if isinstance(a, np.ndarray) and not isinstance(rho, np.ndarray):
+            # a batch of parameter values: each row as its lone float gets
+            # it; a rho mesh (the oracle's) keeps numpy's faster power
             return float_pow(a, p)
         return a ** p
     b = evaluate(node.rhs, rho, params)

@@ -128,7 +128,7 @@ def test_brentq_equals_scipy_on_hard_functions():
     assert got.count(None) > 0  # some lanes run out of iterations
 
 
-def test_brentq_lanes_match_scipy_on_failures():
+def test_brentq_lanes_match_scipy_on_failures(monkeypatch):
     def clean(x):
         return x ** 3 - 2.0
 
@@ -152,7 +152,8 @@ def test_brentq_lanes_match_scipy_on_failures():
             expected = scipy_brentq(clean, 0.0, 1.5, xtol=1e-300, rtol=8.9e-16, maxiter=maxiter)
         except RuntimeError:
             expected = None
-        assert brentq(*_lanes([clean], [0.0], [1.5]), maxiter=maxiter) == [expected]
+        monkeypatch.setattr(engine, "_MAXITER", maxiter)
+        assert brentq(*_lanes([clean], [0.0], [1.5])) == [expected]
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +181,19 @@ def test_batched_scan_equals_lone_points(text, rows):
             np.testing.assert_array_equal(batch[i], alone)  # NaN-aware and exact
             points = np.array([float(_frame(row, r, l)[0]) for r in _SCAN_GRID[::7]])
             np.testing.assert_array_equal(alone[::7], points)
+
+
+def test_array_frames_equal_float_frames():
+    # _frames_at takes few points as floats and more as one array
+    spec = parse_potential("a*rho^1.5 + b*rho - 2/rho")
+    values = {"a": np.array([1.3, 0.2, -1.0, 0.7]), "b": 0.4}
+    rows = [bind_params(spec, {"a": a, "b": 0.4}) for a in values["a"].tolist()]
+    owners, rho = [0, 1, 2, 3, 1], [0.3, 1.7, 1e-4, 25.0, 3.1]
+    assert len(rho) > engine._FLOAT_POINTS
+    for l in (0, 2):
+        batch = engine._frames_at(rows, values, owners, rho, l)
+        alone = [engine._frames_at(rows, values, [i], [r], l)[0] for i, r in zip(owners, rho)]
+        assert repr(batch) == repr(alone)  # exact, NaN included
 
 
 # ---------------------------------------------------------------------------
