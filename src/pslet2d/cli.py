@@ -22,9 +22,10 @@ from .expressions import (
     PotentialSpec,
     PotentialSyntaxError,
     bind_params,
+    exponent_params,
     parse_potential,
 )
-from .engine import SolverError, solve
+from .engine import SolverError, solve, solve_batch
 from .oracle import fd_ground_energy
 from .wavefunction import GridError, synthesize_wavefunction
 
@@ -71,11 +72,15 @@ def _linspace(lo: float, hi: float, count: int, flag: str) -> np.ndarray:
         raise UsageError(f"cannot build {count} points for {flag}: {exc}") from None
 
 
-def _bind(spec: PotentialSpec, params: dict[str, float], m: int) -> BoundPotential:
+def _with_m(spec: PotentialSpec, params: dict[str, float], m: int) -> dict[str, float]:
     # the signed magnetic quantum number doubles as the Zeeman parameter
     if "m" in spec.params and "m" not in params:
-        params = dict(params, m=float(m))
-    return bind_params(spec, params)
+        return dict(params, m=float(m))
+    return params
+
+
+def _bind(spec: PotentialSpec, params: dict[str, float], m: int) -> BoundPotential:
+    return bind_params(spec, _with_m(spec, params, m))
 
 
 # ---------------------------------------------------------------------------
@@ -183,33 +188,40 @@ def cmd_sweep(args) -> int:
         raise ParameterError(f"non-finite value in --range {args.range!r}")
     values = _linspace(lo, hi, steps, "--range")
 
-    base_params = _parse_param_flags(args.param)
+    name = args.sweep_param
+    params = _parse_param_flags(args.param)
     spec = parse_potential(args.potential)
-    if args.sweep_param not in spec.params:
-        raise UsageError(
-            f"sweep parameter {args.sweep_param!r} does not appear in the potential"
-        )
+    if name not in spec.params:
+        raise UsageError(f"sweep parameter {name!r} does not appear in the potential")
+    params = _with_m(spec, params, args.m)
+    # all rows are bound and solved before the header goes out, so a missing
+    # or extraneous parameter leaves stdout empty
+    if name in exponent_params(spec.tree):  # an exponent must be a float
+        results = [solve_batch(spec, {**params, name: float(v)}, args.m, args.order)[0]
+                   for v in values]
+    else:
+        results = solve_batch(spec, {**params, name: values}, args.m, args.order)
 
-    header = [args.sweep_param, "rho0"] + [f"EN{k}" for k in range(args.order + 1)]
+    header = [name, "rho0"] + [f"EN{k}" for k in range(args.order + 1)]
     if args.oracle:
         header.append("fd")
     header.append("error")
     print(",".join(header))
 
-    for value in values:
+    for value, result in zip(values, results):
         row = [f"{value:.9g}"]
         try:
-            params = dict(base_params)
-            params[args.sweep_param] = float(value)
-            bound = _bind(spec, params, args.m)
-            geom, _, breakdown = solve(bound, args.m, max_order=args.order)
+            if isinstance(result, Exception):
+                raise result
+            geom, _, breakdown = result
             row.append(_fmt(geom.rho0))
             row.extend(_fmt(s) for s in breakdown.partial_sums)
             if args.oracle:
+                bound = bind_params(spec, {**params, name: float(value)})
                 rho_max = max(20.0, 8.0 * geom.rho0)
                 row.append(_fmt(fd_ground_energy(bound, geom.l, rho_max, 4000)))
             row.append("")
-        except (SolverError, PotentialEvalError, ConstantPotentialError) as exc:
+        except (SolverError, PotentialEvalError) as exc:
             # the row may be partly filled: keep only the swept value
             row = row[:1] + [""] * (len(header) - 2) + [str(exc).replace(",", ";")]
         print(",".join(row))

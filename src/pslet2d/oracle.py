@@ -19,12 +19,25 @@ which is regular at the origin, with a conservative finite-volume scheme on
 cell centers rho_i = (i - 1/2) h, h = rho_max / points, over the whole of
 (0, rho_max] with a hard wall at rho_max.  Same operator, same spectrum,
 clean h^2 convergence.
+
+The lowest eigenvalue of each symmetric tridiagonal matrix T comes from
+inverse iteration with Rayleigh-quotient shifts (Parlett, The Symmetric
+Eigenvalue Problem, 1980, ch. 4), one LAPACK ``dgtsv`` solve per step,
+seeded by Sturm-sequence bisection on a mesh eight times coarser.  Each
+result is certified: the off-diagonal of T is negative, so by
+Perron-Frobenius the ground eigenvector is its only nonnegative one, and
+``dpttrf`` must factor T - (lambda - delta) I as positive definite, which
+proves that no eigenvalue lies below lambda - delta, delta being the
+tolerance of bisection.  A Rayleigh quotient is never below the lowest
+eigenvalue, so a certified lambda is within delta of it.  A matrix whose
+result fails the certificate is solved by bisection instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dgtsv, dpttrf
 
 from .expressions import BoundPotential, PotentialEvalError
 
@@ -43,7 +56,12 @@ def oscillator_exact(m: int, gamma: float) -> float:
     return gamma * (abs(m) + 1)
 
 
-def _lowest_eigenvalue(bound: BoundPotential, l: int, rho_max: float, n_cells: int) -> float:
+SEED_COARSENING = 8  # the seed's mesh has this many times fewer cells
+MAX_SHIFTS = 8  # Rayleigh-quotient steps before a matrix falls back to bisection
+
+
+def _matrix(bound: BoundPotential, l: int, rho_max: float, n_cells: int):
+    """Diagonal and (negative) off-diagonal of the symmetric FD matrix."""
     h = rho_max / n_cells
     centers = (np.arange(1, n_cells + 1) - 0.5) * h
     faces = np.arange(n_cells + 1) * h
@@ -59,8 +77,50 @@ def _lowest_eigenvalue(bound: BoundPotential, l: int, rho_max: float, n_cells: i
     # symmetrized to a standard tridiagonal problem by the rho^(1/2) similarity
     diag = (faces[:-1] + faces[1:]) / h**2 / centers + (l * l) / centers**2 + v
     off = -faces[1:-1] / h**2 / np.sqrt(centers[:-1] * centers[1:])
-    vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    return float(vals[0])
+    return diag, off
+
+
+def _bisect(diag: np.ndarray, off: np.ndarray) -> float:
+    return float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
+
+
+def _lowest_eigenvalue(bound: BoundPotential, l: int, rho_max: float, n_cells: int) -> float:
+    return _bisect(*_matrix(bound, l, rho_max, n_cells))
+
+
+def _shift_invert(diag: np.ndarray, off: np.ndarray, lam: float, x: np.ndarray):
+    """Lowest eigenvalue and eigenvector of T by Rayleigh-quotient iteration.
+
+    Starts from the shift ``lam`` and the vector ``x``.  Returns (lambda,
+    eigenvector) if the result is certified, else (bisection's lambda, None).
+    """
+    eps = np.finfo(float).eps
+    up, down = np.r_[off, 0.0], np.r_[0.0, off]
+    # bisection's own tolerance: ulp times the 1-norm of T
+    delta = eps * np.max(np.abs(diag) + np.abs(up) + np.abs(down))
+    # row sums d_i + e_i + e_(i-1), with the rounding error of the first sum
+    # added back (TwoSum), so that (T x)_i = sums_i x_i + e_i (x_(i+1) - x_i)
+    # + e_(i-1) (x_(i-1) - x_i) cancels the O(1/h^2) entries before rounding
+    first = diag + up
+    back = first - diag
+    sums = (first + down) + ((diag - (first - back)) + (up - back))
+    for _ in range(MAX_SHIFTS):
+        y, info = dgtsv(off, diag - lam, off, x)[3:]
+        if info:  # T - lam I is singular to working precision: let bisection decide
+            break
+        x = y / np.copysign(np.linalg.norm(y), y.sum())
+        dx = np.diff(x)
+        r = (sums - lam) * x
+        r[:-1] += off * dx
+        r[1:] -= off * dx
+        step = float(x @ r)
+        lam += step
+        if abs(step) <= delta:
+            # nonnegative up to rounding: the Perron vector, not another one
+            if x.min() >= -eps * x.max() and dpttrf(diag - (lam - delta), off)[2] == 0:
+                return lam, x
+            break
+    return _bisect(diag, off), None
 
 
 def fd_ground_energy(bound: BoundPotential, l: int, rho_max: float, points: int) -> float:
@@ -68,14 +128,22 @@ def fd_ground_energy(bound: BoundPotential, l: int, rho_max: float, points: int)
 
     Solves with ``points`` uniform cells and with twice as many (spacing h
     and h/2), with a hard wall at rho_max; the scheme is second order, so
-    E = E_half + (E_half - E_full)/3 cancels the leading h^2 error.  The
-    lowest eigenvalue itself comes from Sturm-sequence bisection on the
-    tridiagonal matrix.
+    E = E_half + (E_half - E_full)/3 cancels the leading h^2 error.  Each
+    lowest eigenvalue comes from certified shift-invert iteration (see the
+    module docstring): on ``points`` cells it starts from bisection's value
+    on ``points // 8`` cells and a constant vector, on ``2 * points`` cells
+    from the first eigenvalue and its eigenvector with every entry repeated.
     """
     if points < 200:
         raise ValueError(f"need at least 200 points, got {points}")
     if not rho_max > 0.0:
         raise ValueError(f"rho_max must be positive, got {rho_max}")
-    e1 = _lowest_eigenvalue(bound, l, rho_max, points)
-    e2 = _lowest_eigenvalue(bound, l, rho_max, 2 * points)
+    fine = _matrix(bound, l, rho_max, points)
+    finer = _matrix(bound, l, rho_max, 2 * points)
+    try:
+        seed = _lowest_eigenvalue(bound, l, rho_max, points // SEED_COARSENING)
+    except PotentialEvalError:  # singular only on the coarse mesh
+        seed = _bisect(*fine)
+    e1, x = _shift_invert(*fine, seed, np.ones(points))
+    e2, _ = _shift_invert(*finer, e1, np.ones(2 * points) if x is None else np.repeat(x, 2))
     return e2 + (e2 - e1) / 3.0

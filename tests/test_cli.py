@@ -4,10 +4,12 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pslet2d import cli
 from pslet2d.cli import (
     EXIT_CHECK,
     EXIT_PARSE,
@@ -15,6 +17,9 @@ from pslet2d.cli import (
     EXIT_USAGE,
     main,
 )
+from pslet2d.engine import SolverError, solve
+from pslet2d.expressions import PotentialEvalError, bind_params, parse_potential
+from pslet2d.oracle import fd_ground_energy
 
 
 def run_cli(capsys, *argv):
@@ -305,6 +310,63 @@ def test_sweep_unknown_parameter(capsys):
         "0,1,3",
     )
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("-V", "m*g-2/rho+g^2*rho^2/4", "--sweep-param", "m", "--range", "-1,1,3"),
+        ("-V", "a*g-2/rho", "--sweep-param", "a", "--range", "1,2,2", "-p", "b=1"),
+    ],
+)
+def test_sweep_binds_every_row_before_printing(capsys, argv):
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert code == EXIT_PARSE
+    assert "parameter error" in err
+    assert out == ""
+
+
+def _lone_solve_sweep(text, name, lo, hi, steps, m=0, oracle=False):
+    """The sweep's CSV built from one ``solve`` per value."""
+    spec = parse_potential(text)
+    header = [name, "rho0", "EN0", "EN1", "EN2", "EN3"] + ["fd"] * oracle + ["error"]
+    lines = [",".join(header)]
+    for value in np.linspace(lo, hi, steps):
+        params = {name: float(value)}
+        if "m" in spec.params:
+            params.setdefault("m", float(m))
+        bound = bind_params(spec, params)
+        try:
+            geom, _, breakdown = solve(bound, m, 3)
+            cells = [f"{geom.rho0:.9f}"] + [f"{s:.9f}" for s in breakdown.partial_sums]
+            if oracle:
+                rho_max = max(20.0, 8.0 * geom.rho0)
+                cells.append(f"{fd_ground_energy(bound, geom.l, rho_max, 4000):.9f}")
+            cells.append("")
+        except (SolverError, PotentialEvalError) as exc:
+            cells = [""] * (len(header) - 2) + [str(exc).replace(",", ";")]
+        lines.append(",".join([f"{value:.9g}"] + cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, name, lo, hi, steps, m, oracle, batches",
+    [
+        ("m*g - 2/rho + g^2*rho^2/4", "g", 0.2, 3.0, 8, -1, True, 1),
+        ("rho^a-2/rho", "a", 0.5, 2.5, 5, 0, False, 5),  # a sits in an exponent
+        ("-a/rho", "a", -1.0, 1.0, 9, 0, False, 1),  # a <= 0 rows end in errors
+    ],
+)
+def test_batched_sweep_equals_lone_solves(monkeypatch, capsys, text, name, lo, hi,
+                                          steps, m, oracle, batches):
+    calls, batch = [], cli.solve_batch
+    monkeypatch.setattr(cli, "solve_batch", lambda *a: calls.append(a) or batch(*a))
+    argv = ["sweep", "-V", text, "-m", str(m), "--sweep-param", name,
+            "--range", f"{lo},{hi},{steps}"] + ["--oracle"] * oracle
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert len(calls) == batches
+    assert out == _lone_solve_sweep(text, name, lo, hi, steps, m, oracle)
 
 
 def test_sweep_with_oracle_column(capsys):

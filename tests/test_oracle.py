@@ -1,12 +1,18 @@
+import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
-from pslet2d.expressions import bind_params, parse_potential
+from pslet2d import oracle
+from pslet2d.expressions import PotentialEvalError, bind_params, parse_potential
 from pslet2d.oracle import (
     coulomb_exact,
     fd_ground_energy,
     oscillator_exact,
 )
-from pslet2d.oracle import _lowest_eigenvalue
+from pslet2d.oracle import _lowest_eigenvalue, _matrix, _shift_invert
+
+HYBRID = "m*g - 2/rho + g^2*rho^2/4"
+LD = np.longdouble
 
 
 def _bound(text, params=None):
@@ -78,3 +84,78 @@ def test_hybrid_reference_value():
     bound = _bound("m*g - 2/rho + g^2*rho^2/4", {"m": 0.0, "g": 1.0})
     e = fd_ground_energy(bound, 0, 20.0, 4000)
     assert e == pytest.approx(-3.9105, abs=2e-3)
+
+
+def _sturm_counts(d, e2, shifts):
+    """How many eigenvalues of T lie below each shift, counted in long double."""
+    q = d[0] - shifts
+    count = (q < 0).astype(int)
+    for i in range(1, len(d)):
+        q = d[i] - shifts - e2[i - 1] / np.where(q == 0, np.finfo(LD).tiny, q)
+        count += q < 0
+    return count
+
+
+def _lowest_long_double(diag, off, guess, width=1e-9):
+    """The lowest eigenvalue of the float matrix, bracketed to a few long-double ulps."""
+    d, e2 = diag.astype(LD), off.astype(LD) ** 2
+    lo, hi = LD(guess) - LD(width), LD(guess) + LD(width)
+    assert list(_sturm_counts(d, e2, np.array([lo, hi]))) == [0, 1]
+    while hi - lo > 4 * np.finfo(LD).eps * abs(hi):
+        shifts = lo + (hi - lo) * np.arange(1, 64, dtype=LD) / 64
+        above = _sturm_counts(d, e2, shifts) > 0
+        lo = shifts[~above].max(initial=lo)
+        hi = shifts[above].min(initial=hi)
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize(
+    "text, params, l",
+    [
+        ("-2/rho", {}, 0),
+        ("g^2*rho^2/4", {"g": 1.0}, 1),
+        (HYBRID, {"m": 0.0, "g": 1.0}, 0),
+        (HYBRID, {"m": -2.0, "g": 1.0}, 2),
+    ],
+)
+def test_eigenvalues_match_long_double_bisection(monkeypatch, text, params, l):
+    solved = []
+
+    def spy(diag, off, lam, x):
+        result = _shift_invert(diag, off, lam, x)
+        solved.append((diag, off, result))
+        return result
+
+    monkeypatch.setattr(oracle, "_shift_invert", spy)
+    fd_ground_energy(_bound(text, params), l, 20.0, 400)
+    assert [len(diag) for diag, _, _ in solved] == [400, 800]
+    for diag, off, (lam, vector) in solved:
+        assert vector is not None  # certified, no fallback
+        assert abs(LD(lam) - _lowest_long_double(diag, off, lam)) <= 1e-11
+
+
+def test_certificate_refuses_all_but_the_lowest_eigenvalue(monkeypatch):
+    diag, off = _matrix(_bound("-2/rho"), 0, 20.0, 400)
+    lam1 = oracle._bisect(diag, off)
+    lam2 = eigvalsh_tridiagonal(diag, off, select="i", select_range=(1, 1))[0]
+    # seeded next to lambda_2 the iteration converges there; its eigenvector
+    # has a node, so bisection takes over and lambda_1 comes back
+    lam, vector = _shift_invert(diag, off, lam2 + 1e-3, np.ones(400))
+    assert vector is None
+    assert lam == lam1
+
+    lam, vector = _shift_invert(diag, off, lam1 + 1e-3, np.ones(400))
+    assert vector is not None and abs(lam - lam1) <= 1e-10
+    # a failed factorization of T - (lambda - delta) I also hands over to bisection
+    monkeypatch.setattr(oracle, "dpttrf", lambda d, e: (d, e, 1))
+    assert _shift_invert(diag, off, lam1 + 1e-3, np.ones(400)) == (lam1, None)
+
+
+def test_pole_on_the_seed_mesh_only():
+    # rho = 0.2 is a cell center of the 50-cell seed mesh, not of the 400- or
+    # 800-cell meshes, so the seed comes from bisection on 400 cells instead
+    bound = _bound("-2/rho + 1e-9/(rho - 0.2)")
+    with pytest.raises(PotentialEvalError):
+        _lowest_eigenvalue(bound, 0, 20.0, 50)
+    e1, e2 = (_lowest_eigenvalue(bound, 0, 20.0, n) for n in (400, 800))
+    assert abs(fd_ground_energy(bound, 0, 20.0, 400) - (e2 + (e2 - e1) / 3.0)) <= 1e-9
