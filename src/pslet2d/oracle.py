@@ -31,13 +31,14 @@ proves that no eigenvalue lies below lambda - delta, delta being the
 tolerance of bisection.  A Rayleigh quotient is never below the lowest
 eigenvalue, so a certified lambda is within delta of it.  A matrix whose
 result fails the certificate is solved by bisection instead.
+
+scipy is imported on the first FD call, not with this module, so that
+every other command starts without it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dpttrf
 
 from .expressions import BoundPotential, PotentialEvalError
 
@@ -54,6 +55,27 @@ def oscillator_exact(m: int, gamma: float) -> float:
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     return gamma * (abs(m) + 1)
+
+
+def eigvalsh_tridiagonal(*args, **kwargs):
+    """``scipy.linalg.eigvalsh_tridiagonal``, imported on first use."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    return eigvalsh_tridiagonal(*args, **kwargs)
+
+
+def dgtsv(*args):
+    """LAPACK ``dgtsv`` from ``scipy.linalg.lapack``, imported on first use."""
+    from scipy.linalg.lapack import dgtsv
+
+    return dgtsv(*args)
+
+
+def dpttrf(*args):
+    """LAPACK ``dpttrf`` from ``scipy.linalg.lapack``, imported on first use."""
+    from scipy.linalg.lapack import dpttrf
+
+    return dpttrf(*args)
 
 
 SEED_COARSENING = 8  # the seed's mesh has this many times fewer cells

@@ -20,6 +20,7 @@ from pslet2d.cli import (
 from pslet2d.engine import SolverError, solve
 from pslet2d.expressions import PotentialEvalError, bind_params, parse_potential
 from pslet2d.oracle import fd_ground_energy
+from pslet2d.wavefunction import synthesize_wavefunction
 
 
 def run_cli(capsys, *argv):
@@ -436,6 +437,30 @@ def test_wavefunction_csv(capsys):
     assert math.sqrt(sq_err / len(rows)) <= 1e-4
 
 
+@pytest.mark.parametrize(
+    "text, params, m, grid",
+    [
+        ("-2/rho", {}, 0, "0.01,5,500"),  # Coulomb
+        ("g^2*rho^2/4", {"g": 1.5}, 1, "0.01,8,301"),  # oscillator
+        ("m*g - 2/rho + g^2*rho^2/4", {"g": 1.0, "m": -1.0}, -1, "0.02,7,400"),  # hybrid
+        ("-2/rho", {}, 0, "0.01,400,500"),  # psi underflows in the tail
+    ],
+)
+def test_wavefunction_csv_matches_per_row_formatting(capsys, text, params, m, grid):
+    flags = [f"-p{k}={v}" for k, v in params.items() if k != "m"]
+    code, out, err = run_cli(capsys, "wavefunction", "-V", text, "-m", str(m), *flags,
+                             "--grid", grid)
+    assert code == 0, err
+    geom, table, _ = solve(bind_params(parse_potential(text), params), m, 3)
+    lo, hi, n = grid.split(",")
+    wf = synthesize_wavefunction(geom, table, np.linspace(float(lo), float(hi), int(n)))
+    expected = "rho,psi,R\n" + "".join(f"{rho:.9g},{psi:.10e},{radial:.10e}\n"
+                                        for rho, psi, radial in zip(wf.grid, wf.psi, wf.radial))
+    assert out == expected
+    if float(hi) > 300:
+        assert wf.psi[-1] < np.finfo(float).tiny  # subnormal or zero
+
+
 def test_wavefunction_bad_grid(capsys):
     code, _, err = run_cli(
         capsys, "wavefunction", "-V", "-2/rho", "--grid", "5,1,100"
@@ -469,19 +494,39 @@ def test_wavefunction_overflow_is_a_solver_error_without_warnings(capsys):
     assert out == "" and err == "solver error: wavefunction series overflowed during normalization\n"
 
 
-def test_cli_import_leaves_scipy_optimize_and_integrate_out():
+def _fresh_interpreter(script):
+    """Run ``script`` in a new interpreter that imports pslet2d from this tree."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import sys, pslet2d.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.optimize', 'scipy.integrate'))))")
-    env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True, timeout=120)
-    assert result.stdout.strip() == "[]"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+
+
+def test_cold_start_imports_scipy_only_for_the_oracle(capsys):
+    hybrid = "m*g - 2/rho + g^2*rho^2/4"
+    requests = [
+        ["compute", "-V", hybrid, "-p", "g=1"],
+        ["table", "hybrid-1s-gamma", "--check"],
+        ["wavefunction", "-V", "-2/rho", "--grid", "0.01,5,500"],
+    ]
+    script = ("import sys\n"
+              "from pslet2d.cli import main\n"
+              f"codes = [main(argv) for argv in {requests!r}]\n"
+              "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    assert _fresh_interpreter(script).stdout.splitlines()[-1] == "[0, 0, 0] []"
+
+    # the first FD call imports scipy; from cold it prints what it prints warm
+    sweep = ["sweep", "-V", hybrid, "--sweep-param", "g", "--range", "0.5,1.5,2", "--oracle"]
+    cold = _fresh_interpreter(f"import sys\nfrom pslet2d.cli import main\nsys.exit(main({sweep!r}))\n")
+    code, out, err = run_cli(capsys, *sweep)
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 2 and all(r["fd"] for r in rows)
+    assert cold.stdout == out
 
 
 # ---------------------------------------------------------------------------
