@@ -439,14 +439,6 @@ def _v_polys(a: np.ndarray, geom: Geometry, max_order: int) -> tuple[np.ndarray,
 # ---------------------------------------------------------------------------
 # Coefficient hierarchy
 
-def _apply_L(poly: np.ndarray, w: float) -> np.ndarray:
-    """L[P] = P' - w x P, the linearized operator of the order-s balance."""
-    out = np.zeros(len(poly) + 1)
-    out[: len(poly) - 1] += np.arange(1, len(poly)) * poly[1:]
-    out[1:] -= w * poly
-    return out
-
-
 def solve_hierarchy(
     v: tuple[np.ndarray, ...], geom: Geometry, max_order: int
 ) -> CoefficientTable:
@@ -460,7 +452,12 @@ def solve_hierarchy(
     and RHS_s = 0 at odd s.  Its x^k equation (k+1) c_{k+1} - w c_{k-1} = K_k,
     k >= 1, is triangular in the coefficients c of W_s, solved from the top
     down; at even s the leftover x^0 equation yields the lambda.  After each
-    order the full residual is verified.
+    order the full residual is verified; a non-finite one is an error too.
+    Each unordered pair {p, q} is convolved once: ``np.convolve`` puts the
+    longer factor first, so W_p W_q and W_q W_p are one call, unless equal
+    lengths make them round apart.  K_s subtracts the products in the fixed
+    order p = 1, 2, ...: high orders amplify rounding, and summing the
+    products first moves Coulomb's K = 30 error at m = 0 from 0.028 to 7.8e14.
     """
     n_orders = 2 * max_order
     if len(v) < n_orders + 1:
@@ -474,35 +471,38 @@ def solve_hierarchy(
     residuals: list[float] = []
 
     for s in range(1, n_orders + 1):
-        K = v[s].copy()  # deg v^(s) = s+2 bounds the degree of every cross term
+        terms = np.zeros((s, len(v[s])))  # deg v^(s) = s+2 bounds every product
+        terms[0] = v[s]
         for p in range(1, s):
-            cross = np.convolve(W[p], W[s - p])
-            K[: len(cross)] -= cross
-
-        # the back-substitution in Python floats: the same IEEE operations,
-        # without numpy's per-element overhead
-        k_s = K.tolist()
+            if 2 * p > s and len(W[p]) != len(W[s - p]):
+                terms[p] = terms[s - p]
+            else:
+                cross = np.convolve(W[p], W[s - p])
+                terms[p, : len(cross)] = cross
+        # the back-substitution, lambda and residual in Python floats: the
+        # same IEEE operations, without numpy's per-element overhead
+        k_s = np.subtract.reduce(terms, axis=0).tolist()
         c = [0.0] * (len(k_s) + 1)
         for k in range(len(k_s) - 1, 0, -1):
             c[k - 1] = ((k + 1) * c[k + 1] - k_s[k]) / w
         top = len(c)
         while top and c[top - 1] == 0.0:  # trailing zeros, -0.0 included, go
             top -= 1
-        W.append(np.array(c[:top]) if top else np.zeros(1))
+        W.append(np.array(P := c[:top] or [0.0]))
 
         rhs_const = 0.0
         if s % 2 == 0:
             rhs_const = k_s[0] - c[1]
             lambdas.append(rhs_const - (beta * beta - 0.25) if s == 2 else rhs_const)
 
-        # full residual of the order-s balance: target minus L[W_s]
-        res = K.copy()
-        res[0] -= rhs_const
-        lw = _apply_L(W[s], w)
-        res[: len(lw)] -= lw
-        res_max = float(np.max(np.abs(res)))
+        # full residual of the order-s balance: K_s - RHS_s - (P' - w x P)
+        dP = [(j + 1) * P[j + 1] for j in range(len(P) - 1)] + [0.0, 0.0]
+        lw = [dP[0]] + [d - w * p for d, p in zip(dP[1:], P)]
+        k_s[0] -= rhs_const
+        res = [abs(k - x) for k, x in zip(k_s, lw)] + [abs(k) for k in k_s[len(lw):]]
+        res_max = math.nan if math.isnan(sum(res)) else max(res)  # max() may skip a NaN
         residuals.append(res_max)
-        if res_max > RESIDUAL_TOL:
+        if not res_max <= RESIDUAL_TOL:
             raise HierarchyInconsistencyError(
                 f"hierarchy inconsistency at order {s}: residual {res_max:.3e}"
             )

@@ -6,6 +6,9 @@ import pytest
 
 from pslet2d.expressions import bind_params, parse_potential
 from pslet2d.engine import (
+    RESIDUAL_TOL,
+    CoefficientTable,
+    HierarchyInconsistencyError,
     NoStableFrameError,
     build_v_series,
     solve,
@@ -13,6 +16,7 @@ from pslet2d.engine import (
     solve_hierarchy,
 )
 from pslet2d.jets import jet_lift
+from pslet2d.tables import PRESETS
 
 
 def _bound(text, params=None):
@@ -281,6 +285,136 @@ def test_insufficient_v_series_rejected():
     v = build_v_series(bound, geom, 3)
     with pytest.raises(ValueError):
         solve_hierarchy(v, geom, max_order=3)  # needs orders 0..6
+
+
+@pytest.mark.parametrize("value", [1e308, math.inf, math.nan])
+def test_non_finite_residual_is_an_error(value):
+    # a v-series entry that overflows the order-3 balance leaves NaN in its residual
+    bound = _coulomb()
+    geom = solve_geometry(bound, 1)
+    v = [p.copy() for p in build_v_series(bound, geom, 6)]
+    v[3][5] = value
+    with pytest.raises(HierarchyInconsistencyError, match="at order 3: residual nan"):
+        solve_hierarchy(tuple(v), geom, max_order=3)
+
+
+def _reference_hierarchy(v, geom, max_order, tol=RESIDUAL_TOL):
+    """Reference hierarchy: every ordered pair convolved and subtracted from
+    K_s in place, and the residual through L[W_s] in numpy."""
+    w, beta = geom.w, geom.beta
+    W = [np.array([0.0, -w / 2.0])]
+    lambdas, residuals = [], []
+    for s in range(1, 2 * max_order + 1):
+        K = v[s].copy()
+        for p in range(1, s):
+            cross = np.convolve(W[p], W[s - p])
+            K[: len(cross)] -= cross
+        k_s = K.tolist()
+        c = [0.0] * (len(k_s) + 1)
+        for k in range(len(k_s) - 1, 0, -1):
+            c[k - 1] = ((k + 1) * c[k + 1] - k_s[k]) / w
+        top = len(c)
+        while top and c[top - 1] == 0.0:
+            top -= 1
+        W.append(np.array(c[:top]) if top else np.zeros(1))
+        rhs_const = 0.0
+        if s % 2 == 0:
+            rhs_const = k_s[0] - c[1]
+            lambdas.append(rhs_const - (beta * beta - 0.25) if s == 2 else rhs_const)
+        res = K.copy()
+        res[0] -= rhs_const
+        lw = np.zeros(len(W[s]) + 1)
+        lw[: len(W[s]) - 1] += np.arange(1, len(W[s])) * W[s][1:]
+        lw[1:] -= w * W[s]
+        res[: len(lw)] -= lw
+        res_max = float(np.max(np.abs(res)))
+        residuals.append(res_max)
+        if res_max > tol:
+            raise HierarchyInconsistencyError(
+                f"hierarchy inconsistency at order {s}: residual {res_max:.3e}"
+            )
+    return CoefficientTable(tuple(W), tuple(lambdas), tuple(residuals))
+
+
+def _bits(run, *args):
+    """Every output bit of a hierarchy run, or its error and message."""
+    try:
+        table = run(*args)
+    except HierarchyInconsistencyError as exc:
+        return "error", str(exc)
+    return ([(len(p), p.tobytes()) for p in table.W],
+            np.array(table.lambdas).tobytes(), np.array(table.residuals).tobytes())
+
+
+def _same_as_reference(bound, m, order):
+    geom = solve_geometry(bound, m)
+    v = build_v_series(bound, geom, 2 * order)
+    got = _bits(solve_hierarchy, v, geom, order)
+    assert got == _bits(_reference_hierarchy, v, geom, order), (bound.values, m, order)
+    return got[0] == "error"
+
+
+@pytest.mark.parametrize("order", [3, 6])
+def test_hierarchy_equals_reference_on_preset_rows(order):
+    for preset in PRESETS.values():
+        for x in preset.rows:
+            _same_as_reference(_hybrid(preset.gamma(x), preset.m), preset.m, order)
+
+
+@pytest.mark.parametrize("order", [6, 10, 15, 20])
+def test_hierarchy_equals_reference_at_high_order(order):
+    # the potentials of the high_order benchmark; at K = 20 some end in an error
+    errors = 0
+    for m in range(-3, 4):
+        errors += _same_as_reference(_coulomb(), m, order)
+        for gamma in (0.5, 1.37, 2.5):
+            errors += _same_as_reference(_oscillator(gamma), m, order)
+            errors += _same_as_reference(_hybrid(gamma, m), m, order)
+    assert errors == (7 if order == 20 else 0)
+
+
+@pytest.mark.parametrize("order", [3, 6, 10, 15])
+def test_hierarchy_equals_reference_on_exact_potentials(order):
+    # Coulomb's and the oscillator's W_s lose their vanishing top coefficients
+    for m in range(6):
+        _same_as_reference(_coulomb(), m, order)
+        _same_as_reference(_oscillator(1.5), m, order)
+
+
+def test_equal_lengths_convolve_both_orders(monkeypatch):
+    # A hand-built series whose W_3 has the length of W_1; W_1 W_3 and W_3 W_1
+    # then round differently, so order 4 must make both products.
+    rng = np.random.default_rng(0)
+    geom = solve_geometry(_coulomb(), 0)
+    v = [rng.standard_normal(n + 3) for n in range(5)]
+    W = _reference_hierarchy(v, geom, 1, tol=math.inf).W
+    v[1][0] = W[1][1]  # the x^0 balance of order 1
+    cross = np.convolve(W[1], W[2])
+    v[3][4:] = 2.0 * cross[4:]  # K_3 loses its x^4 and x^5 terms, W_3 its top two
+    v[3][0] = 2.0 * cross[0] + _reference_hierarchy(v, geom, 2, tol=math.inf).W[3][1]
+    W = _reference_hierarchy(v, geom, 2).W
+    assert len(W[1]) == len(W[3]) == 3
+    assert np.convolve(W[1], W[3]).tobytes() != np.convolve(W[3], W[1]).tobytes()
+
+    calls = []
+    convolve = np.convolve
+    monkeypatch.setattr(np, "convolve", lambda a, b: calls.append(1) or convolve(a, b))
+    got = _bits(solve_hierarchy, tuple(v), geom, 2)
+    assert len(calls) == 5  # 4 unordered pairs through order 4, one of them made twice
+    monkeypatch.undo()
+    assert got == _bits(_reference_hierarchy, v, geom, 2)
+
+
+@pytest.mark.parametrize("bound, m", [(_hybrid(1.0, 0), 0), (_coulomb(), 1)])
+def test_one_convolution_per_unordered_pair(monkeypatch, bound, m):
+    geom = solve_geometry(bound, m)
+    calls = []
+    convolve = np.convolve
+    monkeypatch.setattr(np, "convolve", lambda a, b: calls.append(1) or convolve(a, b))
+    for order, expected in ((3, 9), (6, 36), (10, 100), (15, 225)):
+        calls.clear()
+        solve_hierarchy(build_v_series(bound, geom, 2 * order), geom, order)
+        assert len(calls) == expected, order  # every ordered pair: 15, 66, 190, 435
 
 
 # ---------------------------------------------------------------------------
