@@ -22,7 +22,6 @@ from .expressions import (
     PotentialSpec,
     PotentialSyntaxError,
     bind_params,
-    exponent_params,
     parse_potential,
 )
 from .engine import SolverError, solve, solve_batch
@@ -52,9 +51,9 @@ def _fmt(v: float) -> str:
 def _parse_param_flags(pairs: list[str] | None) -> dict[str, float]:
     values: dict[str, float] = {}
     for pair in pairs or []:
-        if "=" not in pair:
+        name, eq, raw = pair.partition("=")
+        if not eq or not name.strip():
             raise UsageError(f"malformed -p/--param {pair!r}, expected name=value")
-        name, _, raw = pair.partition("=")
         try:
             value = float(raw)
         except ValueError:
@@ -193,14 +192,13 @@ def cmd_sweep(args) -> int:
     spec = parse_potential(args.potential)
     if name not in spec.params:
         raise UsageError(f"sweep parameter {name!r} does not appear in the potential")
+    if name in params:
+        raise UsageError(f"sweep parameter {name!r} cannot also be bound by -p/--param")
     params = _with_m(spec, params, args.m)
     # all rows are bound and solved before the header goes out, so a missing
     # or extraneous parameter leaves stdout empty
-    if name in exponent_params(spec.tree):  # an exponent must be a float
-        results = [solve_batch(spec, {**params, name: float(v)}, args.m, args.order)[0]
-                   for v in values]
-    else:
-        results = solve_batch(spec, {**params, name: values}, args.m, args.order)
+    bounds = [bind_params(spec, {**params, name: v}) for v in values.tolist()]
+    results = solve_batch(bounds, args.m, args.order)
 
     header = [name, "rho0"] + [f"EN{k}" for k in range(args.order + 1)]
     if args.oracle:
@@ -208,8 +206,8 @@ def cmd_sweep(args) -> int:
     header.append("error")
     print(",".join(header))
 
-    for value, result in zip(values, results):
-        row = [f"{value:.9g}"]
+    for bound, result in zip(bounds, results):
+        row = [f"{bound.values[name]:.9g}"]
         try:
             if isinstance(result, Exception):
                 raise result
@@ -217,7 +215,6 @@ def cmd_sweep(args) -> int:
             row.append(_fmt(geom.rho0))
             row.extend(_fmt(s) for s in breakdown.partial_sums)
             if args.oracle:
-                bound = bind_params(spec, {**params, name: float(value)})
                 rho_max = max(20.0, 8.0 * geom.rho0)
                 row.append(_fmt(fd_ground_energy(bound, geom.l, rho_max, 4000)))
             row.append("")
@@ -351,7 +348,8 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (KeyError, ParameterError) as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
+        # the args, not str(exc): str() of a KeyError quotes its message
+        print("parameter error:", *exc.args, file=sys.stderr)
         return EXIT_PARSE
     except (SolverError, ConstantPotentialError, PotentialEvalError, GridError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -29,7 +29,6 @@ from .expressions import (
     BoundPotential,
     PotentialEvalError,
     PotentialSpec,
-    bind_params,
     evaluate,
     exponent_params,
     float_pow,
@@ -550,7 +549,7 @@ def solve(
     max_order: int = 3,
 ) -> tuple[Geometry, CoefficientTable, EnergyBreakdown]:
     """End-to-end solve: frame, hierarchy and energy for a nodeless state."""
-    return _unwrap(solve_batch(bound.spec, bound.values, m, max_order)[0])
+    return _unwrap(solve_batch([bound], m, max_order)[0])
 
 
 class _AnyRho:
@@ -572,44 +571,45 @@ def _fails_alone(bound: BoundPotential) -> bool:
     return False
 
 
-def solve_batch(spec: PotentialSpec, values: Mapping[str, object], m: int,
-                max_order: int = 3) -> list:
-    """Solve a batch of rows that share ``spec`` and ``m`` in one pass.
+def solve_batch(rows: list[BoundPotential], m: int, max_order: int = 3) -> list:
+    """Solve the BoundPotentials ``rows``, all of one PotentialSpec, at ``m`` in one pass.
 
-    ``values`` maps each parameter to a float or to a 1-D array of n values,
-    one per row.  Returns one entry per row (a single entry if every value is
-    a float): the row's (Geometry, CoefficientTable, EnergyBreakdown), or the
-    SolverError or PotentialEvalError that ``solve`` raises for that row
-    alone.  Every row's numbers equal its lone solve bit for bit.  A
-    parameter that appears in an exponent cannot take an array, because
-    ``evaluate`` needs the exponent as a float.
+    Returns one entry per row: the row's (Geometry, CoefficientTable,
+    EnergyBreakdown), or the SolverError or PotentialEvalError that ``solve``
+    raises for that row alone.  Every row's numbers equal its lone solve bit
+    for bit.  A value that every row shares bit for bit stays a float, as in
+    a lone solve, and any other value becomes an array with one entry per
+    row.  ``evaluate`` needs an exponent as a float, so rows that differ in a
+    parameter that appears in an exponent are solved as separate batches.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    batched = sorted(k for k, v in values.items() if np.ndim(v))
-    if not batched:
-        rows = [bind_params(spec, values)]
-        values = rows[0].values
-        undefined = []
-    else:
-        in_exponent = exponent_params(spec.tree).intersection(batched)
-        if in_exponent:
-            raise ValueError(
-                f"parameter(s) {', '.join(sorted(in_exponent))} appear in an "
-                "exponent and cannot take an array of values"
-            )
-        values = {k: np.asarray(v, dtype=float) if k in batched else v
-                  for k, v in values.items()}
-        n = len(values[batched[0]])
-        if any(values[k].shape != (n,) for k in batched):
-            raise ValueError("batched parameters must be 1-D arrays of one length")
-        rows = [bind_params(spec, _pick(values, i)) for i in range(n)]
-        values = {k: values[k] if k in batched else rows[0].values[k] for k in spec.params}
-        undefined = [i for i, row in enumerate(rows) if _fails_alone(row)]
-
     if not rows:
         return []
-    out = _solve_frames(rows, values, abs(m), undefined)
+    spec = rows[0].spec
+    if any(row.spec != spec for row in rows):
+        raise ValueError("solve_batch rows must share one PotentialSpec")
+    in_exponent = sorted(exponent_params(spec.tree))
+    groups: dict = {}  # bit patterns of the exponent parameters -> row indices
+    for i, row in enumerate(rows):
+        groups.setdefault(tuple(float.hex(row.values[k]) for k in in_exponent), []).append(i)
+    out: list = [None] * len(rows)
+    for members in groups.values():
+        for i, result in zip(members, _solve_rows([rows[i] for i in members], abs(m), max_order)):
+            out[i] = result
+    return out
+
+
+def _solve_rows(rows: list[BoundPotential], l: int, max_order: int) -> list:
+    """``solve_batch`` for rows that share every exponent parameter."""
+    spec = rows[0].spec
+    values = {}
+    for k in spec.params:
+        column = [row.values[k] for row in rows]
+        values[k] = column[0] if len(set(map(float.hex, column))) == 1 else np.array(column)
+    batched = any(isinstance(v, np.ndarray) for v in values.values())
+    undefined = [i for i, row in enumerate(rows) if _fails_alone(row)] if batched else []
+    out = _solve_frames(rows, values, l, undefined)
     ok = [i for i, g in enumerate(out) if isinstance(g, Geometry)]
     v_order = 2 * max_order
     lifts = None

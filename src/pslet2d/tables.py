@@ -23,8 +23,6 @@ import csv
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
-
 from .expressions import bind_params, parse_potential
 from .engine import EnergyBreakdown, solve, solve_batch
 
@@ -139,10 +137,9 @@ def solve_hybrid(gamma: float, m: int, max_order: int = 3):
 def run_preset(preset: TablePreset, max_order: int = 3) -> list[TableRowResult]:
     """Solve every row of a preset in one batch; a failing row raises its error."""
     gammas = [preset.gamma(x) for x in preset.rows]
-    values = {"m": float(preset.m), "g": np.array(gammas, dtype=float)}
+    rows = [bind_params(_HYBRID_SPEC, {"m": float(preset.m), "g": g}) for g in gammas]
     results = []
-    for x, gamma, row in zip(preset.rows, gammas, solve_batch(
-            _HYBRID_SPEC, values, preset.m, max_order=max_order)):
+    for x, gamma, row in zip(preset.rows, gammas, solve_batch(rows, preset.m, max_order)):
         if isinstance(row, Exception):
             raise row
         results.append(TableRowResult(x=x, gamma=gamma, breakdown=row[2]))

@@ -202,8 +202,8 @@ def test_array_frames_equal_float_frames():
 def test_table_rows_equal_lone_solves():
     for preset in tables.PRESETS.values():
         gammas = [preset.gamma(x) for x in preset.rows]
-        batch = solve_batch(HYBRID, {"m": float(preset.m), "g": np.array(gammas)}, preset.m)
-        for gamma, row in zip(gammas, batch):
+        rows = [bind_params(HYBRID, {"m": float(preset.m), "g": g}) for g in gammas]
+        for gamma, row in zip(gammas, solve_batch(rows, preset.m)):
             alone = _lone(tables.HYBRID_EXPRESSION, {"m": float(preset.m), "g": gamma}, preset.m)
             assert _key(row) == _key(alone), (preset.name, gamma)
 
@@ -213,44 +213,66 @@ def test_random_rows_equal_lone_solves(max_order):
     rng = random.Random(max_order)
     text = "-a/rho + b*rho^2 + c*rho^1.5"
     for m in (-2, 0, 3):
-        rows = [{"a": rng.uniform(0.5, 3.0), "b": rng.uniform(0.1, 2.0), "c": rng.uniform(0.0, 1.0)}
+        c = rng.uniform(0.0, 1.0)  # shared by every row
+        rows = [{"a": rng.uniform(0.5, 3.0), "b": rng.uniform(0.1, 2.0), "c": c}
                 for _ in range(5)]
-        values = {"a": np.array([r["a"] for r in rows]), "b": np.array([r["b"] for r in rows]),
-                  "c": rows[0]["c"]}
-        batch = solve_batch(parse_potential(text), values, m, max_order)
+        batch = solve_batch([_bound(text, row) for row in rows], m, max_order)
         for row, result in zip(rows, batch):
-            alone = _lone(text, dict(row, c=rows[0]["c"]), m, max_order)
-            assert _key(result) == _key(alone)
+            assert _key(result) == _key(_lone(text, row, m, max_order))
 
 
 def test_mixed_batch_keeps_each_rows_error():
     # rows: a stable frame, V' < 0 everywhere (no frame), a parameter-only
     # pole (1/b with b = 0), and a stable frame again
     text = "a*rho + c/rho + 1/b"
-    rows = [(1.0, -2.0, 1.0), (-1.0, 2.0, 1.0), (1.0, -2.0, 0.0), (2.0, -1.0, 3.0)]
-    values = {k: np.array(col) for k, col in zip("acb", zip(*rows))}
-    batch = solve_batch(parse_potential(text), values, 1)
-    alone = [_lone(text, dict(zip("acb", r)), 1) for r in rows]
-    assert [_key(r) for r in batch] == [_key(r) for r in alone]
+    rows = [dict(zip("acb", r)) for r in
+            [(1.0, -2.0, 1.0), (-1.0, 2.0, 1.0), (1.0, -2.0, 0.0), (2.0, -1.0, 3.0)]]
+    batch = solve_batch([_bound(text, row) for row in rows], 1)
+    assert [_key(r) for r in batch] == [_key(_lone(text, row, 1)) for row in rows]
     assert isinstance(batch[1], engine.NoStableFrameError)
     assert isinstance(batch[2], engine.NoStableFrameError)
     assert not isinstance(batch[0], Exception) and not isinstance(batch[3], Exception)
 
 
-def test_float_values_give_one_row():
-    (row,) = solve_batch(HYBRID, {"m": 0.0, "g": 1.0}, 0)
-    assert _key(row) == _key(solve(bind_params(HYBRID, {"m": 0.0, "g": 1.0}), 0))
+def _assert_rows_equal_lone_solves(text, rows, m, max_order=3):
+    batch = solve_batch([_bound(text, row) for row in rows], m, max_order)
+    assert [_key(r) for r in batch] == [_key(_lone(text, row, m, max_order)) for row in rows]
 
 
-def test_batched_exponent_parameter_is_rejected():
-    spec = parse_potential("rho^a - 2/rho")
-    with pytest.raises(ValueError, match="a"):
-        solve_batch(spec, {"a": np.array([1.0, 2.0])}, 0)
-    assert solve_batch(spec, {"a": 2.0}, 0)  # a float exponent is fine
+@pytest.mark.parametrize("m", [0, -2])
+def test_rows_that_differ_in_an_exponent_equal_lone_solves(monkeypatch, m):
+    # a and p sit in exponents, so the rows form one batch per (a, p) pair;
+    # the batch of a = 1.5, p = 2 holds three rows that differ in b
+    rows = [{"a": a, "p": p, "b": b} for a, p, b in
+            [(1.5, 2.0, 0.3), (2.0, 2.0, 0.3), (1.5, 2.0, 0.7), (1.0, 3.0, 0.3),
+             (1.5, 2.0, 1.1), (2.0, 2.0, 0.5)]]
+    sizes, solve_rows = [], engine._solve_rows
+    monkeypatch.setattr(engine, "_solve_rows", lambda rows, *a: sizes.append(len(rows))
+                        or solve_rows(rows, *a))
+    _assert_rows_equal_lone_solves("b*rho^a + rho^p/10 - 2/rho", rows, m)
+    assert sizes == [3, 2, 1] + [1] * len(rows)  # the batches, then the lone solves
 
 
-def test_batch_checks_parameter_names_and_shapes():
-    with pytest.raises(KeyError):
-        solve_batch(HYBRID, {"g": np.array([1.0, 2.0])}, 0)
-    with pytest.raises(ValueError):
-        solve_batch(HYBRID, {"m": np.zeros(2), "g": np.ones(3)}, 0)
+def test_signed_zeros_are_distinct_values(monkeypatch):
+    # 0.0 == -0.0, but their bits differ: rows holding both share no value
+    def columns(text, rows, m):
+        """The parameter columns of each batch that solve_batch solves."""
+        seen, solve_frames = [], engine._solve_frames
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_solve_frames",
+                          lambda rows, values, *a: seen.append(values) or solve_frames(rows, values, *a))
+            _assert_rows_equal_lone_solves(text, rows, m)
+        return [(type(v["a"]).__name__, [math.copysign(1.0, a) for a in np.atleast_1d(v["a"])])
+                for v in seen[:-len(rows)]]  # the last len(rows) are the lone solves
+
+    zeros = [{"a": 0.0}, {"a": -0.0}, {"a": 0.0}]
+    assert columns("rho^(a+2) - 2/rho", zeros, 1) == [("float", [1.0]), ("float", [-1.0])]
+    assert columns("a/rho^2 + rho^2 - 2/rho", zeros, 1) == [("ndarray", [1.0, -1.0, 1.0])]
+    assert columns("a/rho^2 + rho^2 - 2/rho", zeros[1:2] * 2, 0) == [("float", [-1.0])]
+
+
+def test_rows_of_two_specs_are_rejected():
+    rows = [bind_params(HYBRID, {"m": 0.0, "g": 1.0}), _bound("-2/rho")]
+    with pytest.raises(ValueError, match="PotentialSpec"):
+        solve_batch(rows, 0)
+    assert solve_batch([], 0) == []

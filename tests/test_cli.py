@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pslet2d import cli
+from pslet2d import cli, engine
 from pslet2d.cli import (
     EXIT_CHECK,
     EXIT_PARSE,
@@ -94,6 +94,21 @@ def test_missing_parameter_exit_code(capsys):
     code, _, err = run_cli(capsys, "compute", "-V", "a/rho")
     assert code == EXIT_PARSE
     assert "missing" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (("-V", "g*rho-2/rho"), EXIT_PARSE, "parameter error: missing parameter(s): g"),
+        (("-V", "-2/rho", "-p", "g=1"), EXIT_PARSE, "parameter error: extraneous parameter(s): g"),
+        (("-V", "-2/rho", "-p", "=3"), EXIT_USAGE,
+         "usage error: malformed -p/--param '=3', expected name=value"),
+        (("-V", "-2/rho", "-p", " =3"), EXIT_USAGE,
+         "usage error: malformed -p/--param ' =3', expected name=value"),
+    ],
+)
+def test_parameter_error_lines(capsys, argv, code, line):
+    assert run_cli(capsys, "compute", *argv) == (code, "", line + "\n")
 
 
 def test_solver_failure_exit_code(capsys):
@@ -313,6 +328,17 @@ def test_sweep_unknown_parameter(capsys):
     assert code == EXIT_USAGE
 
 
+def test_sweep_rejects_a_value_for_the_swept_parameter(capsys):
+    argv = ("sweep", "-V", "g*rho-2/rho", "--sweep-param", "g", "--range", "1,2,2")
+    assert run_cli(capsys, *argv, "-p", "g=5") == (
+        EXIT_USAGE, "", "usage error: sweep parameter 'g' cannot also be bound by -p/--param\n")
+    # m, which -m binds, can still be swept
+    code, out, err = run_cli(capsys, "sweep", "-V", "m*g-2/rho+g^2*rho^2/4", "-p", "g=1",
+                             "--sweep-param", "m", "--range", "-1,1,3")
+    assert code == 0, err
+    assert [line.split(",")[0] for line in out.splitlines()] == ["m", "-1", "0", "1"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -356,17 +382,24 @@ def _lone_solve_sweep(text, name, lo, hi, steps, m=0, oracle=False):
         ("m*g - 2/rho + g^2*rho^2/4", "g", 0.2, 3.0, 8, -1, True, 1),
         ("rho^a-2/rho", "a", 0.5, 2.5, 5, 0, False, 5),  # a sits in an exponent
         ("-a/rho", "a", -1.0, 1.0, 9, 0, False, 1),  # a <= 0 rows end in errors
+        ("m*g - 2/rho + g^2*rho^2/4", "g", 1.0, 1.0, 2, 0, True, 1),  # rows share every value
+        ("rho^a-2/rho", "a", 1.5, 1.5, 3, -1, False, 1),  # one exponent value, repeated
     ],
 )
 def test_batched_sweep_equals_lone_solves(monkeypatch, capsys, text, name, lo, hi,
                                           steps, m, oracle, batches):
+    # a sweep makes one solve_batch call; the engine solves one batch per
+    # distinct value of the parameters that sit in an exponent
     calls, batch = [], cli.solve_batch
     monkeypatch.setattr(cli, "solve_batch", lambda *a: calls.append(a) or batch(*a))
+    groups, solve_rows = [], engine._solve_rows
+    monkeypatch.setattr(engine, "_solve_rows", lambda *a: groups.append(a) or solve_rows(*a))
     argv = ["sweep", "-V", text, "-m", str(m), "--sweep-param", name,
             "--range", f"{lo},{hi},{steps}"] + ["--oracle"] * oracle
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
-    assert len(calls) == batches
+    assert len(calls) == 1
+    assert len(groups) == batches
     assert out == _lone_solve_sweep(text, name, lo, hi, steps, m, oracle)
 
 
