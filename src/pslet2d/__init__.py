@@ -31,7 +31,6 @@ from .oracle import coulomb_exact, fd_ground_energy, oscillator_exact
 from .wavefunction import (
     GridError,
     WavefunctionSeries,
-    overlap,
     synthesize_wavefunction,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "fd_ground_energy",
     "jet_lift",
     "oscillator_exact",
-    "overlap",
     "parse_potential",
     "solve",
     "solve_batch",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -93,65 +93,41 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num', 'ident', 'op', 'lparen', 'rparen', 'end'
+class _Token(NamedTuple):
+    kind: str  # 'num', 'ident', 'op' (operators and parentheses), 'end'
     text: str
     offset: int  # byte offset into the utf-8 encoding of the input
 
 
-# ASCII digits only: str.isdigit() would also accept e.g. a superscript two
-_NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# \s is str.isspace() and \w is str.isalnum() plus '_'.  Numbers take ASCII
+# digits only; a name may not start with a digit of any script (\w would take
+# a superscript two), which _tokenize checks by hand.
+_TOKEN = re.compile(
+    r"(?P<space>\s+)"
+    r"|(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>\w+)"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<other>.)",
+    re.DOTALL,
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
     boff = 0  # running byte offset
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            boff += len(c.encode("utf-8"))
-            i += 1
-            continue
-        number = _NUMBER.match(text, i)
-        if number:
-            j = number.end()
-            tokens.append(_Token("num", text[i:j], boff))
-            boff += len(text[i:j].encode("utf-8"))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], boff))
-            boff += len(text[i:j].encode("utf-8"))
-            i = j
-            continue
-        if c in "+-*/^":
-            tokens.append(_Token("op", c, boff))
-            boff += 1
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(_Token("lparen", c, boff))
-            boff += 1
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(_Token("rparen", c, boff))
-            boff += 1
-            i += 1
-            continue
-        raise PotentialSyntaxError(f"unknown character {c!r}", boff)
+    for match in _TOKEN.finditer(text):
+        kind, chunk = match.lastgroup, match.group()
+        if kind == "other" or (kind == "ident" and not (chunk[0].isalpha() or chunk[0] == "_")):
+            raise PotentialSyntaxError(f"unknown character {chunk[0]!r}", boff)
+        if kind != "space":
+            tokens.append(_Token(kind, chunk, boff))
+        boff += len(chunk.encode("utf-8"))
     tokens.append(_Token("end", "", boff))
     return tokens
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent)
+# Parser (precedence climbing over _PRECEDENCE, the printer's table)
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
@@ -161,63 +137,40 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def expr(self, min_prec: int = 1) -> Node:
+        """Parse operators that bind at least as tightly as ``min_prec``.
 
-    def expect_end(self) -> None:
-        tok = self.peek()
-        if tok.kind != "end":
-            raise PotentialSyntaxError(f"unexpected {tok.text!r}", tok.offset)
-
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
+        A leading '-' takes everything above "neg" ('^' only) as its operand;
+        '^' is right-associative, the other binary operators left-associative.
+        """
+        if self.peek().text == "-":
+            self.pos += 1
+            node: Node = Neg(self.expr(_PRECEDENCE["neg"]))
+        else:
+            node = self.atom()
+        while self.peek().kind == "op" and _PRECEDENCE.get(self.peek().text, 0) >= min_prec:
+            op = self.peek().text
+            self.pos += 1
+            prec = _PRECEDENCE[op]
+            node = BinOp(op, node, self.expr(prec if op == "^" else prec + 1))
         return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.unary())
-        return node
-
-    def unary(self) -> Node:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Node:
-        base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            return BinOp("^", base, self.unary())
-        return base
 
     def atom(self) -> Node:
         tok = self.peek()
+        self.pos += 1
         if tok.kind == "num":
-            self.advance()
             value = float(tok.text)
             if not math.isfinite(value):
                 raise PotentialSyntaxError(f"number {tok.text} out of range", tok.offset)
             return Num(value)
         if tok.kind == "ident":
-            self.advance()
-            if tok.text == RADIAL_NAME:
-                return Rho()
-            return Param(tok.text)
-        if tok.kind == "lparen":
-            self.advance()
+            return Rho() if tok.text == RADIAL_NAME else Param(tok.text)
+        if tok.text == "(":
             node = self.expr()
             closing = self.peek()
-            if closing.kind != "rparen":
+            if closing.text != ")":
                 raise PotentialSyntaxError("expected ')'", closing.offset)
-            self.advance()
+            self.pos += 1
             return node
         if tok.kind == "end":
             raise PotentialSyntaxError("unexpected end of input", tok.offset)
@@ -317,7 +270,9 @@ def parse_potential(text: str) -> PotentialSpec:
         raise PotentialSyntaxError("empty input", 0)
     parser = _Parser(_tokenize(text))
     tree = parser.expr()
-    parser.expect_end()
+    tok = parser.peek()
+    if tok.kind != "end":
+        raise PotentialSyntaxError(f"unexpected {tok.text!r}", tok.offset)
     names: set[str] = set()
     has_rho = _collect_params(tree, names)
     if not has_rho:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .engine import CoefficientTable, Geometry, SolverError
 
-__all__ = ["GridError", "WavefunctionSeries", "synthesize_wavefunction", "overlap"]
+__all__ = ["GridError", "WavefunctionSeries", "synthesize_wavefunction"]
 
 
 class GridError(ValueError):
@@ -61,23 +61,8 @@ class WavefunctionSeries:
         lbar = self.geometry.lbar
         expo = self.log_power * np.log1p(y)
         for t, coeffs in self.blocks.items():
-            expo = expo + lbar ** (-t / 2.0) * _polyval_no_const(coeffs, y)
+            expo = expo + lbar ** (-t / 2.0) * np.polyval(coeffs[::-1], y)
         return np.exp(expo)
-
-
-def _polyval_no_const(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # coeffs[0] is always 0 (U(0) = 0); Horner from the top
-    acc = np.zeros_like(y)
-    for c in coeffs[::-1]:
-        acc = acc * y + c
-    return acc
-
-
-def _integrate_poly(poly: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(poly) + 1)
-    for k, c in enumerate(poly):
-        out[k + 1] = c / (k + 1)
-    return out
 
 
 def assemble_exponent_blocks(
@@ -93,13 +78,14 @@ def assemble_exponent_blocks(
     # blocks[t][k]: coefficient of y^k at lbar^(-t/2); t = s - k
     blocks: dict[int, np.ndarray] = {}
     for s in range(S + 1):
-        p_s = _integrate_poly(table.W[s])  # polynomial in x, zero constant term
-        for k in range(1, len(p_s)):
-            if p_s[k] == 0.0:
+        # x-coefficients of the integral of W_s from x^1 up (zero constant term)
+        integral = table.W[s] / np.arange(1, len(table.W[s]) + 1)
+        for k, c in enumerate(integral, start=1):
+            if c == 0.0:
                 continue
             t = s - k
             blk = blocks.setdefault(t, np.zeros(S - t + 1))
-            blk[k] += p_s[k]
+            blk[k] += c
 
     # subtract the truncated log series: coefficient 1 at lbar^(+1) (t = -2)
     # and beta + 1/2 at lbar^0 (t = 0); their sum is lbar + beta + 1/2 = l + 1/2
@@ -213,19 +199,3 @@ def _mass_between(wf: WavefunctionSeries, lo: float, hi: float) -> float:
         return 0.0
     seg = np.linspace(lo, hi, 2001)
     return float(simpson(wf.unnormalized(seg) ** 2, seg))
-
-
-def overlap(grid, psi_a, psi_b) -> float:
-    """Normalized Simpson overlap of two sampled reduced wavefunctions.
-
-    Both samples are renormalized on the grid, so a function's overlap with
-    itself is exactly 1 regardless of how much mass the grid captures.
-    """
-    from scipy.integrate import simpson  # any sample count; no CLI path needs it
-
-    grid = np.asarray(grid, dtype=float)
-    a = np.asarray(psi_a, dtype=float)
-    b = np.asarray(psi_b, dtype=float)
-    num = float(simpson(a * b, x=grid))
-    den = math.sqrt(float(simpson(a * a, x=grid)) * float(simpson(b * b, x=grid)))
-    return num / den

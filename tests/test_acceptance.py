@@ -18,17 +18,29 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from pslet2d import tables
 from pslet2d.expressions import bind_params, parse_potential
 from pslet2d.engine import SolverError, solve
 from pslet2d.jets import jet_lift
 from pslet2d.oracle import coulomb_exact, fd_ground_energy, oscillator_exact
-from pslet2d.wavefunction import overlap, synthesize_wavefunction
+from pslet2d.wavefunction import synthesize_wavefunction
 
 
 def _bound(text, params=None):
     return bind_params(parse_potential(text), params or {})
+
+
+def overlap(grid, psi_a, psi_b) -> float:
+    """Normalized Simpson overlap of two sampled reduced wavefunctions.
+
+    Both samples are renormalized on the grid, so a function's overlap with
+    itself is exactly 1 regardless of how much mass the grid captures.
+    """
+    num = float(simpson(psi_a * psi_b, x=grid))
+    den = math.sqrt(float(simpson(psi_a * psi_a, x=grid)) * float(simpson(psi_b * psi_b, x=grid)))
+    return num / den
 
 
 def _report(num, ok, detail):

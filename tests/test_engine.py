@@ -440,21 +440,33 @@ def test_oscillator_exact_grid():
 
 
 # Rounding amplified by the hierarchy's back-substitution breaks Coulomb's
-# exactness from K = 9 on (ROADMAP item 3); the oscillator holds at every order.
+# exactness from K = 9 on for m = 1 and m = 2 (ROADMAP item 3); the other m
+# and the oscillator hold at every order.  At K = 15, |EN15 - exact| reads
+# 6.4e-4 (m = 1) and 2.0e-7 (m = 2) against at most 6.9e-14 for m = 0, 3, 4, 5,
+# and those four hold only while the last bit of rho0 stays where Brent puts it.
 ORDERS = (3, 6, 9, 12, 15)
 ROUNDING_DEFECT = pytest.mark.xfail(
     strict=True, reason="ROADMAP item 3: rounding grows in the hierarchy with K"
 )
 
 
-@pytest.mark.parametrize(
-    "order", [K if K <= 6 else pytest.param(K, marks=ROUNDING_DEFECT) for K in ORDERS]
-)
-def test_coulomb_exact_at_every_order(order):
-    for m in range(6):
+def _assert_coulomb_exact(ms, order):
+    for m in ms:
         _, _, breakdown = solve(_coulomb(), m, max_order=order)
         exact = -((abs(m) + 0.5) ** -2)
         assert breakdown.partial_sums[order] == pytest.approx(exact, abs=1e-12), m
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_coulomb_exact_at_every_order(order):
+    _assert_coulomb_exact((0, 3, 4, 5), order)
+
+
+@pytest.mark.parametrize(
+    "order", [K if K <= 6 else pytest.param(K, marks=ROUNDING_DEFECT) for K in ORDERS]
+)
+def test_coulomb_exact_at_every_order_m1_m2(order):
+    _assert_coulomb_exact((1, 2), order)
 
 
 @pytest.mark.parametrize("order", ORDERS)

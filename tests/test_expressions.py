@@ -1,7 +1,11 @@
+import ast
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pslet2d.expressions import (
     BinOp,
@@ -215,3 +219,28 @@ def test_integer_power_exact():
     bound = bind_params(spec, {})
     assert bound(3.0) == 81.0
     assert math.isclose(bound(0.1), 1e-4, rel_tol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# property: any text ends in a tree or in one of the two documented errors
+
+_PIECES = (
+    "rho", "a", "_g", "2", "0.5", ".5", "1e3", "1e400", "+", "-", "*", "/", "^", "(", ")",
+    " ", "\t", "\x1c", "\u00a0", "²", "٣", "۵", "½", "ǅ", "ᾈ", "𝑥", "𝟘", "😀", "$", ".",
+)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_PIECES), st.characters()), max_size=12).map("".join))
+def test_parse_any_unicode_text(text):
+    try:
+        parse_potential(text)
+    except ConstantPotentialError:
+        return
+    except PotentialSyntaxError as exc:
+        data = text.encode("utf-8")
+        assert 0 <= exc.offset <= len(data), (text, exc)
+        unknown = re.fullmatch(r"unknown character (.+) \(at byte offset \d+\)", str(exc))
+        if unknown:
+            c = ast.literal_eval(unknown.group(1))
+            assert data[exc.offset:].startswith(c.encode("utf-8")), (text, exc)

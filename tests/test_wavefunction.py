@@ -10,9 +10,9 @@ from pslet2d.engine import solve
 from pslet2d.wavefunction import (
     GridError,
     assemble_exponent_blocks,
-    overlap,
     synthesize_wavefunction,
 )
+from test_acceptance import overlap
 
 
 def _bound(text, params=None):
@@ -140,6 +140,22 @@ def test_prefactor_exponent():
         geom, table, _ = solve(bound, m)
         log_power, _ = assemble_exponent_blocks(geom, table)
         assert log_power == pytest.approx(abs(m) + 0.5, abs=1e-14)
+
+
+def test_unnormalized_equals_the_horner_loop():
+    # np.polyval does the loop's operations in the loop's order: equal bits
+    bound = _bound("m*g - 2/rho + g^2*rho^2/4", {"m": -2.0, "g": 1.0})
+    geom, table, _ = solve(bound, -2, max_order=6)
+    grid = np.linspace(0.01, 30.0, 500)
+    wf = synthesize_wavefunction(geom, table, grid)
+    y = grid / geom.rho0 - 1.0
+    expo = wf.log_power * np.log1p(y)
+    for t, coeffs in wf.blocks.items():
+        acc = np.zeros_like(y)
+        for c in coeffs[::-1]:
+            acc = acc * y + c
+        expo = expo + geom.lbar ** (-t / 2.0) * acc
+    assert np.array_equal(wf.unnormalized(grid), np.exp(expo))
 
 
 @pytest.mark.parametrize("points", [3, 5, 101, 2001, 8001])
