@@ -13,11 +13,17 @@ Pipeline for a bound potential V and magnetic quantum number m (l = |m|):
   4. assemble_energy  -- corrections E^(-2), E^(0), E^(1), ... and cumulative
                          partial sums EN_0..EN_K.
 
+``solve_batch`` runs the pipeline once for a whole batch of rows: one scan
+and one lockstep root finder for the frames, one jet lift, then stages 2-4
+on arrays with one row per entry.  ``solve`` is the batch of one, so a row
+gives the same bits alone or in any batch.
+
 All quantities are in effective Rydberg units (hbar = 2m = 1).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -98,7 +104,10 @@ class Geometry:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Hierarchy outputs: W_s as dense vectors in x, lambda^(k), residuals."""
+    """Hierarchy outputs: W_s as dense vectors in x, lambda^(k), residuals.
+
+    W_s holds s + 2 coefficients (degree s + 1), trailing zeros included.
+    """
 
     W: tuple[np.ndarray, ...]
     lambdas: tuple[float, ...]
@@ -406,46 +415,145 @@ def build_v_series(
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    return _v_polys(jet_lift(bound, geom.rho0, max_order + 2), geom, max_order)
+    v, failed = _v_polys(jet_lift(bound, geom.rho0, max_order + 2)[None], [geom], max_order)
+    if failed:
+        raise failed[0]
+    return tuple(p[0] for p in v)
 
 
-def _v_polys(a: np.ndarray, geom: Geometry, max_order: int) -> tuple[np.ndarray, ...]:
-    """v^(0)..v^(max_order) from the coefficients a[k] = V^(k)(rho0) / k!."""
-    rho0, w, beta, Q = geom.rho0, geom.w, geom.beta, geom.Q
-    polys: list[np.ndarray] = []
-    v0 = np.zeros(3)
-    v0[0] = 2.0 * beta
-    v0[2] = w * w / 4.0
-    polys.append(v0)
-    for n in range(1, max_order + 1):
-        v = np.zeros(n + 3)
+def _pow_table(base: np.ndarray, exponents: list) -> np.ndarray:
+    """base[r] ** e for each row r and exponent e, through the C library's pow.
+
+    Each entry is what ``float_pow`` and Python's ``**`` give one float.
+    Every base is positive, so pow fails only by overflow: where ``**``
+    would raise, the entry is inf.
+    """
+    try:
+        table = [[math.pow(x, e) for e in exponents] for x in base.tolist()]
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            table = [[float(np.float64(x) ** e) for e in exponents] for x in base.tolist()]
+    return np.array(table).reshape(len(base), len(exponents))
+
+
+@functools.lru_cache(maxsize=None)
+def _v_layout(max_order: int) -> tuple[np.ndarray, ...]:
+    """The constant parts of v^(1)..v^(max_order) in one row of ``_v_polys``.
+
+    v^(n) takes the n + 3 entries from n (n + 5) / 2 on.  Returns the slots
+    of the x^(n+2) terms, n >= 1, with (-1)^n (n+3); then, for n >= 3, the
+    slots of the x^n terms (-1)^n 2 beta (n+1) with the factors (-1)^n 2 and
+    n + 1, and of the x^(n-2) terms (-1)^n (beta^2 - 1/4) (n-1) with the
+    factors (-1)^n and n - 1.
+    """
+    n = np.arange(1, max_order + 1)
+    sign = np.where(n % 2 == 1, -1.0, 1.0)
+    start = n * (n + 5) // 2
+    return (start + n + 2, sign * (n + 3),
+            (start + n)[2:], (sign * 2.0)[2:], (n + 1.0)[2:],
+            (start + n - 2)[2:], sign[2:], (n - 1.0)[2:])
+
+
+def _v_polys(a: np.ndarray, geoms: list, max_order: int) -> tuple[list, dict]:
+    """v^(0)..v^(max_order) of each row, as (rows, n + 3) arrays in x.
+
+    ``a[r, k]`` is V^(k)(rho0) / k! of row r, whose frame is ``geoms[r]``.
+    Also returns {row: PotentialEvalError} for the rows whose rho0^(n+4)
+    overflows; their entries are not finite.
+    """
+    top, lead, mid, mid_f, mid_g, low, low_f, low_g = _v_layout(max_order)
+    rho0, w, beta, Q = np.array([(g.rho0, g.w, g.beta, g.Q) for g in geoms]).T
+    scale = _pow_table(rho0, [n + 4.0 for n in range(1, max_order + 1)])
+    out = np.zeros((len(geoms), (max_order + 1) * (max_order + 6) // 2))
+    with np.errstate(all="ignore"):
+        bb = beta * beta - 0.25
+        out[:, 0] = 2.0 * beta  # v^(0) = 2 beta + (w^2 / 4) x^2
+        out[:, 2] = w * w / 4.0
         # the x^(n+2) term: (-1)^n (n+3) + rho0^(n+4) V^(n+2)(rho0) / (Q (n+2)!)
-        sign = -1.0 if n % 2 else 1.0
-        try:
-            scale = rho0 ** (n + 4)
-        except OverflowError:
-            raise PotentialEvalError(
-                f"v-series overflow: rho0^{n + 4} exceeds the float range at rho0 = {rho0}"
-            ) from None
-        v[n + 2] = sign * (n + 3) + scale * a[n + 2] / Q
-        if n == 1:
-            v[1] = -4.0 * beta
-        elif n == 2:
-            v[0] = beta * beta - 0.25
-            v[2] = 6.0 * beta
-        else:
-            v[n] = sign * 2.0 * beta * (n + 1)
-            v[n - 2] = sign * (beta * beta - 0.25) * (n - 1)
-        polys.append(v)
-    return tuple(polys)
+        out[:, top] = lead + scale * a[:, 3:] / Q[:, None]
+        if max_order >= 1:
+            out[:, 4] = -4.0 * beta  # v^(1): -4 beta x
+        if max_order >= 2:
+            out[:, 7] = bb  # v^(2): beta^2 - 1/4 + 6 beta x^2
+            out[:, 9] = 6.0 * beta
+        out[:, mid] = mid_f * beta[:, None] * mid_g
+        out[:, low] = low_f * bb[:, None] * low_g
+    failed = {r: PotentialEvalError(
+        f"v-series overflow: rho0^{int(np.argmax(np.isinf(scale[r]))) + 5} exceeds the "
+        f"float range at rho0 = {geoms[r].rho0}"
+    ) for r in np.flatnonzero(np.isinf(scale).any(axis=1)).tolist()}
+    return [out[:, k * (k + 5) // 2:(k + 1) * (k + 6) // 2] for k in range(max_order + 1)], failed
 
 
 # ---------------------------------------------------------------------------
 # Coefficient hierarchy
 
-def solve_hierarchy(
-    v: tuple[np.ndarray, ...], geom: Geometry, max_order: int
-) -> CoefficientTable:
+# A batch hierarchy keeps v and W in one (slots, rows) array, slots first so
+# that a gather takes whole rows.  Slots 0, 1 and 2 hold +0.0, -0.0 and 1.0,
+# slots 3 and 4 hold W_0.  Then each order s = 1, 2, ... takes one block:
+# v^(s), with s + 3 coefficients, and W_s, with s + 2 (degree s + 1).  The
+# blocks do not depend on the highest order.
+def _v_slot(s):
+    return 5 + (s - 1) * (s + 5)
+
+
+def _w_slot(s):
+    return _v_slot(s) + s + 3  # 3 for W_0
+
+
+@functools.lru_cache(maxsize=None)
+def _products(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gather that forms K_s.
+
+    Returns (ab, terms).  ``ab`` holds (2, terms, (pairs + 1) * (s+3)) slot
+    indices: entry j of block k sums ab[0, t] * ab[1, t] over t.  Block 0 is
+    v^(s) times 1.0.  Block k >= 1 is W_p W_(s-p) with p = k <= s/2, each
+    coefficient summed in the index order of the shorter factor W_p.
+    Padding terms multiply +0.0 by -0.0, and adding -0.0 leaves every sum as
+    it is.  ``terms`` lists the block of v^(s) and then of each product that
+    K_s subtracts, in the order p = 1..s-1.
+    """
+    n, pairs = s + 3, s // 2
+    p = np.arange(1, pairs + 1)[:, None, None]
+    j = np.arange(n)[None, :, None]
+    i = np.maximum(0, j - (s - p + 1)) + np.arange(pairs + 2)  # W_p's index, term by term
+    used = i <= np.minimum(p + 1, j)
+    ab = np.zeros((2, pairs + 2, (pairs + 1) * n), dtype=np.intp)
+    ab[1] = 1
+    ab[:, 0, :n] = [range(_v_slot(s), _v_slot(s) + n), [2] * n]
+    pair_ab = np.stack((np.where(used, _w_slot(p) + i, 0),
+                        np.where(used, _w_slot(s - p) + j - i, 1)))
+    ab[:, :, n:] = pair_ab.transpose(0, 3, 1, 2).reshape(2, pairs + 2, -1)  # terms, pairs * n
+    terms = np.array([0] + [min(p, s - p) for p in range(1, s)], dtype=np.intp)
+    return ab, terms
+
+
+@functools.lru_cache(maxsize=None)
+def _balance(n_orders: int) -> tuple[np.ndarray, ...]:
+    """Slots that load v^(1..n_orders) and check every order after the loop.
+
+    The K_s of orders 1..n_orders stack into one array of their entries,
+    order s's from ``starts[s - 1]`` on.  Entry j of L[W_s] = W_s' - w x W_s
+    is ``mult * B[up] - w * B[down]``: (j+1) W_s[j+1] - w W_s[j-1], a missing
+    coefficient read as +0.0 from slot 0.  At even s, ``k0`` is the entry of
+    K_s[0] and ``c1`` the slot of W_s[1].  ``v_at`` lists the slots of v.
+    """
+    v_at, up, down, mult, starts = [], [], [], [], []
+    for s in range(1, n_orders + 1):
+        starts.append(len(v_at))
+        v_at += range(_v_slot(s), _v_slot(s) + s + 3)
+        for j in range(s + 3):
+            up.append(_w_slot(s) + j + 1 if j + 1 < s + 2 else 0)
+            down.append(_w_slot(s) + j - 1 if 1 <= j <= s + 2 else 0)
+            mult.append(j + 1.0)
+    even = range(2, n_orders + 1, 2)
+    k0 = [starts[s - 1] for s in even]
+    c1 = [_w_slot(s) + 1 for s in even]
+    slots = (np.array(x, dtype=np.intp) for x in (v_at, up, down, k0, c1, starts))
+    return (*slots, np.array(mult)[:, None])
+
+
+def solve_hierarchy(v, geom, max_order: int):
     """Run the order-by-order coefficient matching through order 2*max_order.
 
     Writing the log-derivative of the nodeless state as
@@ -455,97 +563,122 @@ def solve_hierarchy(
     with RHS_2 = beta^2 - 1/4 + lambda^(0), RHS_{2k} = lambda^(k-1) for k >= 2
     and RHS_s = 0 at odd s.  Its x^k equation (k+1) c_{k+1} - w c_{k-1} = K_k,
     k >= 1, is triangular in the coefficients c of W_s, solved from the top
-    down; at even s the leftover x^0 equation yields the lambda.  After each
-    order the full residual is verified; a non-finite one is an error too.
-    Each unordered pair {p, q} is convolved once: ``np.convolve`` puts the
-    longer factor first, so W_p W_q and W_q W_p are one call, unless equal
-    lengths make them round apart.  K_s subtracts the products in the fixed
-    order p = 1, 2, ...: high orders amplify rounding, and summing the
-    products first moves Coulomb's K = 30 error at m = 0 from 0.028 to 7.8e14.
+    down in Python floats, row by row; at even s the leftover x^0 equation
+    yields the lambda.  Once every order is solved, each order's full
+    residual is checked: one above RESIDUAL_TOL, or not finite, is an error.
+
+    ``geom`` is a Geometry and each v^(n) a vector of n + 3 coefficients; or
+    ``geom`` is a list of Geometries, one per row of a batch, and each v^(n)
+    an (rows, n + 3) array.  A Geometry gives a CoefficientTable or raises
+    HierarchyInconsistencyError; a list gives one of the two per row, and a
+    row's numbers do not depend on the rows beside it.
+
+    The products use no BLAS, so their bits do not depend on the host.  Each
+    unordered pair W_p W_q, p <= q, is formed once, each coefficient summed
+    in W_p's index order, and K_s subtracts the products in the order
+    p = 1, 2, ...: high orders amplify rounding, and summing the products
+    first moves Coulomb's K = 30 error at m = 0 from 0.028 to 7.8e14.
     """
+    if isinstance(geom, Geometry):
+        rows = solve_hierarchy([np.asarray(p, dtype=float)[None] for p in v], [geom], max_order)
+        return _unwrap(rows[0])
     n_orders = 2 * max_order
     if len(v) < n_orders + 1:
         raise ValueError(
             f"v-series covers orders 0..{len(v) - 1}, need 0..{n_orders}"
         )
-    w, beta = geom.w, geom.beta
+    if any(np.shape(v[s])[1] != s + 3 for s in range(n_orders + 1)):
+        raise ValueError("v^(n) must hold n + 3 coefficients")
+    v_at, up, down, k0, c1, starts, mult = _balance(n_orders)
+    w, beta = np.array([(g.w, g.beta) for g in geom]).T
+    w_rows = w.tolist()
+    B = np.zeros((_v_slot(n_orders + 1), len(geom)))
+    B[1:3] = [[-0.0], [1.0]]
+    B[_w_slot(0) + 1] = -w / 2.0  # W_0 = -(w/2) x
+    B[v_at] = np.concatenate(v[1:n_orders + 1], axis=1).T
+    K = []
 
-    W: list[np.ndarray] = [np.array([0.0, -w / 2.0])]  # W_0 = -(w/2) x
-    lambdas: list[float] = []
-    residuals: list[float] = []
+    with np.errstate(all="ignore"):
+        for s in range(1, n_orders + 1):
+            ab, terms = _products(s)
+            # the terms lie on axis 0, before at least four entries, so both
+            # reductions add in axis-0 order and never pairwise
+            x = B.take(ab, axis=0)
+            blocks = np.add.reduce(x[0] * x[1], axis=0).reshape(-1, s + 3, len(geom))
+            k_s = np.subtract.reduce(blocks.take(terms, axis=0), axis=0)
+            K.append(k_s)
+            top = []
+            for k, w_row in zip(k_s.T.tolist(), w_rows):
+                c = [0.0] * (s + 4)
+                for j in range(s + 2, 0, -1):
+                    c[j - 1] = ((j + 1) * c[j + 1] - k[j]) / w_row
+                top.append(c[:s + 2])
+            B[_w_slot(s):_w_slot(s) + s + 2].T[...] = top
 
-    for s in range(1, n_orders + 1):
-        terms = np.zeros((s, len(v[s])))  # deg v^(s) = s+2 bounds every product
-        terms[0] = v[s]
-        for p in range(1, s):
-            if 2 * p > s and len(W[p]) != len(W[s - p]):
-                terms[p] = terms[s - p]
-            else:
-                cross = np.convolve(W[p], W[s - p])
-                terms[p, : len(cross)] = cross
-        # the back-substitution, lambda and residual in Python floats: the
-        # same IEEE operations, without numpy's per-element overhead
-        k_s = np.subtract.reduce(terms, axis=0).tolist()
-        c = [0.0] * (len(k_s) + 1)
-        for k in range(len(k_s) - 1, 0, -1):
-            c[k - 1] = ((k + 1) * c[k + 1] - k_s[k]) / w
-        top = len(c)
-        while top and c[top - 1] == 0.0:  # trailing zeros, -0.0 included, go
-            top -= 1
-        W.append(np.array(P := c[:top] or [0.0]))
+        # the lambdas, and the residual K_s - RHS_s - L[W_s] of every order
+        K = np.concatenate(K)
+        rhs = K[k0] - B[c1]
+        lambdas = rhs.copy()
+        lambdas[0] -= beta * beta - 0.25
+        K[k0] -= rhs
+        res = np.abs(K - (mult * B[up] - w * B[down]))
+        res_max = np.maximum.reduceat(res, starts, axis=0)  # a NaN wins
 
-        rhs_const = 0.0
-        if s % 2 == 0:
-            rhs_const = k_s[0] - c[1]
-            lambdas.append(rhs_const - (beta * beta - 0.25) if s == 2 else rhs_const)
-
-        # full residual of the order-s balance: K_s - RHS_s - (P' - w x P)
-        dP = [(j + 1) * P[j + 1] for j in range(len(P) - 1)] + [0.0, 0.0]
-        lw = [dP[0]] + [d - w * p for d, p in zip(dP[1:], P)]
-        k_s[0] -= rhs_const
-        res = [abs(k - x) for k, x in zip(k_s, lw)] + [abs(k) for k in k_s[len(lw):]]
-        res_max = math.nan if math.isnan(sum(res)) else max(res)  # max() may skip a NaN
-        residuals.append(res_max)
-        if not res_max <= RESIDUAL_TOL:
-            raise HierarchyInconsistencyError(
-                f"hierarchy inconsistency at order {s}: residual {res_max:.3e}"
-            )
-
-    return CoefficientTable(W=tuple(W), lambdas=tuple(lambdas), residuals=tuple(residuals))
+    out = []
+    for row, row_res, row_lambdas in zip(np.ascontiguousarray(B.T), res_max.T.tolist(),
+                                         lambdas.T.tolist()):
+        bad = next((s for s, r in enumerate(row_res, 1) if not r <= RESIDUAL_TOL), None)
+        if bad is not None:
+            out.append(HierarchyInconsistencyError(
+                f"hierarchy inconsistency at order {bad}: residual {row_res[bad - 1]:.3e}"
+            ))
+        else:
+            out.append(CoefficientTable(
+                W=tuple(row[_w_slot(s):_w_slot(s) + s + 2] for s in range(n_orders + 1)),
+                lambdas=tuple(row_lambdas),
+                residuals=tuple(row_res),
+            ))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Energy assembly
 
-def assemble_energy(
-    geom: Geometry,
-    table: CoefficientTable,
-    max_order: int,
-) -> EnergyBreakdown:
-    """Corrections E^(-2), E^(0)..E^(max_order-1) and partial sums EN_0..EN_max_order."""
-    if len(table.lambdas) < max_order:
-        raise ValueError(
-            f"table holds lambda^(0..{len(table.lambdas) - 1}), need {max_order}"
-        )
-    rho0, beta, lbar, Q = geom.rho0, geom.beta, geom.lbar, geom.Q
+def assemble_energy(geom, table, max_order: int):
+    """Corrections E^(-2), E^(0)..E^(max_order-1) and partial sums EN_0..EN_max_order.
 
-    e_minus2 = 1.0 / rho0 ** 2 + geom.v0 / Q
-    e_minus1 = (2.0 * beta + 0.5 * geom.w) / rho0 ** 2
-    corrections = [(beta * beta - 0.25 + table.lambdas[0]) / rho0 ** 2]
-    for n in range(1, max_order):
-        corrections.append(table.lambdas[n] / rho0 ** 2)
+    ``geom`` and ``table`` are a Geometry and its CoefficientTable, giving an
+    EnergyBreakdown; or lists of them, one entry per row of a batch, giving a
+    list of EnergyBreakdowns.
+    """
+    if isinstance(geom, Geometry):
+        return assemble_energy([geom], [table], max_order)[0]
+    have = min(len(t.lambdas) for t in table)
+    if have < max_order:
+        raise ValueError(f"table holds lambda^(0..{have - 1}), need {max_order}")
+    rho0, w, beta, lbar, v0 = np.array([(g.rho0, g.w, g.beta, g.lbar, g.v0) for g in geom]).T
+    lambdas = np.array([t.lambdas[:max_order] for t in table])
+    # rho0^2, then lbar^2 = Q and lbar^k, k >= 1
+    exponents = [2.0] + [float(k) for k in range(1, max_order)]
+    powers = _pow_table(np.concatenate((rho0, lbar)), exponents)
+    rho0_2, Q, lbar_k = powers[:len(geom), 0], powers[len(geom):, 0], powers[len(geom):, 1:]
 
-    sums = [lbar ** 2 * e_minus2]
-    sums.append(sums[0] + corrections[0])
-    for k in range(2, max_order + 1):
-        sums.append(sums[k - 1] + corrections[k - 1] / lbar ** (k - 1))
+    with np.errstate(all="ignore"):
+        e_minus2 = 1.0 / rho0_2 + v0 / Q
+        e_minus1 = (2.0 * beta + 0.5 * w) / rho0_2
+        corrections = lambdas / rho0_2[:, None]
+        corrections[:, 0] = (beta * beta - 0.25 + lambdas[:, 0]) / rho0_2
+        # EN_0 = Q E^(-2), EN_1 = EN_0 + E^(0), EN_k = EN_(k-1) + E^(k-1) / lbar^(k-1),
+        # added left to right
+        sums = np.add.accumulate(np.concatenate(
+            ((Q * e_minus2)[:, None], corrections[:, :1], corrections[:, 1:] / lbar_k), axis=1),
+            axis=1)
 
-    return EnergyBreakdown(
-        e_minus2=e_minus2,
-        corrections=tuple(corrections),
-        partial_sums=tuple(sums),
-        e_minus1=e_minus1,
-    )
+    return [
+        EnergyBreakdown(e_minus2=e2, corrections=tuple(c), partial_sums=tuple(s), e_minus1=e1)
+        for e2, c, s, e1 in zip(e_minus2.tolist(), corrections.tolist(), sums.tolist(),
+                                e_minus1.tolist())
+    ]
 
 
 def solve(
@@ -615,26 +748,46 @@ def _solve_rows(rows: list[BoundPotential], l: int, max_order: int) -> list:
     batched = any(isinstance(v, np.ndarray) for v in values.values())
     undefined = [i for i, row in enumerate(rows) if _fails_alone(row)] if batched else []
     out = _solve_frames(rows, values, l, undefined)
-    ok = [i for i, g in enumerate(out) if isinstance(g, Geometry)]
+    live = [i for i, g in enumerate(out) if isinstance(g, Geometry)]
     v_order = 2 * max_order
     lifts = None
-    if len(ok) > 1:
+    if len(live) > 1:
         try:  # one jet about every rho0
-            lifts = jet_lift(BoundPotential(spec, _pick(values, np.array(ok))),
-                             np.array([out[i].rho0 for i in ok]), v_order + 2).T
+            lifts = jet_lift(BoundPotential(spec, _pick(values, np.array(live))),
+                             np.array([out[i].rho0 for i in live]), v_order + 2).T
         except PotentialEvalError:
             pass  # some row's jet is not finite: lift each row alone for its own error
     if lifts is None:
-        lifts = [_lift_alone(rows[i], out[i].rho0, v_order + 2) for i in ok]
-    for i, a in zip(ok, lifts):
-        geom = out[i]
-        try:
-            v = _v_polys(_unwrap(a), geom, v_order)
-            table = solve_hierarchy(v, geom, max_order)
-            out[i] = (geom, table, assemble_energy(geom, table, max_order))
-        except (SolverError, PotentialEvalError) as exc:
-            out[i] = exc
+        lifts = [_lift_alone(rows[i], out[i].rho0, v_order + 2) for i in live]
+    # one v-series, one hierarchy and one energy assembly for the rows left
+    live, lifts = _drop_failed(out, live, lifts)
+    if live:
+        v, failed = _v_polys(np.array(lifts), [out[i] for i in live], v_order)
+        live, kept = _drop_failed(out, live, [failed.get(r, r) for r in range(len(live))])
+        v = [p[kept] for p in v] if failed else v
+    if live:
+        geoms = [out[i] for i in live]
+        live, tables = _drop_failed(out, live, solve_hierarchy(v, geoms, max_order))
+    if live:
+        geoms = [out[i] for i in live]
+        for i, geom, table, energy in zip(live, geoms, tables,
+                                          assemble_energy(geoms, tables, max_order)):
+            out[i] = (geom, table, energy)
     return out
+
+
+def _drop_failed(out: list, live: list, results: list) -> tuple[list, list]:
+    """Make each exception in ``results`` the outcome of its row in ``live``.
+
+    Returns the rows left and their results.
+    """
+    kept = []
+    for i, result in zip(live, results):
+        if isinstance(result, Exception):
+            out[i] = result
+        else:
+            kept.append((i, result))
+    return [i for i, _ in kept], [r for _, r in kept]
 
 
 def _lift_alone(bound: BoundPotential, rho0: float, order: int):

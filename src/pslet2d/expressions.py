@@ -129,6 +129,13 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # Parser (precedence climbing over _PRECEDENCE, the printer's table)
 
+# The deepest expression parse_potential accepts.  Each operator and each pair
+# of parentheses is one level, and a number or a name is 1 deep.  The parser
+# and the walks over the tree (evaluate, render, the parameter scans) recurse
+# once per level, so this keeps them well inside Python's recursion limit.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -137,41 +144,54 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def expr(self, min_prec: int = 1) -> Node:
+    def expr(self, min_prec: int = 1, level: int = 0) -> tuple[Node, int]:
         """Parse operators that bind at least as tightly as ``min_prec``.
 
         A leading '-' takes everything above "neg" ('^' only) as its operand;
         '^' is right-associative, the other binary operators left-associative.
+        ``level`` counts the levels around the expression; returns the node
+        and its depth, and raises once the whole would be deeper than
+        MAX_DEPTH.
         """
-        if self.peek().text == "-":
+        tok = self.peek()
+        if level >= MAX_DEPTH:
+            raise PotentialSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels",
+                                       tok.offset)
+        if tok.text == "-":
             self.pos += 1
-            node: Node = Neg(self.expr(_PRECEDENCE["neg"]))
+            arg, depth = self.expr(_PRECEDENCE["neg"], level + 1)
+            node: Node = Neg(arg)
+            depth += 1
         else:
-            node = self.atom()
+            node, depth = self.atom(level)
         while self.peek().kind == "op" and _PRECEDENCE.get(self.peek().text, 0) >= min_prec:
-            op = self.peek().text
+            op = self.peek()
             self.pos += 1
-            prec = _PRECEDENCE[op]
-            node = BinOp(op, node, self.expr(prec if op == "^" else prec + 1))
-        return node
+            prec = _PRECEDENCE[op.text]
+            rhs, rhs_depth = self.expr(prec if op.text == "^" else prec + 1, level + 1)
+            node, depth = BinOp(op.text, node, rhs), max(depth, rhs_depth) + 1
+            if level + depth > MAX_DEPTH:
+                raise PotentialSyntaxError(
+                    f"expression nested deeper than {MAX_DEPTH} levels", op.offset)
+        return node, depth
 
-    def atom(self) -> Node:
+    def atom(self, level: int) -> tuple[Node, int]:
         tok = self.peek()
         self.pos += 1
         if tok.kind == "num":
             value = float(tok.text)
             if not math.isfinite(value):
                 raise PotentialSyntaxError(f"number {tok.text} out of range", tok.offset)
-            return Num(value)
+            return Num(value), 1
         if tok.kind == "ident":
-            return Rho() if tok.text == RADIAL_NAME else Param(tok.text)
+            return (Rho() if tok.text == RADIAL_NAME else Param(tok.text)), 1
         if tok.text == "(":
-            node = self.expr()
+            node, depth = self.expr(level=level + 1)
             closing = self.peek()
             if closing.text != ")":
                 raise PotentialSyntaxError("expected ')'", closing.offset)
             self.pos += 1
-            return node
+            return node, depth + 1
         if tok.kind == "end":
             raise PotentialSyntaxError("unexpected end of input", tok.offset)
         raise PotentialSyntaxError(f"unexpected {tok.text!r}", tok.offset)
@@ -262,14 +282,15 @@ class BoundPotential:
 def parse_potential(text: str) -> PotentialSpec:
     """Parse ``text`` into a PotentialSpec.
 
-    Raises PotentialSyntaxError on malformed input and ConstantPotentialError
-    when the expression never mentions rho (such a potential has V' = 0
-    everywhere and admits no stable expansion frame).
+    Raises PotentialSyntaxError on malformed input or on an expression deeper
+    than MAX_DEPTH, and ConstantPotentialError when the expression never
+    mentions rho (such a potential has V' = 0 everywhere and admits no stable
+    expansion frame).
     """
     if not text or not text.strip():
         raise PotentialSyntaxError("empty input", 0)
     parser = _Parser(_tokenize(text))
-    tree = parser.expr()
+    tree, _ = parser.expr()
     tok = parser.peek()
     if tok.kind != "end":
         raise PotentialSyntaxError(f"unexpected {tok.text!r}", tok.offset)

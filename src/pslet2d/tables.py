@@ -20,6 +20,7 @@ eigensolver at the 1e-6 level while every neighbouring cell matches).
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -103,17 +104,21 @@ class TableRowResult:
     breakdown: EnergyBreakdown
 
 
-def load_published_values(preset_name: str) -> list[PublishedCell]:
+def load_published_values(preset_name: str) -> tuple[PublishedCell, ...]:
     """Published values for a preset, from the embedded data file."""
     if preset_name not in PRESETS:
         raise KeyError(f"unknown preset {preset_name!r}")
-    cells = []
+    return _published().get(preset_name, ())
+
+
+@functools.lru_cache(maxsize=None)
+def _published() -> dict[str, tuple[PublishedCell, ...]]:
+    """Every preset's published cells; the data file is read once per process."""
+    cells: dict[str, list[PublishedCell]] = {}
     data = resources.files("pslet2d").joinpath("data/published_tables.csv")
     with data.open("r", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            if row["preset"] != preset_name:
-                continue
-            cells.append(
+            cells.setdefault(row["preset"], []).append(
                 PublishedCell(
                     x=float(row["x"]),
                     sums=(
@@ -125,7 +130,7 @@ def load_published_values(preset_name: str) -> list[PublishedCell]:
                     erratum=row["erratum"],
                 )
             )
-    return cells
+    return {name: tuple(rows) for name, rows in cells.items()}
 
 
 def solve_hybrid(gamma: float, m: int, max_order: int = 3):

@@ -208,6 +208,17 @@ def test_table_rows_equal_lone_solves():
             assert _key(row) == _key(alone), (preset.name, gamma)
 
 
+@pytest.mark.parametrize("max_order", [6, 10, 15])
+def test_table_rows_equal_lone_solves_at_high_order(max_order):
+    for preset in tables.PRESETS.values():
+        gammas = [preset.gamma(x) for x in preset.rows]
+        rows = [bind_params(HYBRID, {"m": float(preset.m), "g": g}) for g in gammas]
+        for gamma, row in zip(gammas, solve_batch(rows, preset.m, max_order)):
+            alone = _lone(tables.HYBRID_EXPRESSION, {"m": float(preset.m), "g": gamma},
+                          preset.m, max_order)
+            assert _key(row) == _key(alone), (preset.name, gamma)
+
+
 @pytest.mark.parametrize("max_order", [3, 10, 20])
 def test_random_rows_equal_lone_solves(max_order):
     rng = random.Random(max_order)
@@ -232,6 +243,25 @@ def test_mixed_batch_keeps_each_rows_error():
     assert isinstance(batch[1], engine.NoStableFrameError)
     assert isinstance(batch[2], engine.NoStableFrameError)
     assert not isinstance(batch[0], Exception) and not isinstance(batch[3], Exception)
+
+
+@pytest.mark.parametrize("value", [1e308, math.inf, math.nan])
+def test_non_finite_residual_fails_only_its_row(value):
+    # a v-series entry that overflows row 1's order-3 balance leaves NaN in
+    # its residual; the rows beside it finish as they do alone
+    cases = [(_bound("-2/rho"), 1), (bind_params(HYBRID, {"m": 0.0, "g": 1.0}), 0),
+             (_bound("g^2*rho^2/4", {"g": 2.0}), 2)]
+    geoms = [engine.solve_geometry(bound, m) for bound, m in cases]
+    alone = [engine.build_v_series(bound, geom, 6) for (bound, _), geom in zip(cases, geoms)]
+    v = [np.array(rows) for rows in zip(*alone)]
+    v[3][1, 5] = value
+    batch = engine.solve_hierarchy(v, geoms, 3)
+    assert isinstance(batch[1], engine.HierarchyInconsistencyError)
+    assert str(batch[1]) == "hierarchy inconsistency at order 3: residual nan"
+    for r in (0, 2):
+        table = engine.solve_hierarchy(alone[r], geoms[r], 3)
+        assert [w.tobytes() for w in batch[r].W] == [w.tobytes() for w in table.W]
+        assert (batch[r].lambdas, batch[r].residuals) == (table.lambdas, table.residuals)
 
 
 def _assert_rows_equal_lone_solves(text, rows, m, max_order=3):

@@ -18,9 +18,10 @@ from pslet2d.cli import (
     main,
 )
 from pslet2d.engine import SolverError, solve
-from pslet2d.expressions import PotentialEvalError, bind_params, parse_potential
+from pslet2d.expressions import MAX_DEPTH, PotentialEvalError, bind_params, parse_potential
 from pslet2d.oracle import fd_ground_energy
 from pslet2d.wavefunction import synthesize_wavefunction
+from test_expressions import NESTED
 
 
 def run_cli(capsys, *argv):
@@ -257,6 +258,21 @@ def test_table_unknown_preset(capsys):
     assert "unknown preset" in err
 
 
+@pytest.mark.parametrize("text", ["(" * 700 + "rho" + ")" * 700, "rho" + "^1" * 3000,
+                                  "-" * 3000 + "rho", "+".join(["rho"] * 5000)])
+def test_deep_nesting_exit_code(capsys, text):
+    code, _, err = run_cli(capsys, "compute", "-V=" + text)
+    assert code == EXIT_PARSE
+    assert f"nested deeper than {MAX_DEPTH} levels (at byte offset" in err
+
+
+@pytest.mark.parametrize("shape", NESTED)
+def test_depth_limit_minus_one_solves(capsys, shape):
+    code, out, _ = run_cli(capsys, "compute", "-V=" + NESTED[shape](MAX_DEPTH - 1))
+    assert code == 0
+    assert "EN3" in out
+
+
 def test_table_check_failure_exit_code(capsys, monkeypatch):
     # corrupt one published cell and confirm --check reports it with exit 5
     from pslet2d import tables
@@ -264,7 +280,7 @@ def test_table_check_failure_exit_code(capsys, monkeypatch):
     original = tables.load_published_values
 
     def corrupted(name):
-        cells = original(name)
+        cells = list(original(name))
         bad = cells[3]
         cells[3] = tables.PublishedCell(
             x=bad.x, sums=(bad.sums[0] + 1.0,) + bad.sums[1:], erratum=bad.erratum

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pslet2d.expressions import (
+    MAX_DEPTH,
     BinOp,
     ConstantPotentialError,
     Neg,
@@ -244,3 +245,25 @@ def test_parse_any_unicode_text(text):
         if unknown:
             c = ast.literal_eval(unknown.group(1))
             assert data[exc.offset:].startswith(c.encode("utf-8")), (text, exc)
+
+
+# Expressions d levels deep in the four shapes that used to exhaust Python's
+# recursion limit: nested parentheses, chained powers, unary minus signs and
+# long sums.  Each one is a potential with a stable frame.
+NESTED = {
+    "parentheses": lambda d: "(" * (d - 1) + "rho" + ")" * (d - 1),
+    "powers": lambda d: "rho" + "^1" * (d - 1),
+    "minus signs": lambda d: "2*rho+" + "-" * (d - 2) + "rho",
+    "sum": lambda d: "+".join(["rho"] * d),
+}
+
+
+@pytest.mark.parametrize("shape", NESTED)
+def test_depth_limit(shape):
+    build = NESTED[shape]
+    for depth in (MAX_DEPTH - 1, MAX_DEPTH):
+        parse_potential(build(depth))
+    text = build(MAX_DEPTH + 1)
+    with pytest.raises(PotentialSyntaxError, match=f"deeper than {MAX_DEPTH} levels") as exc:
+        parse_potential(text)
+    assert 0 < exc.value.offset < len(text)

@@ -28,6 +28,13 @@ def test_load_published_values_shapes():
             assert len(c.sums) == 4
 
 
+def test_published_values_are_read_once(monkeypatch):
+    first = tables.load_published_values("hybrid-2p-minus")
+    monkeypatch.setattr(tables.resources, "files", None)  # a second read would fail
+    assert tables.load_published_values("hybrid-2p-minus") is first
+    assert isinstance(first, tuple)
+
+
 def test_unknown_preset():
     with pytest.raises(KeyError):
         tables.load_published_values("nope")
