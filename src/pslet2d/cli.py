@@ -24,7 +24,7 @@ from .expressions import (
     bind_params,
     parse_potential,
 )
-from .engine import SolverError, solve, solve_batch
+from .engine import MAX_ORDER, SolverError, solve, solve_batch
 from .oracle import fd_ground_energy
 from .wavefunction import GridError, synthesize_wavefunction
 
@@ -62,6 +62,15 @@ def _parse_param_flags(pairs: list[str] | None) -> dict[str, float]:
             raise ParameterError(f"non-finite value in -p/--param {pair!r}")
         values[name.strip()] = value
     return values
+
+
+def _triple(text: str, flag: str, expected: str) -> tuple[float, float, int]:
+    """The ``lo,hi,count`` of ``flag``'s value ``text``; ``expected`` names the fields."""
+    try:
+        lo, hi, count = text.split(",")
+        return float(lo), float(hi), int(count)
+    except ValueError:
+        raise UsageError(f"malformed {flag} {text!r}, expected {expected}") from None
 
 
 def _linspace(lo: float, hi: float, count: int, flag: str) -> np.ndarray:
@@ -174,13 +183,7 @@ def cmd_table(args) -> int:
 # sweep
 
 def cmd_sweep(args) -> int:
-    try:
-        lo_s, hi_s, steps_s = args.range.split(",")
-        lo, hi, steps = float(lo_s), float(hi_s), int(steps_s)
-    except ValueError:
-        raise UsageError(
-            f"malformed --range {args.range!r}, expected lo,hi,steps"
-        ) from None
+    lo, hi, steps = _triple(args.range, "--range", "lo,hi,steps")
     if steps < 2:
         raise UsageError("sweep needs at least 2 steps")
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -229,11 +232,7 @@ def cmd_sweep(args) -> int:
 # wavefunction
 
 def cmd_wavefunction(args) -> int:
-    try:
-        lo_s, hi_s, n_s = args.grid.split(",")
-        lo, hi, n = float(lo_s), float(hi_s), int(n_s)
-    except ValueError:
-        raise UsageError(f"malformed --grid {args.grid!r}, expected lo,hi,n") from None
+    lo, hi, n = _triple(args.grid, "--grid", "lo,hi,n")
     if n < 2 or not 0 < lo < hi < math.inf:
         raise UsageError("grid must satisfy 0 < lo < hi < inf with n >= 2 points")
     grid = _linspace(lo, hi, n, "--grid")
@@ -340,6 +339,8 @@ def main(argv=None) -> int:
     try:
         if args.order < 1:
             raise UsageError(f"--order must be >= 1, got {args.order}")
+        if args.order > MAX_ORDER:
+            raise UsageError(f"--order must be <= {MAX_ORDER}, got {args.order}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -81,6 +81,9 @@ class HierarchyInconsistencyError(SolverError):
 
 RESIDUAL_TOL = 1e-9
 FRAME_TOL = 1e-12
+# solve_batch's highest order: the gathers that _products caches for each
+# order s take about s^3 / 4 indices, 220 MB over the orders of K = 60
+MAX_ORDER = 60
 
 
 @dataclass(frozen=True)
@@ -416,24 +419,9 @@ def build_v_series(
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     v, failed = _v_polys(jet_lift(bound, geom.rho0, max_order + 2)[None], [geom], max_order)
-    if failed:
+    if failed[0] is not None:
         raise failed[0]
     return tuple(p[0] for p in v)
-
-
-def _pow_table(base: np.ndarray, exponents: list) -> np.ndarray:
-    """base[r] ** e for each row r and exponent e, through the C library's pow.
-
-    Each entry is what ``float_pow`` and Python's ``**`` give one float.
-    Every base is positive, so pow fails only by overflow: where ``**``
-    would raise, the entry is inf.
-    """
-    try:
-        table = [[math.pow(x, e) for e in exponents] for x in base.tolist()]
-    except OverflowError:
-        with np.errstate(over="ignore"):
-            table = [[float(np.float64(x) ** e) for e in exponents] for x in base.tolist()]
-    return np.array(table).reshape(len(base), len(exponents))
 
 
 @functools.lru_cache(maxsize=None)
@@ -441,29 +429,28 @@ def _v_layout(max_order: int) -> tuple[np.ndarray, ...]:
     """The constant parts of v^(1)..v^(max_order) in one row of ``_v_polys``.
 
     v^(n) takes the n + 3 entries from n (n + 5) / 2 on.  Returns the slots
-    of the x^(n+2) terms, n >= 1, with (-1)^n (n+3); then, for n >= 3, the
-    slots of the x^n terms (-1)^n 2 beta (n+1) with the factors (-1)^n 2 and
-    n + 1, and of the x^(n-2) terms (-1)^n (beta^2 - 1/4) (n-1) with the
-    factors (-1)^n and n - 1.
+    of the x^(n+2) terms, n >= 1, with (-1)^n (n+3); of the x^n terms, n >= 1,
+    (-1)^n 2 beta (n+1), with the factors (-1)^n 2 and n + 1; and of the
+    x^(n-2) terms, n >= 2, (-1)^n (beta^2 - 1/4) (n-1), with the factors
+    (-1)^n and n - 1.
     """
     n = np.arange(1, max_order + 1)
     sign = np.where(n % 2 == 1, -1.0, 1.0)
     start = n * (n + 5) // 2
-    return (start + n + 2, sign * (n + 3),
-            (start + n)[2:], (sign * 2.0)[2:], (n + 1.0)[2:],
-            (start + n - 2)[2:], sign[2:], (n - 1.0)[2:])
+    return (start + n + 2, sign * (n + 3), start + n, sign * 2.0, n + 1.0,
+            (start + n - 2)[1:], sign[1:], (n - 1.0)[1:])
 
 
-def _v_polys(a: np.ndarray, geoms: list, max_order: int) -> tuple[list, dict]:
+def _v_polys(a: np.ndarray, geoms: list, max_order: int) -> tuple[list, list]:
     """v^(0)..v^(max_order) of each row, as (rows, n + 3) arrays in x.
 
     ``a[r, k]`` is V^(k)(rho0) / k! of row r, whose frame is ``geoms[r]``.
-    Also returns {row: PotentialEvalError} for the rows whose rho0^(n+4)
-    overflows; their entries are not finite.
+    Also returns per row None, or a PotentialEvalError if rho0^(n+4)
+    overflows; the arrays hold only the rows without one.
     """
     top, lead, mid, mid_f, mid_g, low, low_f, low_g = _v_layout(max_order)
     rho0, w, beta, Q = np.array([(g.rho0, g.w, g.beta, g.Q) for g in geoms]).T
-    scale = _pow_table(rho0, [n + 4.0 for n in range(1, max_order + 1)])
+    scale = float_pow(rho0, [n + 4.0 for n in range(1, max_order + 1)])
     out = np.zeros((len(geoms), (max_order + 1) * (max_order + 6) // 2))
     with np.errstate(all="ignore"):
         bb = beta * beta - 0.25
@@ -471,17 +458,13 @@ def _v_polys(a: np.ndarray, geoms: list, max_order: int) -> tuple[list, dict]:
         out[:, 2] = w * w / 4.0
         # the x^(n+2) term: (-1)^n (n+3) + rho0^(n+4) V^(n+2)(rho0) / (Q (n+2)!)
         out[:, top] = lead + scale * a[:, 3:] / Q[:, None]
-        if max_order >= 1:
-            out[:, 4] = -4.0 * beta  # v^(1): -4 beta x
-        if max_order >= 2:
-            out[:, 7] = bb  # v^(2): beta^2 - 1/4 + 6 beta x^2
-            out[:, 9] = 6.0 * beta
         out[:, mid] = mid_f * beta[:, None] * mid_g
         out[:, low] = low_f * bb[:, None] * low_g
-    failed = {r: PotentialEvalError(
-        f"v-series overflow: rho0^{int(np.argmax(np.isinf(scale[r]))) + 5} exceeds the "
-        f"float range at rho0 = {geoms[r].rho0}"
-    ) for r in np.flatnonzero(np.isinf(scale).any(axis=1)).tolist()}
+    failed = [PotentialEvalError(
+        f"v-series overflow: rho0^{over.index(True) + 5} exceeds the "
+        f"float range at rho0 = {g.rho0}"
+    ) if any(over) else None for over, g in zip(np.isinf(scale).tolist(), geoms)]
+    out = out[[e is None for e in failed]]
     return [out[:, k * (k + 5) // 2:(k + 1) * (k + 6) // 2] for k in range(max_order + 1)], failed
 
 
@@ -644,15 +627,12 @@ def solve_hierarchy(v, geom, max_order: int):
 # ---------------------------------------------------------------------------
 # Energy assembly
 
-def assemble_energy(geom, table, max_order: int):
+def assemble_energy(geom: list, table: list, max_order: int) -> list:
     """Corrections E^(-2), E^(0)..E^(max_order-1) and partial sums EN_0..EN_max_order.
 
-    ``geom`` and ``table`` are a Geometry and its CoefficientTable, giving an
-    EnergyBreakdown; or lists of them, one entry per row of a batch, giving a
-    list of EnergyBreakdowns.
+    ``geom`` and ``table`` are lists of Geometries and their CoefficientTables,
+    one entry per row of a batch; gives one EnergyBreakdown per row.
     """
-    if isinstance(geom, Geometry):
-        return assemble_energy([geom], [table], max_order)[0]
     have = min(len(t.lambdas) for t in table)
     if have < max_order:
         raise ValueError(f"table holds lambda^(0..{have - 1}), need {max_order}")
@@ -660,7 +640,7 @@ def assemble_energy(geom, table, max_order: int):
     lambdas = np.array([t.lambdas[:max_order] for t in table])
     # rho0^2, then lbar^2 = Q and lbar^k, k >= 1
     exponents = [2.0] + [float(k) for k in range(1, max_order)]
-    powers = _pow_table(np.concatenate((rho0, lbar)), exponents)
+    powers = float_pow(np.concatenate((rho0, lbar)), exponents)
     rho0_2, Q, lbar_k = powers[:len(geom), 0], powers[len(geom):, 0], powers[len(geom):, 1:]
 
     with np.errstate(all="ignore"):
@@ -720,8 +700,8 @@ def solve_batch(rows: list[BoundPotential], m: int, max_order: int = 3) -> list:
     row.  ``evaluate`` needs an exponent as a float, so rows that differ in a
     parameter that appears in an exponent are solved as separate batches.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
+    if not 1 <= max_order <= MAX_ORDER:
+        raise ValueError(f"max_order must be in 1..{MAX_ORDER}, got {max_order}")
     if not rows:
         return []
     spec = rows[0].spec
@@ -763,8 +743,7 @@ def _solve_rows(rows: list[BoundPotential], l: int, max_order: int) -> list:
     live, lifts = _drop_failed(out, live, lifts)
     if live:
         v, failed = _v_polys(np.array(lifts), [out[i] for i in live], v_order)
-        live, kept = _drop_failed(out, live, [failed.get(r, r) for r in range(len(live))])
-        v = [p[kept] for p in v] if failed else v
+        live = _drop_failed(out, live, failed)[0]
     if live:
         geoms = [out[i] for i in live]
         live, tables = _drop_failed(out, live, solve_hierarchy(v, geoms, max_order))

@@ -381,20 +381,29 @@ def evaluate(node: Node, rho, params: Mapping[str, float]):
     raise AssertionError(node.op)
 
 
-def float_pow(x, p: float):
+def float_pow(x, p):
     """x ** p entry by entry through the C library's pow, as a lone float gets it.
 
-    numpy's vectorized power can differ from it in the last bit, which would
+    ``p`` is a float, or a sequence of exponents: then the result is the
+    table of shape ``np.shape(x) + (len(p),)`` with x ** p[j] at index j.
+    numpy's vectorized power can differ from pow in the last bit, which would
     make an entry depend on the shape of the batch it was computed in.  A
-    negative entry gives NaN, a zero entry under a negative power gives inf.
+    negative entry gives NaN, a zero entry under a negative power and an
+    overflow give inf.
     """
+    scalar = isinstance(p, (int, float))
     flat = [x] if isinstance(x, float) else np.ravel(x).tolist()
     try:
-        out = [math.pow(v, p) for v in flat]
+        if scalar:
+            out = [math.pow(v, p) for v in flat]
+        else:
+            out = [math.pow(v, e) for v in flat for e in p]
     except (ValueError, OverflowError):  # negative base, pole or overflow
         with np.errstate(all="ignore"):
-            out = [float(np.float64(v) ** p) for v in flat]
-    return out[0] if isinstance(x, float) else np.reshape(out, np.shape(x))
+            out = [float(np.float64(v) ** e) for v in flat for e in ([p] if scalar else p)]
+    if not scalar:
+        return np.array(out).reshape(np.shape(x) + (len(p),))
+    return out[0] if isinstance(x, float) else np.array(out).reshape(np.shape(x))
 
 
 def _int_pow(base, n: int):

@@ -106,10 +106,6 @@ def _bisect(diag: np.ndarray, off: np.ndarray) -> float:
     return float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
 
 
-def _lowest_eigenvalue(bound: BoundPotential, l: int, rho_max: float, n_cells: int) -> float:
-    return _bisect(*_matrix(bound, l, rho_max, n_cells))
-
-
 def _shift_invert(diag: np.ndarray, off: np.ndarray, lam: float, x: np.ndarray):
     """Lowest eigenvalue and eigenvector of T by Rayleigh-quotient iteration.
 
@@ -163,7 +159,7 @@ def fd_ground_energy(bound: BoundPotential, l: int, rho_max: float, points: int)
     fine = _matrix(bound, l, rho_max, points)
     finer = _matrix(bound, l, rho_max, 2 * points)
     try:
-        seed = _lowest_eigenvalue(bound, l, rho_max, points // SEED_COARSENING)
+        seed = _bisect(*_matrix(bound, l, rho_max, points // SEED_COARSENING))
     except PotentialEvalError:  # singular only on the coarse mesh
         seed = _bisect(*fine)
     e1, x = _shift_invert(*fine, seed, np.ones(points))

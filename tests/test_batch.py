@@ -264,6 +264,22 @@ def test_non_finite_residual_fails_only_its_row(value):
         assert (batch[r].lambdas, batch[r].residuals) == (table.lambdas, table.residuals)
 
 
+def test_v_series_overflow_fails_only_its_row():
+    # rho0 = 7071 at g = 4e-8, and rho0^81 leaves the float range at order 39
+    rows = [{"g": 1.0}, {"g": 4e-8}, {"g": 2.0}]
+    batch = solve_batch([_bound("g^2*rho^2/4", row) for row in rows], 0, 39)
+    assert [_key(r) for r in batch] == [_key(_lone("g^2*rho^2/4", row, 0, 39)) for row in rows]
+    assert _key(batch[1]) == ("PotentialEvalError", "v-series overflow: rho0^81 exceeds the "
+                              "float range at rho0 = 7071.067811865475")
+    assert not isinstance(batch[0], Exception) and not isinstance(batch[2], Exception)
+
+
+def test_order_above_max_is_refused_before_any_solve(monkeypatch):
+    monkeypatch.setattr(engine, "_solve_rows", None)  # a solve would fail the test here
+    with pytest.raises(ValueError, match="max_order"):
+        solve_batch([_bound("-2/rho")], 0, engine.MAX_ORDER + 1)
+
+
 def _assert_rows_equal_lone_solves(text, rows, m, max_order=3):
     batch = solve_batch([_bound(text, row) for row in rows], m, max_order)
     assert [_key(r) for r in batch] == [_key(_lone(text, row, m, max_order)) for row in rows]

@@ -211,6 +211,16 @@ def test_order_below_one_is_usage_error(capsys, order):
         assert out == ""
 
 
+def test_order_above_max_is_usage_error(capsys, monkeypatch):
+    # refused before any solve starts: a solve would fail the test here
+    monkeypatch.setattr(engine, "_solve_rows", None)
+    for argv in (("compute", "-V", "-2/rho"), ("table", "hybrid-1s-gamma")):
+        code, out, err = run_cli(capsys, *argv, "--order", str(engine.MAX_ORDER + 1))
+        assert code == EXIT_USAGE
+        assert "usage error" in err and f"--order must be <= {engine.MAX_ORDER}" in err
+        assert out == ""
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_parameter_exit_code(capsys, value):
     code, _, err = run_cli(

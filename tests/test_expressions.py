@@ -3,6 +3,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from pslet2d.expressions import (
     PotentialSyntaxError,
     Rho,
     bind_params,
+    float_pow,
     parse_potential,
     render,
 )
@@ -220,6 +222,25 @@ def test_integer_power_exact():
     bound = bind_params(spec, {})
     assert bound(3.0) == 81.0
     assert math.isclose(bound(0.1), 1e-4, rel_tol=1e-15)
+
+
+def test_float_pow_table_takes_pow_per_entry():
+    x = [[0.3, 2.0], [1e-3, 7.5]]
+    exponents = [0.5, -1.5, 3.0, 2.7]
+    table = float_pow(np.array(x), exponents)
+    assert table.shape == (2, 2, 4)
+    assert table.tolist() == [[[math.pow(v, e) for e in exponents] for v in row] for row in x]
+    assert float_pow(2.0, exponents).tolist() == [math.pow(2.0, e) for e in exponents]
+
+
+def test_float_pow_table_overflow_and_negative_base():
+    # pow raises on the overflow and on the negative base; every other entry
+    # keeps pow's bits
+    table = float_pow(np.array([1.7, 1e300, 3.1, -2.0]), [0.5, 1.5]).tolist()
+    assert table[1] == [math.pow(1e300, 0.5), math.inf]
+    assert table[0] == [math.pow(1.7, 0.5), math.pow(1.7, 1.5)]
+    assert table[2] == [math.pow(3.1, 0.5), math.pow(3.1, 1.5)]
+    assert all(math.isnan(v) for v in table[3])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pslet2d.oracle import (
     fd_ground_energy,
     oscillator_exact,
 )
-from pslet2d.oracle import _lowest_eigenvalue, _matrix, _shift_invert
+from pslet2d.oracle import _bisect, _matrix, _shift_invert
 
 HYBRID = "m*g - 2/rho + g^2*rho^2/4"
 LD = np.longdouble
@@ -73,7 +73,7 @@ def test_grid_halving_second_order():
     bound = _bound("g^2*rho^2/4", {"g": 1.0})
     exact = oscillator_exact(1, 1.0)
     errs = [
-        abs(_lowest_eigenvalue(bound, 1, 20.0, n) - exact)
+        abs(_bisect(*_matrix(bound, 1, 20.0, n)) - exact)
         for n in (500, 1000, 2000)
     ]
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
@@ -156,6 +156,6 @@ def test_pole_on_the_seed_mesh_only():
     # 800-cell meshes, so the seed comes from bisection on 400 cells instead
     bound = _bound("-2/rho + 1e-9/(rho - 0.2)")
     with pytest.raises(PotentialEvalError):
-        _lowest_eigenvalue(bound, 0, 20.0, 50)
-    e1, e2 = (_lowest_eigenvalue(bound, 0, 20.0, n) for n in (400, 800))
+        _matrix(bound, 0, 20.0, 50)
+    e1, e2 = (_bisect(*_matrix(bound, 0, 20.0, n)) for n in (400, 800))
     assert abs(fd_ground_energy(bound, 0, 20.0, 400) - (e2 + (e2 - e1) / 3.0)) <= 1e-9
