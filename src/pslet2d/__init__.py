@@ -20,12 +20,8 @@ from .engine import (
     NoStableFrameError,
     NotAMinimumError,
     SolverError,
-    assemble_energy,
-    build_v_series,
     solve,
     solve_batch,
-    solve_geometry,
-    solve_hierarchy,
 )
 from .oracle import coulomb_exact, fd_ground_energy, oscillator_exact
 from .wavefunction import (
@@ -52,9 +48,7 @@ __all__ = [
     "PotentialSyntaxError",
     "SolverError",
     "WavefunctionSeries",
-    "assemble_energy",
     "bind_params",
-    "build_v_series",
     "coulomb_exact",
     "fd_ground_energy",
     "jet_lift",
@@ -62,7 +56,5 @@ __all__ = [
     "parse_potential",
     "solve",
     "solve_batch",
-    "solve_geometry",
-    "solve_hierarchy",
     "synthesize_wavefunction",
 ]

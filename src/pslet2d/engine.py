@@ -1,22 +1,21 @@
 """Shifted-l expansion engine for nodeless 2D radial states.
 
-Pipeline for a bound potential V and magnetic quantum number m (l = |m|):
+Four stages, each over a batch of BoundPotentials of one PotentialSpec at one
+magnetic quantum number m (l = |m|):
 
-  1. solve_geometry   -- find the expansion point rho0 minimizing the leading
-                         energy term, together with the oscillator frequency w,
-                         the shift beta and the shifted quantum number lbar.
-  2. build_v_series   -- perturbation polynomials v^(n)(x) in the scaled
-                         coordinate x = sqrt(lbar) (rho - rho0) / rho0.
-  3. solve_hierarchy  -- order-by-order coefficient matching producing the
-                         polynomials W_s of the log-derivative series and the
-                         eigenvalue corrections lambda^(k).
-  4. assemble_energy  -- corrections E^(-2), E^(0), E^(1), ... and cumulative
-                         partial sums EN_0..EN_K.
+  1. solve_geometry(rows, m)  -- the expansion point rho0 minimizing the leading
+       energy term, the oscillator frequency w, the shift beta and lbar = l - beta.
+  2. build_v_series(rows, geoms, max_order)  -- perturbation polynomials v^(n)(x)
+       in the scaled coordinate x = sqrt(lbar) (rho - rho0) / rho0.
+  3. solve_hierarchy(v, geoms, max_order)  -- the polynomials W_s of the
+       log-derivative series and the eigenvalue corrections lambda^(k).
+  4. assemble_energy(geoms, tables, max_order)  -- corrections E^(-2), E^(0),
+       E^(1), ... and cumulative partial sums EN_0..EN_K.
 
-``solve_batch`` runs the pipeline once for a whole batch of rows: one scan
-and one lockstep root finder for the frames, one jet lift, then stages 2-4
-on arrays with one row per entry.  ``solve`` is the batch of one, so a row
-gives the same bits alone or in any batch.
+Stages 1-3 give each row its result or its error, and each stage takes the
+rows left.  ``solve_batch`` chains the four stages, and ``solve`` is the batch
+of one, so a row gives the same bits alone or in any batch.  The ``pslet2d``
+package runs the engine only through ``solve`` and ``solve_batch``.
 
 All quantities are in effective Rydberg units (hbar = 2m = 1).
 """
@@ -257,8 +256,8 @@ _FLOAT_POINTS = 2
 def _frames_at(rows: list, values, owners: list, rho: list, l: int) -> list:
     """(F, w, V, V''/2) as floats at each point of ``rho``, for the row in ``owners``.
 
-    ``rows`` holds each row's BoundPotential and ``values`` the batched
-    parameter values (see ``_solve_frames``).  Both paths give the same bits.
+    ``rows`` holds each row's BoundPotential and ``values`` their parameter
+    columns (see ``_columns``).  Both paths give the same bits.
     """
     if len(rho) <= _FLOAT_POINTS:
         out = []
@@ -269,6 +268,15 @@ def _frames_at(rows: list, values, owners: list, rho: list, l: int) -> list:
     bound = BoundPotential(rows[0].spec, _pick(values, np.array(owners)))
     F, w, a = _frame(bound, np.array(rho), l)
     return list(zip(F.tolist(), w.tolist(), a[0].tolist(), a[2].tolist()))
+
+
+def _columns(rows: list) -> dict:
+    """Each parameter of ``rows``: a float if every row holds its bits, else an array."""
+    values = {}
+    for k in rows[0].spec.params:
+        column = [row.values[k] for row in rows]
+        values[k] = column[0] if len(set(map(float.hex, column))) == 1 else np.array(column)
+    return values
 
 
 def _pick(values: Mapping[str, object], rows) -> dict:
@@ -290,22 +298,26 @@ def _scan(spec: PotentialSpec, values, n: int, l: int) -> np.ndarray:
         return np.full(grid.shape, np.nan)
 
 
-def _solve_frames(rows: list, values, l: int, undefined=()) -> list:
-    """The chosen frame of each row, or the row's SolverError.
+def solve_geometry(rows: list, m: int) -> list:
+    """The expansion frame of each BoundPotential in ``rows``, or the row's SolverError.
 
-    ``rows`` holds each row's BoundPotential, and ``values`` maps each
-    parameter to a float or to an array with one value per row.  One walk of
-    the tree scans every row on the logarithmic grid; the sign changes of
-    each row's frame function F bracket its roots, which one lockstep
-    ``brentq`` refines; ``_finish_frame`` validates every root from the
-    expansion F was computed from.  Rows in ``undefined`` have a
-    parameter-only term that fails, so their frame equation is undefined
-    everywhere.  If a row has several stable frames, the one with the lowest
-    leading energy wins (with a warning).
+    rho0 solves sqrt(rho^3 V'(rho)/2) = l - beta with l = |m| and
+    beta = -w/4, which simultaneously makes the leading energy term
+    stationary and kills the next-to-leading correction.  One walk of the
+    tree evaluates every row's frame function F on a logarithmic grid over
+    [RHO_LO, RHO_HI]; its sign changes bracket the roots, which one lockstep
+    ``brentq`` refines on the same function; ``_finish_frame`` validates every
+    root from the order-2 expansion F was computed from (no finite
+    differences).  A row with a parameter-only term that fails has a frame
+    equation undefined everywhere.  If a row has several stable frames, the
+    one with the lowest leading energy wins (with a warning).
     """
+    l = abs(m)
+    values = _columns(rows)
     scan = _scan(rows[0].spec, values, len(rows), l)
-    if undefined:
-        scan[undefined] = np.nan
+    if any(isinstance(v, np.ndarray) for v in values.values()):
+        # alone, such a row's walk raises; in a batch, only its entries go bad
+        scan[[i for i, row in enumerate(rows) if _fails_alone(row)]] = np.nan
 
     roots = [[float(r) for r in _SCAN_GRID[row == 0.0]] for row in scan]
     seen = {}  # (row, rho) -> (F, w, V, V''/2) where the root finder evaluated
@@ -386,42 +398,38 @@ def _finish_frame(points: list, l: int) -> list:
     return out
 
 
-def solve_geometry(bound: BoundPotential, m: int) -> Geometry:
-    """Locate the expansion point rho0 and the derived frame quantities.
-
-    rho0 solves sqrt(rho^3 V'(rho)/2) = l - beta with l = |m| and
-    beta = -w/4, which simultaneously makes the leading energy term
-    stationary and kills the next-to-leading correction.  The frame function
-    evaluated on a logarithmic grid over [RHO_LO, RHO_HI] brackets the roots;
-    brentq refines each bracket on the same function, and each root is
-    validated from the same order-2 expansion (no finite differences).
-    """
-    return _unwrap(_solve_frames([bound], bound.values, abs(m))[0])
-
-
-def _unwrap(result):
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Perturbation polynomials
 
-def build_v_series(
-    bound: BoundPotential, geom: Geometry, max_order: int
-) -> tuple[np.ndarray, ...]:
-    """Build v^(0)..v^(max_order) as dense coefficient vectors in x.
+def build_v_series(rows: list, geoms: list, max_order: int) -> tuple[list, list]:
+    """v^(0)..v^(max_order) of each BoundPotential in ``rows`` about its frame in ``geoms``.
 
-    v^(n) needs the (n+2)-th derivative of V at rho0; a single jet of order
-    max_order + 2 supplies all of them.
+    v^(n) needs the (n+2)-th derivative of V at rho0: one jet of order
+    max_order + 2 about every rho0 supplies all of them.  Returns the
+    (rows, n + 3) arrays in x of the rows left, and per row None or its
+    PotentialEvalError.
     """
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
-    v, failed = _v_polys(jet_lift(bound, geom.rho0, max_order + 2)[None], [geom], max_order)
-    if failed[0] is not None:
-        raise failed[0]
-    return tuple(p[0] for p in v)
+    order, failed = max_order + 2, [None] * len(rows)
+    lifts = None
+    if len(rows) > 1:
+        try:
+            lifts = jet_lift(BoundPotential(rows[0].spec, _columns(rows)),
+                             np.array([g.rho0 for g in geoms]), order).T
+        except PotentialEvalError:
+            pass  # some row's jet is not finite: lift each row alone for its own error
+    if lifts is None:
+        lifts = []
+        for i, (row, g) in enumerate(zip(rows, geoms)):
+            try:
+                lifts.append(jet_lift(row, g.rho0, order))
+            except PotentialEvalError as exc:
+                failed[i] = exc
+    kept = [i for i, e in enumerate(failed) if e is None]
+    v = []
+    if kept:
+        v, over = _v_polys(np.array(lifts), [geoms[i] for i in kept], max_order)
+        _drop_failed(failed, kept, over)
+    return v, failed
 
 
 @functools.lru_cache(maxsize=None)
@@ -536,7 +544,7 @@ def _balance(n_orders: int) -> tuple[np.ndarray, ...]:
     return (*slots, np.array(mult)[:, None])
 
 
-def solve_hierarchy(v, geom, max_order: int):
+def solve_hierarchy(v: list, geoms: list, max_order: int) -> list:
     """Run the order-by-order coefficient matching through order 2*max_order.
 
     Writing the log-derivative of the nodeless state as
@@ -550,11 +558,10 @@ def solve_hierarchy(v, geom, max_order: int):
     yields the lambda.  Once every order is solved, each order's full
     residual is checked: one above RESIDUAL_TOL, or not finite, is an error.
 
-    ``geom`` is a Geometry and each v^(n) a vector of n + 3 coefficients; or
-    ``geom`` is a list of Geometries, one per row of a batch, and each v^(n)
-    an (rows, n + 3) array.  A Geometry gives a CoefficientTable or raises
-    HierarchyInconsistencyError; a list gives one of the two per row, and a
-    row's numbers do not depend on the rows beside it.
+    ``geoms`` holds the Geometry of each row of a batch and each v^(n) is an
+    (rows, n + 3) array.  Gives per row a CoefficientTable or a
+    HierarchyInconsistencyError; a row's numbers do not depend on the rows
+    beside it.
 
     The products use no BLAS, so their bits do not depend on the host.  Each
     unordered pair W_p W_q, p <= q, is formed once, each coefficient summed
@@ -562,9 +569,6 @@ def solve_hierarchy(v, geom, max_order: int):
     p = 1, 2, ...: high orders amplify rounding, and summing the products
     first moves Coulomb's K = 30 error at m = 0 from 0.028 to 7.8e14.
     """
-    if isinstance(geom, Geometry):
-        rows = solve_hierarchy([np.asarray(p, dtype=float)[None] for p in v], [geom], max_order)
-        return _unwrap(rows[0])
     n_orders = 2 * max_order
     if len(v) < n_orders + 1:
         raise ValueError(
@@ -573,9 +577,9 @@ def solve_hierarchy(v, geom, max_order: int):
     if any(np.shape(v[s])[1] != s + 3 for s in range(n_orders + 1)):
         raise ValueError("v^(n) must hold n + 3 coefficients")
     v_at, up, down, k0, c1, starts, mult = _balance(n_orders)
-    w, beta = np.array([(g.w, g.beta) for g in geom]).T
+    w, beta = np.array([(g.w, g.beta) for g in geoms]).T
     w_rows = w.tolist()
-    B = np.zeros((_v_slot(n_orders + 1), len(geom)))
+    B = np.zeros((_v_slot(n_orders + 1), len(geoms)))
     B[1:3] = [[-0.0], [1.0]]
     B[_w_slot(0) + 1] = -w / 2.0  # W_0 = -(w/2) x
     B[v_at] = np.concatenate(v[1:n_orders + 1], axis=1).T
@@ -587,7 +591,7 @@ def solve_hierarchy(v, geom, max_order: int):
             # the terms lie on axis 0, before at least four entries, so both
             # reductions add in axis-0 order and never pairwise
             x = B.take(ab, axis=0)
-            blocks = np.add.reduce(x[0] * x[1], axis=0).reshape(-1, s + 3, len(geom))
+            blocks = np.add.reduce(x[0] * x[1], axis=0).reshape(-1, s + 3, len(geoms))
             k_s = np.subtract.reduce(blocks.take(terms, axis=0), axis=0)
             K.append(k_s)
             top = []
@@ -627,21 +631,21 @@ def solve_hierarchy(v, geom, max_order: int):
 # ---------------------------------------------------------------------------
 # Energy assembly
 
-def assemble_energy(geom: list, table: list, max_order: int) -> list:
+def assemble_energy(geoms: list, tables: list, max_order: int) -> list:
     """Corrections E^(-2), E^(0)..E^(max_order-1) and partial sums EN_0..EN_max_order.
 
-    ``geom`` and ``table`` are lists of Geometries and their CoefficientTables,
+    ``geoms`` and ``tables`` are lists of Geometries and their CoefficientTables,
     one entry per row of a batch; gives one EnergyBreakdown per row.
     """
-    have = min(len(t.lambdas) for t in table)
+    have = min(len(t.lambdas) for t in tables)
     if have < max_order:
         raise ValueError(f"table holds lambda^(0..{have - 1}), need {max_order}")
-    rho0, w, beta, lbar, v0 = np.array([(g.rho0, g.w, g.beta, g.lbar, g.v0) for g in geom]).T
-    lambdas = np.array([t.lambdas[:max_order] for t in table])
+    rho0, w, beta, lbar, v0 = np.array([(g.rho0, g.w, g.beta, g.lbar, g.v0) for g in geoms]).T
+    lambdas = np.array([t.lambdas[:max_order] for t in tables])
     # rho0^2, then lbar^2 = Q and lbar^k, k >= 1
     exponents = [2.0] + [float(k) for k in range(1, max_order)]
     powers = float_pow(np.concatenate((rho0, lbar)), exponents)
-    rho0_2, Q, lbar_k = powers[:len(geom), 0], powers[len(geom):, 0], powers[len(geom):, 1:]
+    rho0_2, Q, lbar_k = powers[:len(geoms), 0], powers[len(geoms):, 0], powers[len(geoms):, 1:]
 
     with np.errstate(all="ignore"):
         e_minus2 = 1.0 / rho0_2 + v0 / Q
@@ -667,7 +671,10 @@ def solve(
     max_order: int = 3,
 ) -> tuple[Geometry, CoefficientTable, EnergyBreakdown]:
     """End-to-end solve: frame, hierarchy and energy for a nodeless state."""
-    return _unwrap(solve_batch([bound], m, max_order)[0])
+    result = solve_batch([bound], m, max_order)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 class _AnyRho:
@@ -719,30 +726,11 @@ def solve_batch(rows: list[BoundPotential], m: int, max_order: int = 3) -> list:
 
 
 def _solve_rows(rows: list[BoundPotential], l: int, max_order: int) -> list:
-    """``solve_batch`` for rows that share every exponent parameter."""
-    spec = rows[0].spec
-    values = {}
-    for k in spec.params:
-        column = [row.values[k] for row in rows]
-        values[k] = column[0] if len(set(map(float.hex, column))) == 1 else np.array(column)
-    batched = any(isinstance(v, np.ndarray) for v in values.values())
-    undefined = [i for i, row in enumerate(rows) if _fails_alone(row)] if batched else []
-    out = _solve_frames(rows, values, l, undefined)
+    """``solve_batch`` for rows that share every exponent parameter: the four stages in turn."""
+    out = solve_geometry(rows, l)
     live = [i for i, g in enumerate(out) if isinstance(g, Geometry)]
-    v_order = 2 * max_order
-    lifts = None
-    if len(live) > 1:
-        try:  # one jet about every rho0
-            lifts = jet_lift(BoundPotential(spec, _pick(values, np.array(live))),
-                             np.array([out[i].rho0 for i in live]), v_order + 2).T
-        except PotentialEvalError:
-            pass  # some row's jet is not finite: lift each row alone for its own error
-    if lifts is None:
-        lifts = [_lift_alone(rows[i], out[i].rho0, v_order + 2) for i in live]
-    # one v-series, one hierarchy and one energy assembly for the rows left
-    live, lifts = _drop_failed(out, live, lifts)
     if live:
-        v, failed = _v_polys(np.array(lifts), [out[i] for i in live], v_order)
+        v, failed = build_v_series([rows[i] for i in live], [out[i] for i in live], 2 * max_order)
         live = _drop_failed(out, live, failed)[0]
     if live:
         geoms = [out[i] for i in live]
@@ -767,11 +755,3 @@ def _drop_failed(out: list, live: list, results: list) -> tuple[list, list]:
         else:
             kept.append((i, result))
     return [i for i, _ in kept], [r for _, r in kept]
-
-
-def _lift_alone(bound: BoundPotential, rho0: float, order: int):
-    """``jet_lift`` about one point, or the PotentialEvalError it raises."""
-    try:
-        return jet_lift(bound, rho0, order)
-    except PotentialEvalError as exc:
-        return exc

@@ -154,8 +154,8 @@ def fd_ground_energy(bound: BoundPotential, l: int, rho_max: float, points: int)
     """
     if points < 200:
         raise ValueError(f"need at least 200 points, got {points}")
-    if not rho_max > 0.0:
-        raise ValueError(f"rho_max must be positive, got {rho_max}")
+    if not 0.0 < rho_max < np.inf:
+        raise ValueError(f"rho_max must be positive and finite, got {rho_max}")
     fine = _matrix(bound, l, rho_max, points)
     finer = _matrix(bound, l, rho_max, 2 * points)
     try:

@@ -110,7 +110,7 @@ def synthesize_wavefunction(
     table: CoefficientTable,
     grid,
 ) -> WavefunctionSeries:
-    """Normalized nodeless wavefunction sampled on ``grid`` (strictly increasing rho > 0).
+    """Normalized nodeless wavefunction sampled on ``grid`` (strictly increasing finite rho > 0).
 
     Normalization integrates |Psi|^2 on an internal dense grid reaching from
     rho ~ 0 out to where the tail mass drops below 1e-8, so the reported
@@ -123,6 +123,8 @@ def synthesize_wavefunction(
         raise GridError("grid must start at rho > 0")
     if not np.all(np.diff(grid) > 0.0):
         raise GridError("grid must be strictly increasing")
+    if grid[-1] == math.inf:
+        raise GridError("grid must be finite")
 
     log_power, blocks = assemble_exponent_blocks(geom, table)
     wf = WavefunctionSeries(

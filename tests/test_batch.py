@@ -251,15 +251,15 @@ def test_non_finite_residual_fails_only_its_row(value):
     # its residual; the rows beside it finish as they do alone
     cases = [(_bound("-2/rho"), 1), (bind_params(HYBRID, {"m": 0.0, "g": 1.0}), 0),
              (_bound("g^2*rho^2/4", {"g": 2.0}), 2)]
-    geoms = [engine.solve_geometry(bound, m) for bound, m in cases]
-    alone = [engine.build_v_series(bound, geom, 6) for (bound, _), geom in zip(cases, geoms)]
-    v = [np.array(rows) for rows in zip(*alone)]
+    geoms = [engine.solve_geometry([bound], m)[0] for bound, m in cases]
+    alone = [engine.build_v_series([bound], [geom], 6)[0] for (bound, _), geom in zip(cases, geoms)]
+    v = [np.concatenate(rows) for rows in zip(*alone)]
     v[3][1, 5] = value
     batch = engine.solve_hierarchy(v, geoms, 3)
     assert isinstance(batch[1], engine.HierarchyInconsistencyError)
     assert str(batch[1]) == "hierarchy inconsistency at order 3: residual nan"
     for r in (0, 2):
-        table = engine.solve_hierarchy(alone[r], geoms[r], 3)
+        table, = engine.solve_hierarchy(alone[r], geoms[r:r + 1], 3)
         assert [w.tobytes() for w in batch[r].W] == [w.tobytes() for w in table.W]
         assert (batch[r].lambdas, batch[r].residuals) == (table.lambdas, table.residuals)
 
@@ -303,10 +303,10 @@ def test_signed_zeros_are_distinct_values(monkeypatch):
     # 0.0 == -0.0, but their bits differ: rows holding both share no value
     def columns(text, rows, m):
         """The parameter columns of each batch that solve_batch solves."""
-        seen, solve_frames = [], engine._solve_frames
+        seen, solve_geometry = [], engine.solve_geometry
         with monkeypatch.context() as patch:
-            patch.setattr(engine, "_solve_frames",
-                          lambda rows, values, *a: seen.append(values) or solve_frames(rows, values, *a))
+            patch.setattr(engine, "solve_geometry",
+                          lambda rows, m: seen.append(engine._columns(rows)) or solve_geometry(rows, m))
             _assert_rows_equal_lone_solves(text, rows, m)
         return [(type(v["a"]).__name__, [math.copysign(1.0, a) for a in np.atleast_1d(v["a"])])
                 for v in seen[:-len(rows)]]  # the last len(rows) are the lone solves

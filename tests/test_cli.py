@@ -629,3 +629,33 @@ def test_cli_never_raises(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, EXIT_USAGE, EXIT_PARSE, EXIT_SOLVER), (argv, code)
+
+
+STAGES = ("solve_geometry", "build_v_series", "solve_hierarchy", "assemble_energy")
+ROWS_ARG = (0, 0, 1, 0)  # the argument of each stage that holds one entry per row
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "hybrid-1s-gamma"),
+    ("sweep", "-V", "m*g - 2/rho + g^2*rho^2/4", "-m", "0", "--sweep-param", "g",
+     "--range", "0.5,2.5,5"),
+    ("compute", "-V", "-2/rho", "-m", "1", "--order", "6"),
+])
+def test_every_request_runs_each_stage_once_per_batch(monkeypatch, capsys, argv):
+    calls = []
+    for name, k in zip(STAGES, ROWS_ARG):
+        monkeypatch.setattr(engine, name, lambda *a, name=name, k=k, stage=getattr(engine, name):
+                            calls.append((name, len(a[k]))) or stage(*a))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows = {"table": 16, "sweep": 5, "compute": 1}[argv[0]]
+    assert calls == [(name, rows) for name in STAGES]
+
+
+def test_the_package_runs_the_engine_only_through_solve_and_solve_batch():
+    import pslet2d
+
+    for name in STAGES:
+        assert name in engine.__all__
+        assert name not in pslet2d.__all__ and not hasattr(pslet2d, name)
+    assert {"solve", "solve_batch"} <= set(pslet2d.__all__)

@@ -36,11 +36,34 @@ def _hybrid(gamma, m):
     return _bound("m*g - 2/rho + g^2*rho^2/4", {"m": float(m), "g": gamma})
 
 
+def _one(results):
+    """The result of a one-row batch stage, its error raised."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _geometry(bound, m):
+    return _one(solve_geometry([bound], m))
+
+
+def _v_series(bound, geom, max_order):
+    """v^(0)..v^(max_order) of one row, as vectors in x."""
+    v, failed = build_v_series([bound], [geom], max_order)
+    _one(failed)
+    return tuple(p[0] for p in v)
+
+
+def _hierarchy(v, geom, max_order):
+    return _one(solve_hierarchy([np.asarray(p)[None] for p in v], [geom], max_order))
+
+
 # ---------------------------------------------------------------------------
 # geometry
 
 def test_coulomb_geometry():
-    geom = solve_geometry(_coulomb(), 0)
+    geom = _geometry(_coulomb(), 0)
     assert geom.lbar == pytest.approx(0.5, abs=1e-13)
     assert geom.rho0 == pytest.approx(0.25, abs=1e-13)
     assert geom.w == pytest.approx(2.0, abs=1e-13)
@@ -51,7 +74,7 @@ def test_coulomb_geometry():
 def test_coulomb_geometry_all_m():
     # lbar = |m| + 1/2, rho0 = lbar^2
     for m in range(6):
-        geom = solve_geometry(_coulomb(), m)
+        geom = _geometry(_coulomb(), m)
         lbar = abs(m) + 0.5
         assert geom.lbar == pytest.approx(lbar, rel=1e-12)
         assert geom.rho0 == pytest.approx(lbar**2, rel=1e-12)
@@ -59,7 +82,7 @@ def test_coulomb_geometry_all_m():
 
 
 def test_oscillator_geometry():
-    geom = solve_geometry(_oscillator(2.0), 1)
+    geom = _geometry(_oscillator(2.0), 1)
     assert geom.lbar == pytest.approx(2.0, rel=1e-12)
     assert geom.rho0 == pytest.approx(math.sqrt(2.0), rel=1e-12)
     assert geom.w == pytest.approx(4.0, rel=1e-12)
@@ -85,13 +108,13 @@ def test_hybrid_geometry_matches_independent_bisection():
             lo = mid
         else:
             hi = mid
-    geom = solve_geometry(bound, m)
+    geom = _geometry(bound, m)
     assert geom.rho0 == pytest.approx(0.5 * (lo + hi), rel=1e-10)
 
 
 def test_frame_invariants_on_solved_geometry():
     for bound, m in [(_coulomb(), 0), (_oscillator(1.5), 2), (_hybrid(0.7, -1), -1)]:
-        geom = solve_geometry(bound, m)
+        geom = _geometry(bound, m)
         a = jet_lift(bound, geom.rho0, 2)
         v1, v2 = math.factorial(1) * a[1], math.factorial(2) * a[2]
         # frame residual, beta relation, frequency relation, curvature
@@ -103,7 +126,7 @@ def test_frame_invariants_on_solved_geometry():
 
 def test_no_stable_frame_for_repulsive_decreasing_potential():
     with pytest.raises(NoStableFrameError):
-        solve_geometry(_bound("-rho"), 0)
+        _geometry(_bound("-rho"), 0)
 
 
 def _bisect_frame_root(bound, l, lo, hi, steps=48):
@@ -147,7 +170,7 @@ def test_rho0_matches_bisection_on_presets_and_corpus():
     cases = list(_frame_cases())
     assert len(cases) == 43 + 20
     for bound, m in cases:
-        geom = solve_geometry(bound, m)
+        geom = _geometry(bound, m)
         lo, hi = 0.9999 * geom.rho0, 1.0001 * geom.rho0
         ref = _bisect_frame_root(bound, abs(m), lo, hi)
         assert geom.rho0 == pytest.approx(ref, rel=1e-13), (str(bound), m)
@@ -167,14 +190,14 @@ def test_two_stable_frames_lowest_leading_energy_wins():
     outer = _bisect_frame_root(bound, 0, 1.75, 2.0)
     assert leading_energy(outer) < leading_energy(inner)
     with pytest.warns(UserWarning, match="2 stable frames"):
-        geom = solve_geometry(bound, 0)
+        geom = _geometry(bound, 0)
     assert geom.rho0 == pytest.approx(outer, rel=1e-13)
 
 
 @pytest.mark.parametrize("text", ["rho^rho", "1/(0)*rho", "0^(-1)*rho"])
 def test_structural_evaluation_error_has_no_stable_frame(text):
     with pytest.raises(NoStableFrameError, match="no root"):
-        solve_geometry(_bound(text), 0)
+        _geometry(_bound(text), 0)
 
 
 @pytest.mark.parametrize(
@@ -193,8 +216,8 @@ def test_points_where_the_frame_is_undefined_leave_the_rest_of_the_scan(text):
 # v-series
 
 def test_coulomb_v_series():
-    geom = solve_geometry(_coulomb(), 0)
-    v = build_v_series(_coulomb(), geom, 2)
+    geom = _geometry(_coulomb(), 0)
+    v = _v_series(_coulomb(), geom, 2)
     assert v[0] == pytest.approx([-1.0, 0.0, 1.0], abs=1e-13)  # x^2 - 1
     assert v[1] == pytest.approx([0.0, 2.0, 0.0, -2.0], abs=1e-13)  # 2x - 2x^3
     assert v[1][3] == pytest.approx(-2.0, abs=1e-13)
@@ -205,8 +228,8 @@ def test_oscillator_v1_cubic_only():
     # the third-derivative contribution vanishes for a quadratic potential
     for gamma, m in [(1.0, 0), (2.0, 1), (5.0, 2)]:
         bound = _oscillator(gamma)
-        geom = solve_geometry(bound, m)
-        v = build_v_series(bound, geom, 2)
+        geom = _geometry(bound, m)
+        v = _v_series(bound, geom, 2)
         expected = np.zeros(4)
         expected[1] = -4.0 * geom.beta
         expected[3] = -4.0
@@ -216,8 +239,8 @@ def test_oscillator_v1_cubic_only():
 
 
 def test_v_series_degrees():
-    geom = solve_geometry(_hybrid(1.0, 0), 0)
-    v = build_v_series(_hybrid(1.0, 0), geom, 6)
+    geom = _geometry(_hybrid(1.0, 0), 0)
+    v = _v_series(_hybrid(1.0, 0), geom, 6)
     for n in range(len(v)):
         assert len(v[n]) <= n + 3  # degree <= n + 2
 
@@ -282,21 +305,21 @@ def test_degree_bounds():
 
 def test_insufficient_v_series_rejected():
     bound = _coulomb()
-    geom = solve_geometry(bound, 0)
-    v = build_v_series(bound, geom, 3)
+    geom = _geometry(bound, 0)
+    v = _v_series(bound, geom, 3)
     with pytest.raises(ValueError):
-        solve_hierarchy(v, geom, max_order=3)  # needs orders 0..6
+        _hierarchy(v, geom, max_order=3)  # needs orders 0..6
 
 
 @pytest.mark.parametrize("value", [1e308, math.inf, math.nan])
 def test_non_finite_residual_is_an_error(value):
     # a v-series entry that overflows the order-3 balance leaves NaN in its residual
     bound = _coulomb()
-    geom = solve_geometry(bound, 1)
-    v = [p.copy() for p in build_v_series(bound, geom, 6)]
+    geom = _geometry(bound, 1)
+    v = [p.copy() for p in _v_series(bound, geom, 6)]
     v[3][5] = value
     with pytest.raises(HierarchyInconsistencyError, match="at order 3: residual nan"):
-        solve_hierarchy(tuple(v), geom, max_order=3)
+        _hierarchy(v, geom, max_order=3)
 
 
 def _reference_hierarchy(v, geom, max_order):
@@ -357,9 +380,9 @@ def _bits(run, *args):
 
 
 def _same_as_reference(bound, m, order):
-    geom = solve_geometry(bound, m)
-    v = build_v_series(bound, geom, 2 * order)
-    got = _bits(solve_hierarchy, v, geom, order)
+    geom = _geometry(bound, m)
+    v = _v_series(bound, geom, 2 * order)
+    got = _bits(_hierarchy, v, geom, order)
     assert got == _bits(_reference_hierarchy, v, geom, order), (bound.values, m, order)
     return got[0] == "error"
 
@@ -403,8 +426,8 @@ def test_hierarchy_calls_no_blas(monkeypatch):
     for name in ("convolve", "dot", "vdot", "inner", "matmul", "tensordot", "einsum"):
         monkeypatch.setattr(np, name, blas)
     for bound, m in ((_hybrid(1.0, 0), 0), (_coulomb(), 1)):
-        geom = solve_geometry(bound, m)
-        solve_hierarchy(build_v_series(bound, geom, 20), geom, 10)
+        geom = _geometry(bound, m)
+        _hierarchy(_v_series(bound, geom, 20), geom, 10)
 
 
 def _mp_partial_sums(v, geom, max_order):
@@ -443,8 +466,8 @@ def _hierarchy_errors():
     mp = pytest.importorskip("mpmath")
     errors = []
     for bound, m in _high_order_potentials():
-        geom = solve_geometry(bound, m)
-        exact = _mp_partial_sums(build_v_series(bound, geom, 30), geom, 15)
+        geom = _geometry(bound, m)
+        exact = _mp_partial_sums(_v_series(bound, geom, 30), geom, 15)
         for order in (6, 10, 15):
             _, _, energy = solve(bound, m, order)
             with mp.workdps(50):

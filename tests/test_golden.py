@@ -1,14 +1,17 @@
-"""Golden bits: rho0 and every partial sum EN_k of a fixed set of solves.
+"""Golden bits: the output of every engine stage for a fixed set of solves.
 
-``tests/data/golden_energies.json`` holds ``float.hex`` of rho0 and of each
-EN_k, or the type and message of the error, for every request ``_requests``
-makes.  The engine claims that its bits do not depend on the host (no BLAS in
+``tests/data/golden_energies.json`` holds, for every request ``_requests``
+makes, ``float.hex`` of the frame (rho0, w, beta, lbar, V(rho0)), of every
+lambda^(k), of E^(-2), E^(-1) and every E^(n), and of every partial sum EN_k,
+with one sha256 over the ``float.hex`` of every W coefficient; or the type
+and message of the error.  The engine claims that its bits do not depend on the host (no BLAS in
 its products, one C ``pow`` per entry), so the comparison is exact.  To
 rewrite the file after a change that is meant to move the numbers, run
 
     PYTHONPATH=src python tests/test_golden.py > tests/data/golden_energies.json
 """
 
+import hashlib
 import json
 import pathlib
 
@@ -21,8 +24,16 @@ GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_energies.json"
 def _record(result) -> dict:
     if isinstance(result, Exception):
         return {"error": [type(result).__name__, str(result)]}
-    geom, _, energy = result
-    return {"rho0": geom.rho0.hex(), "EN": [s.hex() for s in energy.partial_sums]}
+    geom, table, energy = result
+    w_hex = " ".join(c.hex() for w in table.W for c in w.tolist())
+    return {
+        "frame": [x.hex() for x in (geom.rho0, geom.w, geom.beta, geom.lbar, geom.v0)],
+        "lambda": [x.hex() for x in table.lambdas],
+        "E-2, E-1": [energy.e_minus2.hex(), energy.e_minus1.hex()],
+        "E": [x.hex() for x in energy.corrections],
+        "EN": [x.hex() for x in energy.partial_sums],
+        "W sha256": hashlib.sha256(w_hex.encode()).hexdigest(),
+    }
 
 
 def _lone(text, params, m, max_order):

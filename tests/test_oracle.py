@@ -44,6 +44,8 @@ def test_fdgrid_invariants():
         fd_ground_energy(bound, 0, 0.0, 500)
     with pytest.raises(ValueError):
         fd_ground_energy(bound, 0, -2.0, 500)
+    with pytest.raises(ValueError, match="rho_max must be positive and finite, got inf"):
+        fd_ground_energy(bound, 0, np.inf, 400)  # not scipy's complaint about the matrix
 
 
 def test_fd_reproduces_coulomb():

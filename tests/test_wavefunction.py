@@ -123,6 +123,10 @@ def test_grid_validation():
         synthesize_wavefunction(geom, table, [1.0, 1.0, 2.0])
     with pytest.raises(GridError):
         synthesize_wavefunction(geom, table, [2.0, 1.0])
+    with pytest.raises(GridError, match="strictly increasing"):
+        synthesize_wavefunction(geom, table, [0.1, np.nan, 2.0])
+    with pytest.raises(GridError, match="finite"):  # before numpy warns of an overflow
+        synthesize_wavefunction(geom, table, [0.1, 1.0, np.inf])
 
 
 def test_grid_must_cover_support():
