@@ -34,6 +34,10 @@ EXIT_SOLVER = 4
 EXIT_CHECK = 5
 
 CHECK_TOLERANCE = 1e-5
+ORACLE_CELLS = 4000  # FD cells of the sweep's oracle column, over (0, rho_max]
+# below this many cells across rho0 the FD mesh cannot resolve the state, and
+# the oracle would print a wrong value that looks like any other
+MIN_CELLS_PER_RHO0 = 10
 
 
 class UsageError(Exception):
@@ -219,7 +223,12 @@ def cmd_sweep(args) -> int:
             row.extend(_fmt(s) for s in breakdown.partial_sums)
             if args.oracle:
                 rho_max = max(20.0, 8.0 * geom.rho0)
-                row.append(_fmt(fd_ground_energy(bound, geom.l, rho_max, 4000)))
+                cells = geom.rho0 / (rho_max / ORACLE_CELLS)
+                if cells < MIN_CELLS_PER_RHO0:
+                    raise SolverError(
+                        f"FD mesh too coarse for the oracle: rho0 = {geom.rho0:.3g} spans "
+                        f"{cells:.3g} cells of the {MIN_CELLS_PER_RHO0} needed")
+                row.append(_fmt(fd_ground_energy(bound, geom.l, rho_max, ORACLE_CELLS)))
             row.append("")
         except (SolverError, PotentialEvalError) as exc:
             # the row may be partly filled: keep only the swept value

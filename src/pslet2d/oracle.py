@@ -24,13 +24,23 @@ The lowest eigenvalue of each symmetric tridiagonal matrix T comes from
 inverse iteration with Rayleigh-quotient shifts (Parlett, The Symmetric
 Eigenvalue Problem, 1980, ch. 4), one LAPACK ``dgtsv`` solve per step,
 seeded by Sturm-sequence bisection on a mesh eight times coarser.  Each
-result is certified: the off-diagonal of T is negative, so by
-Perron-Frobenius the ground eigenvector is its only nonnegative one, and
-``dpttrf`` must factor T - (lambda - delta) I as positive definite, which
-proves that no eigenvalue lies below lambda - delta, delta being the
-tolerance of bisection.  A Rayleigh quotient is never below the lowest
-eigenvalue, so a certified lambda is within delta of it.  A matrix whose
-result fails the certificate is solved by bisection instead.
+iterate is offered to a certificate, and the first that passes is the
+result.  The off-diagonal of T is negative, so by Perron-Frobenius the
+ground eigenvector is its only nonnegative one, and ``dpttrf`` must factor
+T - (lambda - delta) I as positive definite, which proves that no
+eigenvalue lies below lambda - delta, delta being the tolerance of
+bisection.  A Rayleigh quotient is never below the lowest eigenvalue, so a
+certified lambda is within delta of it.  Neither fact needs the iteration
+to have converged: the certificate alone carries the proof, and the step
+size is only a reason to give up.  A matrix whose iteration hits a singular
+shift, stalls (a step below delta) or runs out of steps uncertified is
+solved by bisection to full precision instead.
+
+The seed is bisected only to ``SEED_TOL`` = 1e-3 Ry.  The coarse mesh's own
+discretization error (2e-3 to 7e-3 on the hybrid's published sweep) already
+sets how far the first shift lies from the lowest eigenvalue, so bisecting
+further would not bring it closer; and whatever the seed, the result is
+certified or replaced by bisection.
 
 scipy is imported on the first FD call, not with this module, so that
 every other command starts without it.
@@ -79,6 +89,7 @@ def dpttrf(*args):
 
 
 SEED_COARSENING = 8  # the seed's mesh has this many times fewer cells
+SEED_TOL = 1e-3  # Ry, the seed's bisection tolerance, below its mesh error of 2e-3 to 7e-3
 MAX_SHIFTS = 8  # Rayleigh-quotient steps before a matrix falls back to bisection
 
 
@@ -109,34 +120,44 @@ def _bisect(diag: np.ndarray, off: np.ndarray) -> float:
 def _shift_invert(diag: np.ndarray, off: np.ndarray, lam: float, x: np.ndarray):
     """Lowest eigenvalue and eigenvector of T by Rayleigh-quotient iteration.
 
-    Starts from the shift ``lam`` and the vector ``x``.  Returns (lambda,
-    eigenvector) if the result is certified, else (bisection's lambda, None).
+    Starts from the shift ``lam`` and the vector ``x``, and returns the first
+    iterate (lambda, eigenvector) that passes the certificate.  A singular
+    solve, a step below the certificate's delta or ``MAX_SHIFTS`` steps
+    without a certified iterate hand over to bisection: (its lambda, None).
     """
     eps = np.finfo(float).eps
-    up, down = np.r_[off, 0.0], np.r_[0.0, off]
     # bisection's own tolerance: ulp times the 1-norm of T
-    delta = eps * np.max(np.abs(diag) + np.abs(up) + np.abs(down))
+    row = np.abs(diag)
+    row[:-1] += np.abs(off)
+    row[1:] += np.abs(off)
+    delta = eps * row.max()
     # row sums d_i + e_i + e_(i-1), with the rounding error of the first sum
     # added back (TwoSum), so that (T x)_i = sums_i x_i + e_i (x_(i+1) - x_i)
-    # + e_(i-1) (x_(i-1) - x_i) cancels the O(1/h^2) entries before rounding
-    first = diag + up
+    # + e_(i-1) (x_(i-1) - x_i) cancels the O(1/h^2) entries before rounding;
+    # built in place, since the temporaries cost more than the arithmetic
+    first = diag.copy()
+    first[:-1] += off
     back = first - diag
-    sums = (first + down) + ((diag - (first - back)) + (up - back))
+    error = diag - (first - back)
+    error[:-1] += off - back[:-1]
+    sums = first
+    sums[1:] += off
+    sums += error
     for _ in range(MAX_SHIFTS):
         y, info = dgtsv(off, diag - lam, off, x)[3:]
         if info:  # T - lam I is singular to working precision: let bisection decide
             break
         x = y / np.copysign(np.linalg.norm(y), y.sum())
-        dx = np.diff(x)
+        flux = off * np.diff(x)
         r = (sums - lam) * x
-        r[:-1] += off * dx
-        r[1:] -= off * dx
+        r[:-1] += flux
+        r[1:] -= flux
         step = float(x @ r)
         lam += step
-        if abs(step) <= delta:
-            # nonnegative up to rounding: the Perron vector, not another one
-            if x.min() >= -eps * x.max() and dpttrf(diag - (lam - delta), off)[2] == 0:
-                return lam, x
+        # nonnegative up to rounding: the Perron vector, not another one
+        if x.min() >= -eps * x.max() and dpttrf(diag - (lam - delta), off)[2] == 0:
+            return lam, x
+        if abs(step) <= delta:  # converged, but not to a certified lowest eigenvalue
             break
     return _bisect(diag, off), None
 
@@ -149,8 +170,11 @@ def fd_ground_energy(bound: BoundPotential, l: int, rho_max: float, points: int)
     E = E_half + (E_half - E_full)/3 cancels the leading h^2 error.  Each
     lowest eigenvalue comes from certified shift-invert iteration (see the
     module docstring): on ``points`` cells it starts from bisection's value
-    on ``points // 8`` cells and a constant vector, on ``2 * points`` cells
-    from the first eigenvalue and its eigenvector with every entry repeated.
+    on ``points // 8`` cells, to ``SEED_TOL``, and a constant vector; on
+    ``2 * points`` cells from the first eigenvalue and its eigenvector with
+    every entry repeated.  The result lies within (4/3) d2 + d1/3 of the
+    extrapolation of the two exact lowest eigenvalues, d1 and d2 being the
+    certificates' deltas.
     """
     if points < 200:
         raise ValueError(f"need at least 200 points, got {points}")
@@ -159,9 +183,10 @@ def fd_ground_energy(bound: BoundPotential, l: int, rho_max: float, points: int)
     fine = _matrix(bound, l, rho_max, points)
     finer = _matrix(bound, l, rho_max, 2 * points)
     try:
-        seed = _bisect(*_matrix(bound, l, rho_max, points // SEED_COARSENING))
+        coarse = _matrix(bound, l, rho_max, points // SEED_COARSENING)
     except PotentialEvalError:  # singular only on the coarse mesh
-        seed = _bisect(*fine)
+        coarse = fine
+    seed = float(eigvalsh_tridiagonal(*coarse, select="i", select_range=(0, 0), tol=SEED_TOL)[0])
     e1, x = _shift_invert(*fine, seed, np.ones(points))
     e2, _ = _shift_invert(*finer, e1, np.ones(2 * points) if x is None else np.repeat(x, 2))
     return e2 + (e2 - e1) / 3.0

@@ -473,6 +473,20 @@ def test_sweep_oracle_failure_keeps_the_row_width(capsys):
         assert "non-finite matrix entries" in r[-1]
 
 
+def test_sweep_oracle_refuses_a_mesh_that_cannot_resolve_rho0(capsys):
+    # rho0 = 1e-3 and 5.6e-4 fall inside the first of 4000 cells of width 0.005,
+    # where fd comes out near 4e5 against EN3 = 2.0e6 and 6.3e6
+    code, out, err = run_cli(capsys, "sweep", "-V", "g*rho^2 - 2/rho", "--sweep-param", "g",
+                             "--range", "1e12,1e13,2", "--oracle")
+    assert code == 0, err
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert [r[0] for r in rows] == ["1e+12", "1e+13"]
+    for r in rows:
+        assert r[1:-1] == [""] * (len(header) - 2)
+        assert r[-1].startswith("FD mesh too coarse for the oracle: rho0 = ")
+        assert r[-1].endswith(f"cells of the {cli.MIN_CELLS_PER_RHO0} needed")
+
+
 def test_wavefunction_csv(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 from pslet2d import oracle
+from pslet2d.engine import solve
 from pslet2d.expressions import PotentialEvalError, bind_params, parse_potential
 from pslet2d.oracle import (
     coulomb_exact,
@@ -161,3 +162,61 @@ def test_pole_on_the_seed_mesh_only():
         _matrix(bound, 0, 20.0, 50)
     e1, e2 = (_bisect(*_matrix(bound, 0, 20.0, n)) for n in (400, 800))
     assert abs(fd_ground_energy(bound, 0, 20.0, 400) - (e2 + (e2 - e1) / 3.0)) <= 1e-9
+
+
+def _delta(diag, off):
+    """Bisection's tolerance on T: ulp times its 1-norm."""
+    row = np.abs(diag)
+    row[:-1] += np.abs(off)
+    row[1:] += np.abs(off)
+    return np.finfo(float).eps * row.max()
+
+
+def test_certificate_contract_on_a_seeded_corpus(monkeypatch):
+    # a certified lambda may stop short of convergence, but not by more than
+    # the certificate's delta; a fallback is bisection's value itself
+    solved = []
+
+    def spy(diag, off, lam, x):
+        result = _shift_invert(diag, off, lam, x)
+        solved.append((diag, off, result))
+        return result
+
+    monkeypatch.setattr(oracle, "_shift_invert", spy)
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        a, b, c = rng.uniform(0.1, 2.0), rng.uniform(0.5, 3.0), rng.uniform(0.0, 1.0)
+        p, q = rng.choice([1, 1.5, 2, 3, 4]), rng.choice([0.5, 1, 1.5])
+        l, rho_max = int(rng.integers(0, 4)), float(rng.choice([10.0, 20.0, 30.0]))
+        fd_ground_energy(_bound(f"{a!r}*rho^{p} - {b!r}/rho^{q} + {c!r}*rho"), l, rho_max, 4000)
+    fallbacks = 0
+    for diag, off, (lam, vector) in solved:
+        exact = _bisect(diag, off)
+        if vector is None:
+            fallbacks += 1
+            assert lam == exact
+        else:
+            assert abs(lam - exact) <= 2 * _delta(diag, off)
+    assert len(solved) == 200
+    assert 0 < fallbacks < 20  # both branches are exercised
+
+
+def test_lapack_budget_on_the_published_sweep(monkeypatch):
+    # the hybrid at every published compactified field, as the sweep's oracle
+    # column solves it: the certificate passes early, so few solves are needed
+    sizes = []
+    dgtsv = oracle.dgtsv
+    monkeypatch.setattr(oracle, "dgtsv", lambda *a: sizes.append(len(a[1])) or dgtsv(*a))
+    spec = parse_potential(HYBRID)
+    solves, finer_solves = [], []
+    for m in (0, -1, -2):
+        for g_prime in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
+            bound = bind_params(spec, {"m": float(m), "g": g_prime / (1.0 - g_prime)})
+            geom, _, _ = solve(bound, m, 3)
+            sizes.clear()
+            fd_ground_energy(bound, geom.l, max(20.0, 8.0 * geom.rho0), 4000)
+            finer_solves.append(sizes.count(8000))
+            assert set(sizes) == {4000, 8000}
+            solves.append(len(sizes))
+    assert sum(solves) <= 100  # 135 when the certificate waited for a step below delta
+    assert max(finer_solves) <= 2
