@@ -34,10 +34,10 @@ EXIT_SOLVER = 4
 EXIT_CHECK = 5
 
 CHECK_TOLERANCE = 1e-5
-ORACLE_CELLS = 4000  # FD cells of the sweep's oracle column, over (0, rho_max]
-# below this many cells across rho0 the FD mesh cannot resolve the state, and
-# the oracle would print a wrong value that looks like any other
-MIN_CELLS_PER_RHO0 = 10
+ORACLE_CELLS = 500  # base FD mesh of the sweep's oracle column, over (0, rho_max]
+# below this many base cells across rho0 the oracle's error bar may not cover
+# its error: it did at every rho0/h >= 3 measured, and missed by up to 9x below
+MIN_CELLS_PER_RHO0 = 4
 
 
 class UsageError(Exception):
@@ -209,7 +209,7 @@ def cmd_sweep(args) -> int:
 
     header = [name, "rho0"] + [f"EN{k}" for k in range(args.order + 1)]
     if args.oracle:
-        header.append("fd")
+        header += ["fd", "fd_err"]
     header.append("error")
     print(",".join(header))
 
@@ -228,11 +228,12 @@ def cmd_sweep(args) -> int:
                     raise SolverError(
                         f"FD mesh too coarse for the oracle: rho0 = {geom.rho0:.3g} spans "
                         f"{cells:.3g} cells of the {MIN_CELLS_PER_RHO0} needed")
-                row.append(_fmt(fd_ground_energy(bound, geom.l, rho_max, ORACLE_CELLS)))
+                fd, fd_err = fd_ground_energy(bound, geom.l, rho_max, ORACLE_CELLS)
+                row += [_fmt(fd), f"{fd_err:.1e}"]
             row.append("")
         except (SolverError, PotentialEvalError) as exc:
-            # the row may be partly filled: keep only the swept value
-            row = row[:1] + [""] * (len(header) - 2) + [str(exc).replace(",", ";")]
+            # keep what was solved: a failed oracle blanks only its own cells
+            row += [""] * (len(header) - 1 - len(row)) + [str(exc).replace(",", ";")]
         print(",".join(row))
     return 0
 

@@ -18,29 +18,38 @@ Psi = sqrt(rho) phi and solve the exactly equivalent cylindrical form
 which is regular at the origin, with a conservative finite-volume scheme on
 cell centers rho_i = (i - 1/2) h, h = rho_max / points, over the whole of
 (0, rho_max] with a hard wall at rho_max.  Same operator, same spectrum,
-clean h^2 convergence.
+and an error even in h where rho V is smooth at the origin (Coulomb's is
+constant); -1/rho^q leaves a term h^(2 + 2l - q) besides.
+
+Three meshes of n, 2n and 4n cells give E1, E2 and E4, and Romberg's
+E = (64 E4 - 20 E2 + E1)/45 cancels the h^2 and h^4 terms.  Its error bar
+adds the certificates' deltas (below) with the same weights; four times
+|R3 - R2|, R2 = (4 E4 - E2)/3, which bounds the error left by a term h^p,
+p >= 2; E4's own error where (E2 - E1)/(E4 - E2) strays from 4, as at l = 0
+when -1/rho^q outgrows h^2, or infinity where the meshes do not converge;
+and twice |Psi'(rho_max)|^2 / (2 kappa), which the hard wall adds to a tail
+exp(-kappa rho) (dE/drho_max = -|Psi'|^2; this fell short by up to 2% on
+Coulomb and oscillator states).
 
 The lowest eigenvalue of each symmetric tridiagonal matrix T comes from
 inverse iteration with Rayleigh-quotient shifts (Parlett, The Symmetric
-Eigenvalue Problem, 1980, ch. 4), one LAPACK ``dgtsv`` solve per step,
-seeded by Sturm-sequence bisection on a mesh eight times coarser.  Each
-iterate is offered to a certificate, and the first that passes is the
-result.  The off-diagonal of T is negative, so by Perron-Frobenius the
-ground eigenvector is its only nonnegative one, and ``dpttrf`` must factor
-T - (lambda - delta) I as positive definite, which proves that no
-eigenvalue lies below lambda - delta, delta being the tolerance of
-bisection.  A Rayleigh quotient is never below the lowest eigenvalue, so a
-certified lambda is within delta of it.  Neither fact needs the iteration
-to have converged: the certificate alone carries the proof, and the step
-size is only a reason to give up.  A matrix whose iteration hits a singular
-shift, stalls (a step below delta) or runs out of steps uncertified is
-solved by bisection to full precision instead.
-
-The seed is bisected only to ``SEED_TOL`` = 1e-3 Ry.  The coarse mesh's own
-discretization error (2e-3 to 7e-3 on the hybrid's published sweep) already
-sets how far the first shift lies from the lowest eigenvalue, so bisecting
-further would not bring it closer; and whatever the seed, the result is
-certified or replaced by bisection.
+Eigenvalue Problem, 1980, ch. 4), one LAPACK ``dgtsv`` solve per step.  The
+base mesh starts from Sturm-sequence bisection to ``SEED_TOL`` = 1e-3 Ry and
+a constant vector, each finer mesh from the eigenvalue below it and that
+mesh's eigenvector with every entry repeated.  Each iterate is offered to a
+certificate, and the first that passes is the result.  The off-diagonal of
+T is negative, so by Perron-Frobenius the ground eigenvector is its only
+nonnegative one, and ``dpttrf`` must factor T - (lambda - delta) I as
+positive definite, which proves that no eigenvalue lies below
+lambda - delta, delta being the tolerance of bisection.  A Rayleigh
+quotient is never below the lowest eigenvalue, so a certified lambda is
+within delta of it.  Neither fact needs the iteration to have converged:
+the certificate alone carries the proof, and the step size is only a
+reason to give up.  A matrix whose iteration hits a singular shift, stalls
+(a step below delta) or runs out of steps uncertified is solved by
+bisection to full precision instead.  Whatever the seed, the result is
+certified or replaced by bisection, so the seed needs no more digits than
+the first shift can use.
 
 scipy is imported on the first FD call, not with this module, so that
 every other command starts without it.
@@ -88,9 +97,9 @@ def dpttrf(*args):
     return dpttrf(*args)
 
 
-SEED_COARSENING = 8  # the seed's mesh has this many times fewer cells
-SEED_TOL = 1e-3  # Ry, the seed's bisection tolerance, below its mesh error of 2e-3 to 7e-3
+SEED_TOL = 1e-3  # Ry, the base mesh's bisection tolerance
 MAX_SHIFTS = 8  # Rayleigh-quotient steps before a matrix falls back to bisection
+RATIO_TOL = 0.05  # how far (E2 - E1)/(E4 - E2) may stray from 4 before Romberg is distrusted
 
 
 def _matrix(bound: BoundPotential, l: int, rho_max: float, n_cells: int):
@@ -117,6 +126,14 @@ def _bisect(diag: np.ndarray, off: np.ndarray) -> float:
     return float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
 
 
+def _delta(diag: np.ndarray, off: np.ndarray) -> float:
+    """Bisection's own tolerance on T: ulp times its 1-norm."""
+    row = np.abs(diag)
+    row[:-1] += np.abs(off)
+    row[1:] += np.abs(off)
+    return np.finfo(float).eps * float(row.max())
+
+
 def _shift_invert(diag: np.ndarray, off: np.ndarray, lam: float, x: np.ndarray):
     """Lowest eigenvalue and eigenvector of T by Rayleigh-quotient iteration.
 
@@ -126,11 +143,7 @@ def _shift_invert(diag: np.ndarray, off: np.ndarray, lam: float, x: np.ndarray):
     without a certified iterate hand over to bisection: (its lambda, None).
     """
     eps = np.finfo(float).eps
-    # bisection's own tolerance: ulp times the 1-norm of T
-    row = np.abs(diag)
-    row[:-1] += np.abs(off)
-    row[1:] += np.abs(off)
-    delta = eps * row.max()
+    delta = _delta(diag, off)
     # row sums d_i + e_i + e_(i-1), with the rounding error of the first sum
     # added back (TwoSum), so that (T x)_i = sums_i x_i + e_i (x_(i+1) - x_i)
     # + e_(i-1) (x_(i-1) - x_i) cancels the O(1/h^2) entries before rounding;
@@ -162,31 +175,36 @@ def _shift_invert(diag: np.ndarray, off: np.ndarray, lam: float, x: np.ndarray):
     return _bisect(diag, off), None
 
 
-def fd_ground_energy(bound: BoundPotential, l: int, rho_max: float, points: int) -> float:
-    """Lowest eigenvalue on (0, rho_max], Richardson-extrapolated over a halving.
+def fd_ground_energy(bound: BoundPotential, l: int, rho_max: float,
+                     points: int) -> tuple[float, float]:
+    """Lowest eigenvalue on (0, rho_max] and its error bar: (energy, error).
 
-    Solves with ``points`` uniform cells and with twice as many (spacing h
-    and h/2), with a hard wall at rho_max; the scheme is second order, so
-    E = E_half + (E_half - E_full)/3 cancels the leading h^2 error.  Each
-    lowest eigenvalue comes from certified shift-invert iteration (see the
-    module docstring): on ``points`` cells it starts from bisection's value
-    on ``points // 8`` cells, to ``SEED_TOL``, and a constant vector; on
-    ``2 * points`` cells from the first eigenvalue and its eigenvector with
-    every entry repeated.  The result lies within (4/3) d2 + d1/3 of the
-    extrapolation of the two exact lowest eigenvalues, d1 and d2 being the
-    certificates' deltas.
+    Romberg over ``points``, ``2 * points`` and ``4 * points`` uniform cells
+    with a hard wall at rho_max; the module docstring gives the seeding, the
+    certificate and the three terms of the error.
     """
     if points < 200:
         raise ValueError(f"need at least 200 points, got {points}")
     if not 0.0 < rho_max < np.inf:
         raise ValueError(f"rho_max must be positive and finite, got {rho_max}")
-    fine = _matrix(bound, l, rho_max, points)
-    finer = _matrix(bound, l, rho_max, 2 * points)
-    try:
-        coarse = _matrix(bound, l, rho_max, points // SEED_COARSENING)
-    except PotentialEvalError:  # singular only on the coarse mesh
-        coarse = fine
-    seed = float(eigvalsh_tridiagonal(*coarse, select="i", select_range=(0, 0), tol=SEED_TOL)[0])
-    e1, x = _shift_invert(*fine, seed, np.ones(points))
-    e2, _ = _shift_invert(*finer, e1, np.ones(2 * points) if x is None else np.repeat(x, 2))
-    return e2 + (e2 - e1) / 3.0
+    meshes = [_matrix(bound, l, rho_max, n) for n in (points, 2 * points, 4 * points)]
+    lam = float(eigvalsh_tridiagonal(*meshes[0], select="i", select_range=(0, 0), tol=SEED_TOL)[0])
+    x, wall, energies, deltas = None, np.inf, [], []
+    for diag, off in meshes:
+        lam, x = _shift_invert(diag, off, lam, np.ones(len(diag)) if x is None else np.repeat(x, 2))
+        energies.append(lam)
+        deltas.append(_delta(diag, off))
+        if x is not None:  # the wall term, from Psi' = x[-1] / h^1.5 and kappa^2 =
+            # V + l^2/rho^2 - E on the last cell, whose diagonal is 2/h^2 + l^2/rho^2 + V
+            h = rho_max / len(diag)
+            kappa2 = diag[-1] - 2.0 / h**2 - lam
+            wall = x[-1] ** 2 / h**3 / np.sqrt(kappa2) if kappa2 > 0.0 else np.inf
+    (e1, e2, e4), (d1, d2, d4) = energies, deltas
+    step, last = e2 - e1, e4 - e2
+    romberg = 4.0 * abs(4.0 * last - step) / 45.0  # four times |R3 - R2|
+    if abs(step - 4.0 * last) > RATIO_TOL * abs(last):  # not converging as h^2
+        converging = step * last > 0.0 and abs(step) > abs(last)
+        romberg += last * last / abs(step - last) if converging else np.inf
+    energy = (64.0 * e4 - 20.0 * e2 + e1) / 45.0
+    error = (64.0 * d4 + 20.0 * d2 + d1) / 45.0 + romberg + wall
+    return energy, float(error)

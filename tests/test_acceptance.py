@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from pslet2d import tables
+from pslet2d import cli, tables
 from pslet2d.expressions import bind_params, parse_potential
 from pslet2d.engine import SolverError, solve
 from pslet2d.jets import jet_lift
@@ -188,14 +188,15 @@ def test_criterion_5_oracle_cross_validation():
                 "m*g - 2/rho + g^2*rho^2/4", {"m": float(m), "g": gamma}
             )
             geom, _, bd = solve(bound, m)
-            fd = fd_ground_energy(bound, geom.l, max(20.0, 8.0 * geom.rho0), 4000)
-            worst = max(worst, abs(bd.partial_sums[3] - fd))
+            fd, fd_err = fd_ground_energy(bound, geom.l, max(20.0, 8.0 * geom.rho0),
+                                          cli.ORACLE_CELLS)
+            worst = max(worst, abs(bd.partial_sums[3] - fd) + fd_err)
     elapsed = time.perf_counter() - t0
     ok = worst <= 5e-3 and elapsed < 30.0
     _report(
         5,
         ok,
-        f"hybrid vs finite differences, 3 gammas x 2 m: max |EN3 - fd| = "
+        f"hybrid vs finite differences, 3 gammas x 2 m: max |EN3 - fd| + fd_err = "
         f"{worst:.2e} (<=5e-3), runtime {elapsed:.1f}s (<30s)",
     )
 

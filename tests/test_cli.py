@@ -382,22 +382,24 @@ def test_sweep_binds_every_row_before_printing(capsys, argv):
 def _lone_solve_sweep(text, name, lo, hi, steps, m=0, oracle=False):
     """The sweep's CSV built from one ``solve`` per value."""
     spec = parse_potential(text)
-    header = [name, "rho0", "EN0", "EN1", "EN2", "EN3"] + ["fd"] * oracle + ["error"]
+    header = [name, "rho0", "EN0", "EN1", "EN2", "EN3"] + ["fd", "fd_err"] * oracle + ["error"]
     lines = [",".join(header)]
     for value in np.linspace(lo, hi, steps):
         params = {name: float(value)}
         if "m" in spec.params:
             params.setdefault("m", float(m))
         bound = bind_params(spec, params)
+        cells = []
         try:
             geom, _, breakdown = solve(bound, m, 3)
             cells = [f"{geom.rho0:.9f}"] + [f"{s:.9f}" for s in breakdown.partial_sums]
             if oracle:
                 rho_max = max(20.0, 8.0 * geom.rho0)
-                cells.append(f"{fd_ground_energy(bound, geom.l, rho_max, 4000):.9f}")
+                fd, fd_err = fd_ground_energy(bound, geom.l, rho_max, cli.ORACLE_CELLS)
+                cells += [f"{fd:.9f}", f"{fd_err:.1e}"]
             cells.append("")
         except (SolverError, PotentialEvalError) as exc:
-            cells = [""] * (len(header) - 2) + [str(exc).replace(",", ";")]
+            cells += [""] * (len(header) - 2 - len(cells)) + [str(exc).replace(",", ";")]
         lines.append(",".join([f"{value:.9g}"] + cells))
     return "\n".join(lines) + "\n"
 
@@ -448,10 +450,12 @@ def test_sweep_with_oracle_column(capsys):
     assert len(rows) == 3
     for r in rows:
         assert abs(float(r["EN3"]) - float(r["fd"])) <= 5e-3
+        assert 0.0 < float(r["fd_err"]) <= 1e-5
 
 
 def test_sweep_oracle_failure_keeps_the_row_width(capsys):
-    # the potential overflows on the FD mesh after the expansion has filled the row
+    # the potential overflows on the FD mesh after the expansion has filled
+    # the row, which keeps the solve and blanks only the oracle's cells
     code, out, err = run_cli(
         capsys,
         "sweep",
@@ -465,24 +469,27 @@ def test_sweep_oracle_failure_keeps_the_row_width(capsys):
     )
     assert code == 0, err
     header, *rows = list(csv.reader(io.StringIO(out)))
-    assert header == ["a", "rho0", "EN0", "EN1", "EN2", "EN3", "fd", "error"]
+    assert header == ["a", "rho0", "EN0", "EN1", "EN2", "EN3", "fd", "fd_err", "error"]
     assert [r[0] for r in rows] == ["1", "2"]
+    assert [r[5] for r in rows] == ["-1.000000000", "-4.000000000"]
     for r in rows:
         assert len(r) == len(header)
-        assert r[1:-1] == [""] * (len(header) - 2)
+        assert all(r[1:6]) and r[6:8] == ["", ""]
         assert "non-finite matrix entries" in r[-1]
 
 
 def test_sweep_oracle_refuses_a_mesh_that_cannot_resolve_rho0(capsys):
-    # rho0 = 1e-3 and 5.6e-4 fall inside the first of 4000 cells of width 0.005,
-    # where fd comes out near 4e5 against EN3 = 2.0e6 and 6.3e6
+    # rho0 = 1e-3 and 5.6e-4 fall inside the first oracle cell, of width 0.04,
+    # where fd would come out near 2.6e4 against EN3 = 2.0e6 and 6.3e6; the
+    # refusal blanks fd and fd_err and keeps the solve
     code, out, err = run_cli(capsys, "sweep", "-V", "g*rho^2 - 2/rho", "--sweep-param", "g",
                              "--range", "1e12,1e13,2", "--oracle")
     assert code == 0, err
     header, *rows = list(csv.reader(io.StringIO(out)))
     assert [r[0] for r in rows] == ["1e+12", "1e+13"]
+    assert [round(float(r[header.index("EN3")]), 1) for r in rows] == [1996551.7, 6318424.3]
     for r in rows:
-        assert r[1:-1] == [""] * (len(header) - 2)
+        assert r[header.index("fd"):-1] == ["", ""]
         assert r[-1].startswith("FD mesh too coarse for the oracle: rho0 = ")
         assert r[-1].endswith(f"cells of the {cli.MIN_CELLS_PER_RHO0} needed")
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
-from pslet2d import oracle
+from pslet2d import cli, oracle
 from pslet2d.engine import solve
 from pslet2d.expressions import PotentialEvalError, bind_params, parse_potential
 from pslet2d.oracle import (
@@ -52,7 +52,7 @@ def test_fdgrid_invariants():
 def test_fd_reproduces_coulomb():
     bound = _bound("-2/rho")
     for m in (0, 1, 2):
-        e = fd_ground_energy(bound, abs(m), 20.0, 4000)
+        e, _ = fd_ground_energy(bound, abs(m), 20.0, 4000)
         assert abs(e - coulomb_exact(m)) <= 1e-3
 
 
@@ -60,14 +60,14 @@ def test_fd_reproduces_oscillator():
     for gamma in (0.5, 2.0):
         bound = _bound("g^2*rho^2/4", {"g": gamma})
         for m in (0, 1, 2):
-            e = fd_ground_energy(bound, abs(m), 20.0, 4000)
+            e, _ = fd_ground_energy(bound, abs(m), 20.0, 4000)
             assert abs(e - oscillator_exact(m, gamma)) <= 1e-3
 
 
 def test_fd_coulomb_ground_state_high_accuracy():
     # the l = 0 case exercises the regular-at-origin discretization
     bound = _bound("-2/rho")
-    e = fd_ground_energy(bound, 0, 30.0, 6000)
+    e, _ = fd_ground_energy(bound, 0, 30.0, 6000)
     assert e == pytest.approx(-4.0, abs=2e-6)
 
 
@@ -85,7 +85,7 @@ def test_grid_halving_second_order():
 
 def test_hybrid_reference_value():
     bound = _bound("m*g - 2/rho + g^2*rho^2/4", {"m": 0.0, "g": 1.0})
-    e = fd_ground_energy(bound, 0, 20.0, 4000)
+    e, _ = fd_ground_energy(bound, 0, 20.0, 4000)
     assert e == pytest.approx(-3.9105, abs=2e-3)
 
 
@@ -131,7 +131,7 @@ def test_eigenvalues_match_long_double_bisection(monkeypatch, text, params, l):
 
     monkeypatch.setattr(oracle, "_shift_invert", spy)
     fd_ground_energy(_bound(text, params), l, 20.0, 400)
-    assert [len(diag) for diag, _, _ in solved] == [400, 800]
+    assert [len(diag) for diag, _, _ in solved] == [400, 800, 1600]
     for diag, off, (lam, vector) in solved:
         assert vector is not None  # certified, no fallback
         assert abs(LD(lam) - _lowest_long_double(diag, off, lam)) <= 1e-11
@@ -154,14 +154,20 @@ def test_certificate_refuses_all_but_the_lowest_eigenvalue(monkeypatch):
     assert _shift_invert(diag, off, lam1 + 1e-3, np.ones(400)) == (lam1, None)
 
 
-def test_pole_on_the_seed_mesh_only():
-    # rho = 0.2 is a cell center of the 50-cell seed mesh, not of the 400- or
-    # 800-cell meshes, so the seed comes from bisection on 400 cells instead
-    bound = _bound("-2/rho + 1e-9/(rho - 0.2)")
+@pytest.mark.parametrize("pole, mesh", [(3 / 32, 256), (3 / 64, 512), (3 / 128, 1024)])
+def test_a_pole_on_a_cell_center_of_any_mesh_raises(pole, mesh):
+    # with h = 1/16, 1/32 and 1/64 the cell centers are odd multiples of h/2,
+    # so each pole sits on a center of exactly one of the three meshes
+    bound = _bound(f"-2/rho + 1e-9/(rho - {pole!r})")
+    hits = []
+    for n in (256, 512, 1024):
+        try:
+            _matrix(bound, 0, 16.0, n)
+        except PotentialEvalError:
+            hits.append(n)
+    assert hits == [mesh]
     with pytest.raises(PotentialEvalError):
-        _matrix(bound, 0, 20.0, 50)
-    e1, e2 = (_bisect(*_matrix(bound, 0, 20.0, n)) for n in (400, 800))
-    assert abs(fd_ground_energy(bound, 0, 20.0, 400) - (e2 + (e2 - e1) / 3.0)) <= 1e-9
+        fd_ground_energy(bound, 0, 16.0, 256)
 
 
 def _delta(diag, off):
@@ -188,7 +194,8 @@ def test_certificate_contract_on_a_seeded_corpus(monkeypatch):
         a, b, c = rng.uniform(0.1, 2.0), rng.uniform(0.5, 3.0), rng.uniform(0.0, 1.0)
         p, q = rng.choice([1, 1.5, 2, 3, 4]), rng.choice([0.5, 1, 1.5])
         l, rho_max = int(rng.integers(0, 4)), float(rng.choice([10.0, 20.0, 30.0]))
-        fd_ground_energy(_bound(f"{a!r}*rho^{p} - {b!r}/rho^{q} + {c!r}*rho"), l, rho_max, 4000)
+        bound = _bound(f"{a!r}*rho^{p} - {b!r}/rho^{q} + {c!r}*rho")
+        fd_ground_energy(bound, l, rho_max, 4000)
     fallbacks = 0
     for diag, off, (lam, vector) in solved:
         exact = _bisect(diag, off)
@@ -197,26 +204,63 @@ def test_certificate_contract_on_a_seeded_corpus(monkeypatch):
             assert lam == exact
         else:
             assert abs(lam - exact) <= 2 * _delta(diag, off)
-    assert len(solved) == 200
-    assert 0 < fallbacks < 20  # both branches are exercised
+    assert len(solved) == 300
+    # each base mesh is bisected on itself, so even the singular potentials
+    # (l = 0, q = 1.5) no longer start from a seed too weakly bound for the
+    # certificate; test_certificate_refuses_all_but_the_lowest_eigenvalue
+    # exercises the fallback
+    assert fallbacks == 0
 
 
 def test_lapack_budget_on_the_published_sweep(monkeypatch):
     # the hybrid at every published compactified field, as the sweep's oracle
-    # column solves it: the certificate passes early, so few solves are needed
+    # column solves it: three meshes, each seeded by the one below it
     sizes = []
     dgtsv = oracle.dgtsv
     monkeypatch.setattr(oracle, "dgtsv", lambda *a: sizes.append(len(a[1])) or dgtsv(*a))
     spec = parse_potential(HYBRID)
-    solves, finer_solves = [], []
+    n = cli.ORACLE_CELLS
+    work, finest_solves = 0, []
     for m in (0, -1, -2):
         for g_prime in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
             bound = bind_params(spec, {"m": float(m), "g": g_prime / (1.0 - g_prime)})
             geom, _, _ = solve(bound, m, 3)
             sizes.clear()
-            fd_ground_energy(bound, geom.l, max(20.0, 8.0 * geom.rho0), 4000)
-            finer_solves.append(sizes.count(8000))
-            assert set(sizes) == {4000, 8000}
-            solves.append(len(sizes))
-    assert sum(solves) <= 100  # 135 when the certificate waited for a step below delta
-    assert max(finer_solves) <= 2
+            fd_ground_energy(bound, geom.l, max(20.0, 8.0 * geom.rho0), n)
+            assert set(sizes) == {n, 2 * n, 4 * n}
+            finest_solves.append(sizes.count(4 * n))
+            work += sum(sizes)
+    # cells times dgtsv solves: 512,000 when 4000 and 8000 cells were extrapolated
+    assert work <= 125_000
+    assert max(finest_solves) <= 2
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_the_error_bar_covers_the_exact_energies(m):
+    # Coulomb and the oscillator on the sweep's own mesh and rho_max
+    for text, params, exact in (("-2/rho", {}, coulomb_exact(m)),
+                                ("g^2*rho^2/4", {"g": 2.0}, oscillator_exact(m, 2.0))):
+        bound = _bound(text, params)
+        geom, _, _ = solve(bound, m, 3)
+        e, err = fd_ground_energy(bound, m, max(20.0, 8.0 * geom.rho0), cli.ORACLE_CELLS)
+        assert abs(e - exact) <= err <= 1e-5
+
+
+@pytest.mark.parametrize("m, rho_max, deviation", [(1, 20.0, 1.3e-8), (2, 30.0, 1.2e-6)])
+def test_the_error_bar_covers_a_near_wall(m, rho_max, deviation):
+    # the wall raises the energy by far more than the extrapolation's error
+    # (|R3 - R2| is 1e-10 for m = 1), so only the bar's wall term covers it
+    e, err = fd_ground_energy(_bound("-2/rho"), m, rho_max, cli.ORACLE_CELLS)
+    assert e - coulomb_exact(m) == pytest.approx(deviation, rel=0.05)
+    assert e - coulomb_exact(m) <= err <= 4 * deviation
+
+
+def test_the_error_bar_widens_where_the_meshes_do_not_converge_as_h2():
+    # at l = 0, -2/rho^0.5 converges as h^1.5: (E2 - E1)/(E4 - E2) = 2.85, and
+    # the bar takes E4's own error, since 4 |R3 - R2| (8e-5) misses the 1.5e-4
+    bound = _bound("rho^2 - 2/rho^0.5")
+    e, err = fd_ground_energy(bound, 0, 20.0, 500)
+    ref, ref_err = fd_ground_energy(bound, 0, 20.0, 16000)
+    assert 1e-4 < abs(e - ref) <= err - ref_err
+    # -2/rho^1.5 shows no convergence on these meshes, so no bar is given
+    assert fd_ground_energy(_bound("rho^2 - 2/rho^1.5"), 0, 20.0, 500)[1] == np.inf
