@@ -194,8 +194,7 @@ def test_certificate_contract_on_a_seeded_corpus(monkeypatch):
         a, b, c = rng.uniform(0.1, 2.0), rng.uniform(0.5, 3.0), rng.uniform(0.0, 1.0)
         p, q = rng.choice([1, 1.5, 2, 3, 4]), rng.choice([0.5, 1, 1.5])
         l, rho_max = int(rng.integers(0, 4)), float(rng.choice([10.0, 20.0, 30.0]))
-        bound = _bound(f"{a!r}*rho^{p} - {b!r}/rho^{q} + {c!r}*rho")
-        fd_ground_energy(bound, l, rho_max, 4000)
+        fd_ground_energy(_bound(f"{a!r}*rho^{p} - {b!r}/rho^{q} + {c!r}*rho"), l, rho_max, 4000)
     fallbacks = 0
     for diag, off, (lam, vector) in solved:
         exact = _bisect(diag, off)
@@ -248,8 +247,8 @@ def test_the_error_bar_covers_the_exact_energies(m):
 
 @pytest.mark.parametrize("m, rho_max, deviation", [(1, 20.0, 1.3e-8), (2, 30.0, 1.2e-6)])
 def test_the_error_bar_covers_a_near_wall(m, rho_max, deviation):
-    # the wall raises the energy by far more than the extrapolation's error
-    # (|R3 - R2| is 1e-10 for m = 1), so only the bar's wall term covers it
+    # the wall raises the energy by far more than the extrapolation's error:
+    # without its wall term the bar would be 1.6e-9 and 1.1e-9
     e, err = fd_ground_energy(_bound("-2/rho"), m, rho_max, cli.ORACLE_CELLS)
     assert e - coulomb_exact(m) == pytest.approx(deviation, rel=0.05)
     assert e - coulomb_exact(m) <= err <= 4 * deviation
