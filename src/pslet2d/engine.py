@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -35,7 +36,6 @@ from .expressions import (
     PotentialEvalError,
     PotentialSpec,
     evaluate,
-    exponent_params,
     float_pow,
 )
 from .jets import jet_lift, taylor_coeffs
@@ -166,7 +166,7 @@ def _frame(bound: BoundPotential, rho, l: int, rho3=None):
 
 
 # brentq's stopping rule, scipy's with xtol ~ 0: rtol = 4 eps is the only stop
-_XTOL, _RTOL, _MAXITER = 1e-300, 8.9e-16, 100
+_RTOL, _MAXITER = 8.9e-16, 100
 
 
 def brentq(f, a, b, fa, fb) -> list:
@@ -174,11 +174,13 @@ def brentq(f, a, b, fa, fb) -> list:
 
     Each bracket (a lane) takes exactly the steps of scipy.optimize.brentq
     (Brent 1973, as in scipy's C routine), so it ends on the same float.
-    ``fa`` and ``fb`` hold the function at the ends.  ``f(lanes, x)``
-    returns the function of each lane in the list ``lanes`` at the matching
-    entry of the list ``x``; it is called once per iteration for every live
-    lane.  A lane's result is None where f was NaN, the ends have one sign or
-    ``_MAXITER`` iterations did not converge: the cases in which scipy raises.
+    ``fa`` and ``fb``, the function at the ends, are non-NaN, nonzero and of
+    opposite signs, and the ends lie in [RHO_LO, RHO_HI], as the scan gives
+    them; there scipy's xtol = 1e-300 is below an ulp of its rtol |x|.
+    ``f(lanes, x)`` is called once per iteration with the live lanes and one
+    point each, and returns each lane's function at its point.  A lane's
+    result is None where f was NaN or ``_MAXITER`` iterations did not
+    converge: the cases in which scipy raises.
 
     Do not change which float a lane ends on: the last bit of rho0 decides
     whether Coulomb is exact at high order.  For Coulomb m = 0, F is 0 at both
@@ -186,17 +188,9 @@ def brentq(f, a, b, fa, fb) -> list:
     is 3.6e-15 at the first and 3.1e6 at the second.
     """
     roots: list = [None] * len(a)
-    live = {}  # lane -> [xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, iterations]
-    for i, xpre, xcur, fpre, fcur in zip(range(len(a)), map(float, a), map(float, b),
-                                         map(float, fa), map(float, fb)):
-        if math.isnan(fpre) or math.isnan(fcur):
-            continue
-        if fpre == 0.0:
-            roots[i] = xpre
-        elif fcur == 0.0:
-            roots[i] = xcur
-        elif (fpre < 0.0) != (fcur < 0.0):  # scipy's signbit test, for nonzero f
-            live[i] = [xpre, xcur, 0.0, fpre, fcur, 0.0, 0.0, 0.0, 0]
+    # lane -> [xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, iterations]
+    live = {i: [xpre, xcur, 0.0, fpre, fcur, 0.0, 0.0, 0.0, 0] for i, (xpre, xcur, fpre, fcur)
+            in enumerate(zip(map(float, a), map(float, b), map(float, fa), map(float, fb)))}
     while live:
         lanes, points = [], []
         for i, (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, it) in list(live.items()):
@@ -209,7 +203,7 @@ def brentq(f, a, b, fa, fb) -> list:
             if abs(fblk) < abs(fcur):
                 xpre, xcur, xblk = xcur, xblk, xcur
                 fpre, fcur, fblk = fcur, fblk, fcur
-            delta = (_XTOL + _RTOL * abs(xcur)) / 2.0
+            delta = _RTOL * abs(xcur) / 2.0
             sbis = (xblk - xcur) / 2.0
             if fcur == 0.0 or abs(sbis) < delta:
                 roots[i] = xcur
@@ -365,10 +359,13 @@ def solve_geometry(rows: list, m: int) -> list:
         else:
             if len(candidates) > 1:
                 candidates.sort(key=lambda g: g.Q * (1.0 / g.rho0 ** 2 + g.v0 / g.Q))
+                frame, level = sys._getframe(), 1  # name the first caller outside pslet2d
+                while frame.f_globals.get("__name__", "").startswith("pslet2d."):
+                    frame, level = frame.f_back, level + 1
                 warnings.warn(
                     f"{len(candidates)} stable frames found; choosing the one with the "
                     "lowest leading-order energy",
-                    stacklevel=3,
+                    stacklevel=level,
                 )
             frames.append(candidates[0])
     return frames
@@ -714,10 +711,10 @@ def solve_batch(rows: list[BoundPotential], m: int, max_order: int = 3) -> list:
     spec = rows[0].spec
     if any(row.spec != spec for row in rows):
         raise ValueError("solve_batch rows must share one PotentialSpec")
-    in_exponent = sorted(exponent_params(spec.tree))
     groups: dict = {}  # bit patterns of the exponent parameters -> row indices
     for i, row in enumerate(rows):
-        groups.setdefault(tuple(float.hex(row.values[k]) for k in in_exponent), []).append(i)
+        groups.setdefault(tuple(float.hex(row.values[k]) for k in spec.exponent_params),
+                          []).append(i)
     out: list = [None] * len(rows)
     for members in groups.values():
         for i, result in zip(members, _solve_rows([rows[i] for i in members], abs(m), max_order)):

@@ -32,7 +32,6 @@ __all__ = [
     "BoundPotential",
     "parse_potential",
     "bind_params",
-    "exponent_params",
     "float_pow",
 ]
 
@@ -237,8 +236,9 @@ def render(node: Node) -> str:
 # ---------------------------------------------------------------------------
 # Public types
 
-def _collect_params(node: Node, out: set[str]) -> bool:
-    """Accumulate parameter names; return True iff the subtree mentions rho."""
+def _collect_params(node: Node, out: set[str], in_exponent: set[str]) -> bool:
+    """Accumulate parameter names, those inside an exponent into ``in_exponent``
+    and the others into ``out``; return True iff the subtree mentions rho."""
     if isinstance(node, Rho):
         return True
     if isinstance(node, Param):
@@ -247,19 +247,20 @@ def _collect_params(node: Node, out: set[str]) -> bool:
     if isinstance(node, Num):
         return False
     if isinstance(node, Neg):
-        return _collect_params(node.arg, out)
+        return _collect_params(node.arg, out, in_exponent)
     assert isinstance(node, BinOp)
-    a = _collect_params(node.lhs, out)
-    b = _collect_params(node.rhs, out)
+    a = _collect_params(node.lhs, out, in_exponent)
+    b = _collect_params(node.rhs, in_exponent if node.op == "^" else out, in_exponent)
     return a or b
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Parsed expression tree for V(rho) plus its free parameter names."""
+    """Parsed expression tree for V(rho), its free parameter names and those in an exponent."""
 
     tree: Node
     params: tuple[str, ...]
+    exponent_params: tuple[str, ...]
 
     def __str__(self) -> str:
         return render(self.tree)
@@ -295,24 +296,13 @@ def parse_potential(text: str) -> PotentialSpec:
     if tok.kind != "end":
         raise PotentialSyntaxError(f"unexpected {tok.text!r}", tok.offset)
     names: set[str] = set()
-    has_rho = _collect_params(tree, names)
-    if not has_rho:
+    in_exponent: set[str] = set()
+    if not _collect_params(tree, names, in_exponent):
         raise ConstantPotentialError(
             "potential does not depend on rho: no stable frame exists"
         )
-    return PotentialSpec(tree=tree, params=tuple(sorted(names)))
-
-
-def exponent_params(node: Node) -> set[str]:
-    """Names of the parameters that appear in an exponent within ``node``."""
-    if isinstance(node, Neg):
-        return exponent_params(node.arg)
-    if not isinstance(node, BinOp):
-        return set()
-    names = exponent_params(node.lhs) | exponent_params(node.rhs)
-    if node.op == "^":
-        _collect_params(node.rhs, names)
-    return names
+    return PotentialSpec(tree=tree, params=tuple(sorted(names | in_exponent)),
+                         exponent_params=tuple(sorted(in_exponent)))
 
 
 def bind_params(spec: PotentialSpec, values: Mapping[str, float]) -> BoundPotential:
@@ -392,15 +382,13 @@ def float_pow(x, p):
     overflow give inf.
     """
     scalar = isinstance(p, (int, float))
+    exponents = [p] if scalar else p
     flat = [x] if isinstance(x, float) else np.ravel(x).tolist()
     try:
-        if scalar:
-            out = [math.pow(v, p) for v in flat]
-        else:
-            out = [math.pow(v, e) for v in flat for e in p]
+        out = [math.pow(v, e) for v in flat for e in exponents]
     except (ValueError, OverflowError):  # negative base, pole or overflow
         with np.errstate(all="ignore"):
-            out = [float(np.float64(v) ** e) for v in flat for e in ([p] if scalar else p)]
+            out = [float(np.float64(v) ** e) for v in flat for e in exponents]
     if not scalar:
         return np.array(out).reshape(np.shape(x) + (len(p),))
     return out[0] if isinstance(x, float) else np.array(out).reshape(np.shape(x))

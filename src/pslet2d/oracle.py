@@ -134,16 +134,15 @@ def _delta(diag: np.ndarray, off: np.ndarray) -> float:
     return np.finfo(float).eps * float(row.max())
 
 
-def _shift_invert(diag: np.ndarray, off: np.ndarray, lam: float, x: np.ndarray):
+def _shift_invert(diag: np.ndarray, off: np.ndarray, lam: float, x: np.ndarray, delta: float):
     """Lowest eigenvalue and eigenvector of T by Rayleigh-quotient iteration.
 
     Starts from the shift ``lam`` and the vector ``x``, and returns the first
-    iterate (lambda, eigenvector) that passes the certificate.  A singular
-    solve, a step below the certificate's delta or ``MAX_SHIFTS`` steps
-    without a certified iterate hand over to bisection: (its lambda, None).
+    iterate (lambda, eigenvector) that passes the certificate with ``delta``,
+    T's ``_delta``.  A singular solve, a step below delta or ``MAX_SHIFTS``
+    steps without a certified iterate hand over to bisection: (its lambda, None).
     """
     eps = np.finfo(float).eps
-    delta = _delta(diag, off)
     # row sums d_i + e_i + e_(i-1), with the rounding error of the first sum
     # added back (TwoSum), so that (T x)_i = sums_i x_i + e_i (x_(i+1) - x_i)
     # + e_(i-1) (x_(i-1) - x_i) cancels the O(1/h^2) entries before rounding;
@@ -189,11 +188,12 @@ def fd_ground_energy(bound: BoundPotential, l: int, rho_max: float,
         raise ValueError(f"rho_max must be positive and finite, got {rho_max}")
     meshes = [_matrix(bound, l, rho_max, n) for n in (points, 2 * points, 4 * points)]
     lam = float(eigvalsh_tridiagonal(*meshes[0], select="i", select_range=(0, 0), tol=SEED_TOL)[0])
-    x, wall, energies, deltas = None, np.inf, [], []
-    for diag, off in meshes:
-        lam, x = _shift_invert(diag, off, lam, np.ones(len(diag)) if x is None else np.repeat(x, 2))
+    x, wall, energies = None, np.inf, []
+    deltas = [_delta(diag, off) for diag, off in meshes]
+    for (diag, off), delta in zip(meshes, deltas):
+        x = np.ones(len(diag)) if x is None else np.repeat(x, 2)
+        lam, x = _shift_invert(diag, off, lam, x, delta)
         energies.append(lam)
-        deltas.append(_delta(diag, off))
         if x is not None:  # the wall term, from Psi' = x[-1] / h^1.5 and kappa^2 =
             # V + l^2/rho^2 - E on the last cell, whose diagonal is 2/h^2 + l^2/rho^2 + V
             h = rho_max / len(diag)

@@ -132,20 +132,17 @@ def test_brentq_lanes_match_scipy_on_failures(monkeypatch):
     def clean(x):
         return x ** 3 - 2.0
 
-    def nan_beyond(x):
-        return math.nan if x > 2.5 else clean(x)
-
     def nan_at_root(x):
         return math.nan if 1.25 < x < 1.27 else clean(x)
 
-    # a root, NaN at an end, NaN where the root is, ends of one sign
-    fs, a, b = [clean, nan_beyond, nan_at_root, clean], [0.0, 0.0, 1.0, 2.0], [1.5, 3.0, 2.0, 3.0]
+    # a root, and NaN where the root is; as on a scan bracket, the ends are
+    # non-NaN, nonzero and of opposite signs
+    fs, a, b = [clean, nan_at_root], [0.0, 1.0], [1.5, 2.0]
     got = brentq(*_lanes(fs, a, b))
     assert got[0] == scipy_brentq(clean, 0.0, 1.5, xtol=1e-300, rtol=8.9e-16)
-    for i in (1, 2, 3):
-        with pytest.raises(ValueError):
-            scipy_brentq(fs[i], a[i], b[i], xtol=1e-300, rtol=8.9e-16)
-        assert got[i] is None
+    with pytest.raises(ValueError):
+        scipy_brentq(nan_at_root, 1.0, 2.0, xtol=1e-300, rtol=8.9e-16)
+    assert got[1] is None
     # too few iterations: scipy raises, the lane is dropped
     for maxiter in range(1, 12):
         try:
@@ -154,6 +151,27 @@ def test_brentq_lanes_match_scipy_on_failures(monkeypatch):
             expected = None
         monkeypatch.setattr(engine, "_MAXITER", maxiter)
         assert brentq(*_lanes([clean], [0.0], [1.5])) == [expected]
+
+
+def test_solve_batch_hands_brentq_only_scan_brackets(monkeypatch):
+    # brentq has no branch for a NaN or zero end, or for ends of one sign
+    ends = []
+
+    def spy(f, a, b, fa, fb):
+        ends.extend(zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist()))
+        return brentq(f, a, b, fa, fb)
+
+    monkeypatch.setattr(engine, "brentq", spy)
+    batches: dict = {}
+    for bound, m in _cases():
+        batches.setdefault((bound.spec, m), []).append(bound)
+    for (_, m), rows in batches.items():
+        solve_batch(rows, m)
+    assert len(ends) >= 84  # at least one per case
+    for lo, hi, f_lo, f_hi in ends:
+        assert engine.RHO_LO <= lo < hi <= engine.RHO_HI
+        assert not (math.isnan(f_lo) or math.isnan(f_hi))
+        assert f_lo != 0.0 and f_hi != 0.0 and (f_lo < 0.0) != (f_hi < 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +305,19 @@ def _assert_rows_equal_lone_solves(text, rows, m, max_order=3):
 
 @pytest.mark.parametrize("m", [0, -2])
 def test_rows_that_differ_in_an_exponent_equal_lone_solves(monkeypatch, m):
-    # a and p sit in exponents, so the rows form one batch per (a, p) pair;
-    # the batch of a = 1.5, p = 2 holds three rows that differ in b
+    # a and p sit in exponents (in the second text a sits in an exponent's
+    # exponent), so the rows form one batch per (a, p) pair; the batch of
+    # a = 1.5, p = 2 holds three rows that differ in b
     rows = [{"a": a, "p": p, "b": b} for a, p, b in
             [(1.5, 2.0, 0.3), (2.0, 2.0, 0.3), (1.5, 2.0, 0.7), (1.0, 3.0, 0.3),
              (1.5, 2.0, 1.1), (2.0, 2.0, 0.5)]]
-    sizes, solve_rows = [], engine._solve_rows
-    monkeypatch.setattr(engine, "_solve_rows", lambda rows, *a: sizes.append(len(rows))
-                        or solve_rows(rows, *a))
-    _assert_rows_equal_lone_solves("b*rho^a + rho^p/10 - 2/rho", rows, m)
-    assert sizes == [3, 2, 1] + [1] * len(rows)  # the batches, then the lone solves
+    solve_rows = engine._solve_rows
+    for text in ("b*rho^a + rho^p/10 - 2/rho", "b*rho^(p^(a/2)) - 2/rho"):
+        sizes = []
+        monkeypatch.setattr(engine, "_solve_rows", lambda rows, *a: sizes.append(len(rows))
+                            or solve_rows(rows, *a))
+        _assert_rows_equal_lone_solves(text, rows, m)
+        assert sizes == [3, 2, 1] + [1] * len(rows)  # the batches, then the lone solves
 
 
 def test_signed_zeros_are_distinct_values(monkeypatch):

@@ -5,6 +5,7 @@ import statistics
 import numpy as np
 import pytest
 
+from pslet2d import cli
 from pslet2d.expressions import bind_params, parse_potential
 from pslet2d.engine import (
     RESIDUAL_TOL,
@@ -13,6 +14,7 @@ from pslet2d.engine import (
     NoStableFrameError,
     build_v_series,
     solve,
+    solve_batch,
     solve_geometry,
     solve_hierarchy,
 )
@@ -192,6 +194,18 @@ def test_two_stable_frames_lowest_leading_energy_wins():
     with pytest.warns(UserWarning, match="2 stable frames"):
         geom = _geometry(bound, 0)
     assert geom.rho0 == pytest.approx(outer, rel=1e-13)
+
+
+def test_the_two_frames_warning_names_the_caller():
+    # from every entry point, the warning points at the first frame outside
+    # pslet2d: here, this file
+    text = "rho^4-6*rho^2-2/rho"
+    for call in (lambda: solve(_bound(text), 0),
+                 lambda: solve_batch([_bound(text), _bound(text)], 0),
+                 lambda: cli.main(["compute", "-V", text, "-m", "0"])):
+        with pytest.warns(UserWarning, match="2 stable frames") as record:
+            call()
+        assert [w.filename for w in record] == [__file__] * len(record)
 
 
 @pytest.mark.parametrize("text", ["rho^rho", "1/(0)*rho", "0^(-1)*rho"])

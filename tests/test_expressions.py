@@ -173,15 +173,30 @@ def test_print_parse_round_trip():
     for _ in range(300):
         tree = _random_tree(rng, 4)
         text = render(tree)
-        names: set = set()
         from pslet2d.expressions import _collect_params
 
-        if not _collect_params(tree, names):
+        if not _collect_params(tree, set(), set()):
             continue  # constant trees are rejected by design
         spec = parse_potential(text)
         assert spec.tree == tree, text
         n_checked += 1
     assert n_checked > 150
+
+
+@pytest.mark.parametrize(
+    "text, params, exponent_params",
+    [
+        ("rho^a", ("a",), ("a",)),
+        ("(a*rho)^a", ("a",), ("a",)),  # in the base and in the exponent
+        ("rho^(b^c)", ("b", "c"), ("b", "c")),
+        ("-rho^-a", ("a",), ("a",)),
+        ("2^a*rho", ("a",), ("a",)),
+        ("rho^2+b", ("b",), ()),
+    ],
+)
+def test_spec_names_the_parameters_in_an_exponent(text, params, exponent_params):
+    spec = parse_potential(text)
+    assert (spec.params, spec.exponent_params) == (params, exponent_params)
 
 
 def test_eval_matches_hand_corpus():

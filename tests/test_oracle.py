@@ -124,8 +124,8 @@ def _lowest_long_double(diag, off, guess, width=1e-9):
 def test_eigenvalues_match_long_double_bisection(monkeypatch, text, params, l):
     solved = []
 
-    def spy(diag, off, lam, x):
-        result = _shift_invert(diag, off, lam, x)
+    def spy(diag, off, lam, x, delta):
+        result = _shift_invert(diag, off, lam, x, delta)
         solved.append((diag, off, result))
         return result
 
@@ -143,15 +143,16 @@ def test_certificate_refuses_all_but_the_lowest_eigenvalue(monkeypatch):
     lam2 = eigvalsh_tridiagonal(diag, off, select="i", select_range=(1, 1))[0]
     # seeded next to lambda_2 the iteration converges there; its eigenvector
     # has a node, so bisection takes over and lambda_1 comes back
-    lam, vector = _shift_invert(diag, off, lam2 + 1e-3, np.ones(400))
+    delta = oracle._delta(diag, off)
+    lam, vector = _shift_invert(diag, off, lam2 + 1e-3, np.ones(400), delta)
     assert vector is None
     assert lam == lam1
 
-    lam, vector = _shift_invert(diag, off, lam1 + 1e-3, np.ones(400))
+    lam, vector = _shift_invert(diag, off, lam1 + 1e-3, np.ones(400), delta)
     assert vector is not None and abs(lam - lam1) <= 1e-10
     # a failed factorization of T - (lambda - delta) I also hands over to bisection
     monkeypatch.setattr(oracle, "dpttrf", lambda d, e: (d, e, 1))
-    assert _shift_invert(diag, off, lam1 + 1e-3, np.ones(400)) == (lam1, None)
+    assert _shift_invert(diag, off, lam1 + 1e-3, np.ones(400), delta) == (lam1, None)
 
 
 @pytest.mark.parametrize("pole, mesh", [(3 / 32, 256), (3 / 64, 512), (3 / 128, 1024)])
@@ -183,8 +184,9 @@ def test_certificate_contract_on_a_seeded_corpus(monkeypatch):
     # the certificate's delta; a fallback is bisection's value itself
     solved = []
 
-    def spy(diag, off, lam, x):
-        result = _shift_invert(diag, off, lam, x)
+    def spy(diag, off, lam, x, delta):
+        assert delta == _delta(diag, off)  # the delta of the mesh it certifies
+        result = _shift_invert(diag, off, lam, x, delta)
         solved.append((diag, off, result))
         return result
 
