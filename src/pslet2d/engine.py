@@ -407,14 +407,13 @@ def build_v_series(rows: list, geoms: list, max_order: int) -> tuple[list, list]
     PotentialEvalError.
     """
     order, failed = max_order + 2, [None] * len(rows)
-    lifts = None
-    if len(rows) > 1:
-        try:
-            lifts = jet_lift(BoundPotential(rows[0].spec, _columns(rows)),
-                             np.array([g.rho0 for g in geoms]), order).T
-        except PotentialEvalError:
-            pass  # some row's jet is not finite: lift each row alone for its own error
-    if lifts is None:
+    # a lone row's jet stays on numpy scalars, which is faster than a batch of one
+    center = geoms[0].rho0 if len(rows) == 1 else np.array([g.rho0 for g in geoms])
+    try:
+        lifts = jet_lift(BoundPotential(rows[0].spec, _columns(rows)), center, order)
+        lifts = lifts.T.reshape(len(rows), -1)
+    except PotentialEvalError:
+        # some row's jet is not finite: lift each row alone for its own error
         lifts = []
         for i, (row, g) in enumerate(zip(rows, geoms)):
             try:
@@ -674,20 +673,15 @@ def solve(
     return result
 
 
-class _AnyRho:
-    """Stands for rho in a walk that evaluates only the parameter-only terms."""
-
-    def _absorb(self, *_):
-        return self
-
-    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _absorb
-    __truediv__ = __rtruediv__ = __neg__ = __pow__ = _absorb
-
-
 def _fails_alone(bound: BoundPotential) -> bool:
-    """True if a parameter-only term raises, as it would in a solve of this row alone."""
+    """True if a parameter-only term raises, as it would in a solve of this row alone.
+
+    The walk takes rho = NaN: every term that depends on rho is then a float
+    NaN, on which neither ``evaluate``'s checks nor float ``**`` raise, so
+    only a term of the parameters alone can.
+    """
     try:
-        evaluate(bound.spec.tree, _AnyRho(), bound.values)
+        evaluate(bound.spec.tree, math.nan, bound.values)
     except ArithmeticError:
         return True
     return False

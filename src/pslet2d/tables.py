@@ -104,33 +104,22 @@ class TableRowResult:
     breakdown: EnergyBreakdown
 
 
+@functools.lru_cache(maxsize=None)
 def load_published_values(preset_name: str) -> tuple[PublishedCell, ...]:
-    """Published values for a preset, from the embedded data file."""
+    """Published values for a preset, read from the embedded data file once per preset."""
     if preset_name not in PRESETS:
         raise KeyError(f"unknown preset {preset_name!r}")
-    return _published().get(preset_name, ())
-
-
-@functools.lru_cache(maxsize=None)
-def _published() -> dict[str, tuple[PublishedCell, ...]]:
-    """Every preset's published cells; the data file is read once per process."""
-    cells: dict[str, list[PublishedCell]] = {}
     data = resources.files("pslet2d").joinpath("data/published_tables.csv")
     with data.open("r", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            cells.setdefault(row["preset"], []).append(
-                PublishedCell(
-                    x=float(row["x"]),
-                    sums=(
-                        float(row["EN0"]),
-                        float(row["EN1"]),
-                        float(row["EN2"]),
-                        float(row["EN3"]),
-                    ),
-                    erratum=row["erratum"],
-                )
+        return tuple(
+            PublishedCell(
+                x=float(row["x"]),
+                sums=(float(row["EN0"]), float(row["EN1"]), float(row["EN2"]), float(row["EN3"])),
+                erratum=row["erratum"],
             )
-    return {name: tuple(rows) for name, rows in cells.items()}
+            for row in csv.DictReader(fh)
+            if row["preset"] == preset_name
+        )
 
 
 def solve_hybrid(gamma: float, m: int, max_order: int = 3):

@@ -75,31 +75,26 @@ def assemble_exponent_blocks(
     """
     S = len(table.W) - 1
 
-    # blocks[t][k]: coefficient of y^k at lbar^(-t/2); t = s - k
-    blocks: dict[int, np.ndarray] = {}
+    # blocks[t][k]: coefficient of y^k at lbar^(-t/2); t = s - k runs over
+    # -2..S-1, as W_s holds s + 2 coefficients
+    blocks = {t: np.zeros(S - t + 1) for t in range(-2, S)}
     for s in range(S + 1):
         # x-coefficients of the integral of W_s from x^1 up (zero constant term)
         integral = table.W[s] / np.arange(1, len(table.W[s]) + 1)
         for k, c in enumerate(integral, start=1):
-            if c == 0.0:
-                continue
-            t = s - k
-            blk = blocks.setdefault(t, np.zeros(S - t + 1))
-            blk[k] += c
+            blocks[s - k][k] += c
 
     # subtract the truncated log series: coefficient 1 at lbar^(+1) (t = -2)
     # and beta + 1/2 at lbar^0 (t = 0); their sum is lbar + beta + 1/2 = l + 1/2
     log_power = geom.l + 0.5
     for t, coef in ((-2, 1.0), (0, geom.beta + 0.5)):
-        if coef == 0.0:
-            continue
-        blk = blocks.setdefault(t, np.zeros(S - t + 1))
+        blk = blocks[t]
         for k in range(1, len(blk)):
             blk[k] -= coef * (-1.0) ** (k + 1) / k
 
     # drop blocks that cancelled to rounding noise
     cleaned = {}
-    for t, blk in sorted(blocks.items()):
+    for t, blk in blocks.items():
         if np.max(np.abs(blk)) > 1e-13:
             cleaned[t] = blk
     return log_power, cleaned

@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from pslet2d import engine, tables
+from pslet2d import engine, jets, tables
 from pslet2d.engine import _SCAN_GRID, _frame, _scan, brentq, solve, solve_batch
 from pslet2d.expressions import bind_params, parse_potential
 
@@ -250,10 +250,13 @@ def test_random_rows_equal_lone_solves(max_order):
             assert _key(result) == _key(_lone(text, row, m, max_order))
 
 
-def test_mixed_batch_keeps_each_rows_error():
+@pytest.mark.parametrize("last", ["1/b", "1/(1/b)", "(1/b)^0"])
+def test_mixed_batch_keeps_each_rows_error(last):
     # rows: a stable frame, V' < 0 everywhere (no frame), a parameter-only
-    # pole (1/b with b = 0), and a stable frame again
-    text = "a*rho + c/rho + 1/b"
+    # pole (b = 0), and a stable frame again.  Alone, the pole row raises;
+    # in array arithmetic 1/(1/0) and (1/0)^0 are finite, so a check on V
+    # alone would let that row solve in the batch
+    text = f"a*rho + c/rho + {last}"
     rows = [dict(zip("acb", r)) for r in
             [(1.0, -2.0, 1.0), (-1.0, 2.0, 1.0), (1.0, -2.0, 0.0), (2.0, -1.0, 3.0)]]
     batch = solve_batch([_bound(text, row) for row in rows], 1)
@@ -261,6 +264,55 @@ def test_mixed_batch_keeps_each_rows_error():
     assert isinstance(batch[1], engine.NoStableFrameError)
     assert isinstance(batch[2], engine.NoStableFrameError)
     assert not isinstance(batch[0], Exception) and not isinstance(batch[3], Exception)
+
+
+def _random_text(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(("rho", "rho", "a", "b", "0", "2", "0.5", "(0-3)", "1e200"))
+    if rng.random() < 0.1:
+        return "-" + _random_text(rng, depth - 1)
+    return f"({_random_text(rng, depth - 1)}{rng.choice('+-*/^')}{_random_text(rng, depth - 1)})"
+
+
+def test_fails_alone_exactly_when_a_lone_expansion_raises():
+    # the check walks the tree with rho = NaN; a check in evaluate that
+    # raised on a NaN operand would make it fail rows that solve alone
+    rng = random.Random(18)
+    verdicts = []
+    while len(verdicts) < 3000:
+        text = _random_text(rng, 4)
+        if "rho" not in text:
+            continue
+        spec = parse_potential(text)
+        row = bind_params(spec, {k: rng.choice((0.0, -0.0, 1.5, -2.0, 3.0, 1e200, 1e-300))
+                                 for k in spec.params})
+        try:
+            jets.taylor_coeffs(row, 1.7, 2)
+            raised = False
+        except ArithmeticError:
+            raised = True
+        assert engine._fails_alone(row) == raised, (text, row.values)
+        verdicts.append(raised)
+    assert 300 < sum(verdicts) < 2700  # both verdicts are well represented
+
+
+def test_a_failed_batch_lift_gives_each_row_its_lone_error(monkeypatch):
+    # at g = 1e15 and 3e15 rho0 is 1.8e-4 and 1.4e-4, where the order-62 jet
+    # overflows; g = 1e16 has no frame.  The two-row lift raises, so each row
+    # is lifted alone for its own error
+    text, rows = "g*rho^2 - 2/rho", [{"g": g} for g in (1e15, 3e15, 1e16)]
+    centers, jet_lift = [], engine.jet_lift
+    monkeypatch.setattr(engine, "jet_lift", lambda bound, center, order:
+                        centers.append(center) or jet_lift(bound, center, order))
+    batch = solve_batch([_bound(text, row) for row in rows], 0, 60)
+    monkeypatch.undo()
+    assert [_key(r) for r in batch] == [_key(_lone(text, row, 0, 60)) for row in rows]
+    assert [np.shape(c) for c in centers] == [(2,), (), ()]
+    assert centers[1:] == centers[0].tolist()
+    for result, rho0 in zip(batch, centers[1:]):
+        assert isinstance(result, engine.PotentialEvalError)
+        assert str(result) == f"non-finite jet coefficients when expanding about rho={rho0}"
+    assert isinstance(batch[2], engine.NoStableFrameError)
 
 
 @pytest.mark.parametrize("value", [1e308, math.inf, math.nan])

@@ -29,10 +29,11 @@ def test_load_published_values_shapes():
 
 
 def test_published_values_are_read_once(monkeypatch):
-    first = tables.load_published_values("hybrid-2p-minus")
+    first = {name: tables.load_published_values(name) for name in tables.PRESETS}
     monkeypatch.setattr(tables.resources, "files", None)  # a second read would fail
-    assert tables.load_published_values("hybrid-2p-minus") is first
-    assert isinstance(first, tuple)
+    for name, cells in first.items():
+        assert tables.load_published_values(name) is cells
+        assert isinstance(cells, tuple) and cells
 
 
 def test_unknown_preset():
