@@ -18,7 +18,6 @@ from .engine import (
     Geometry,
     HierarchyInconsistencyError,
     NoStableFrameError,
-    NotAMinimumError,
     SolverError,
     solve,
     solve_batch,
@@ -42,7 +41,6 @@ __all__ = [
     "GridError",
     "HierarchyInconsistencyError",
     "NoStableFrameError",
-    "NotAMinimumError",
     "PotentialEvalError",
     "PotentialSpec",
     "PotentialSyntaxError",

@@ -44,7 +44,6 @@ __all__ = [
     "SolverError",
     "NoStableFrameError",
     "FrequencyUndefinedError",
-    "NotAMinimumError",
     "HierarchyInconsistencyError",
     "Geometry",
     "CoefficientTable",
@@ -67,11 +66,7 @@ class NoStableFrameError(SolverError):
 
 
 class FrequencyUndefinedError(SolverError):
-    """The radicand of the harmonic frequency is non-positive at the candidate."""
-
-
-class NotAMinimumError(SolverError):
-    """The candidate expansion point is not a minimum of the leading energy."""
+    """No candidate expansion point solves the frame equation to FRAME_TOL."""
 
 
 class HierarchyInconsistencyError(SolverError):
@@ -240,28 +235,20 @@ def brentq(f, a, b, fa, fb) -> list:
     return roots
 
 
-# Up to this many points, _frames_at expands each alone as a float.  One
-# array expansion costs about as much as two float ones; a lone solve's root
-# finder asks for one point per iteration, and taking that point as an array
-# made solve_geometry 1.28x slower over the high_order requests.
-_FLOAT_POINTS = 2
-
-
 def _frames_at(rows: list, values, owners: list, rho: list, l: int) -> list:
-    """(F, w, V, V''/2) as floats at each point of ``rho``, for the row in ``owners``.
+    """(F, w, V) as floats at each point of ``rho``, for the row in ``owners``.
 
     ``rows`` holds each row's BoundPotential and ``values`` their parameter
-    columns (see ``_columns``).  Both paths give the same bits.
+    columns (see ``_columns``).  A lone point is expanded as a float, which
+    keeps a lone solve's root finder off numpy arrays, and two or more as one
+    array; both give the same bits.
     """
-    if len(rho) <= _FLOAT_POINTS:
-        out = []
-        for i, r in zip(owners, rho):
-            F, w, a = _frame(rows[i], r, l)
-            out.append((float(F), float(w), float(a[0]), float(a[2])))
-        return out
+    if len(rho) == 1:
+        F, w, a = _frame(rows[owners[0]], rho[0], l)
+        return [(float(F), float(w), float(a[0]))]
     bound = BoundPotential(rows[0].spec, _pick(values, np.array(owners)))
     F, w, a = _frame(bound, np.array(rho), l)
-    return list(zip(F.tolist(), w.tolist(), a[0].tolist(), a[2].tolist()))
+    return list(zip(F.tolist(), w.tolist(), a[0].tolist()))
 
 
 def _columns(rows: list) -> dict:
@@ -314,7 +301,7 @@ def solve_geometry(rows: list, m: int) -> list:
         scan[[i for i, row in enumerate(rows) if _fails_alone(row)]] = np.nan
 
     roots = [[float(r) for r in _SCAN_GRID[row == 0.0]] for row in scan]
-    seen = {}  # (row, rho) -> (F, w, V, V''/2) where the root finder evaluated
+    seen = {}  # (row, rho) -> (F, w, V) where the root finder evaluated
     sign = np.sign(scan)  # NaN where undefined, so no bracket touches it
     owners, cells = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
     if len(owners):
@@ -348,51 +335,39 @@ def solve_geometry(rows: list, m: int) -> list:
             ))
             continue
         results = [next(checked) for _ in rs]
-        failure = next((r for r in results if isinstance(r, NotAMinimumError)), None)
         candidates = [r for r in results if isinstance(r, Geometry)]
-        if failure is not None:
-            frames.append(failure)  # a root that is not a minimum fails the row
-        elif not candidates:
-            frames.append(FrequencyUndefinedError(
-                "frequency undefined or unstable at every candidate expansion point"
-            ))
-        else:
-            if len(candidates) > 1:
-                candidates.sort(key=lambda g: g.Q * (1.0 / g.rho0 ** 2 + g.v0 / g.Q))
-                frame, level = sys._getframe(), 1  # name the first caller outside pslet2d
-                while frame.f_globals.get("__name__", "").startswith("pslet2d."):
-                    frame, level = frame.f_back, level + 1
-                warnings.warn(
-                    f"{len(candidates)} stable frames found; choosing the one with the "
-                    "lowest leading-order energy",
-                    stacklevel=level,
-                )
-            frames.append(candidates[0])
+        if not candidates:
+            frames.append(results[0])  # the first root's FrequencyUndefinedError
+            continue
+        if len(candidates) > 1:
+            candidates.sort(key=lambda g: g.Q * (1.0 / g.rho0 ** 2 + g.v0 / g.Q))
+            frame, level = sys._getframe(), 1  # name the first caller outside pslet2d
+            while frame.f_globals.get("__name__", "").startswith("pslet2d."):
+                frame, level = frame.f_back, level + 1
+            warnings.warn(
+                f"{len(candidates)} stable frames found; choosing the one with the "
+                "lowest leading-order energy",
+                stacklevel=level,
+            )
+        frames.append(candidates[0])
     return frames
 
 
 def _finish_frame(points: list, l: int) -> list:
-    """Validate the frame at each refined root from its (rho0, F, w, V, V''/2).
+    """The frame at each refined root from its (rho0, F, w, V).
 
-    Gives per root a Geometry, None if F(rho0) misses or is undefined, or a
-    NotAMinimumError.
+    Gives per root a Geometry, or a FrequencyUndefinedError where |F(rho0)|
+    exceeds FRAME_TOL max(1, l), as where F changes sign across a kink or a
+    pole of V.  Every Geometry is a minimum of the leading energy
+    E^(-2)(rho) = 1/rho^2 + V(rho)/Q: at a root its second derivative is
+    2 rad / rho0^4, and ``_frame`` gives F only where rad > 0.
     """
-    out = []
-    for rho0, F, w, v0, half_v2 in points:
-        if not abs(F) <= FRAME_TOL * max(1.0, l):
-            out.append(None)
-            continue
-        beta = -w / 4.0
-        lbar = l - beta
-        Q = lbar ** 2
-        # second-derivative test on E^(-2)(rho) = 1/rho^2 + V(rho)/Q at fixed Q
-        if 6.0 / rho0 ** 4 + 2.0 * half_v2 / Q <= 0.0:
-            out.append(NotAMinimumError(
-                f"expansion point rho0 = {rho0} is not a minimum of the leading energy"
-            ))
-        else:
-            out.append(Geometry(rho0=rho0, w=w, beta=beta, lbar=lbar, l=l, v0=v0))
-    return out
+    tol = FRAME_TOL * max(1.0, l)
+    return [Geometry(rho0=rho0, w=w, beta=-w / 4.0, lbar=l + w / 4.0, l=l, v0=v0)
+            if abs(F) <= tol else FrequencyUndefinedError(
+                "no candidate expansion point solves the frame equation: the first, "
+                f"rho0 = {rho0}, leaves F(rho0) = {F:.3g}, beyond the tolerance {tol:.0e}")
+            for rho0, F, w, v0 in points]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pslet2d import engine, jets, tables
-from pslet2d.engine import _SCAN_GRID, _frame, _scan, brentq, solve, solve_batch
+from pslet2d.engine import SCAN_POINTS, _SCAN_GRID, _frame, _scan, brentq, solve, solve_batch
 from pslet2d.expressions import bind_params, parse_potential
 
 scipy_brentq = pytest.importorskip("scipy.optimize").brentq
@@ -202,12 +202,12 @@ def test_batched_scan_equals_lone_points(text, rows):
 
 
 def test_array_frames_equal_float_frames():
-    # _frames_at takes few points as floats and more as one array
+    # _frames_at takes a lone point as a float and more as one array
     spec = parse_potential("a*rho^1.5 + b*rho - 2/rho")
     values = {"a": np.array([1.3, 0.2, -1.0, 0.7]), "b": 0.4}
     rows = [bind_params(spec, {"a": a, "b": 0.4}) for a in values["a"].tolist()]
     owners, rho = [0, 1, 2, 3, 1], [0.3, 1.7, 1e-4, 25.0, 3.1]
-    assert len(rho) > engine._FLOAT_POINTS
+    assert len(rho) > 1
     for l in (0, 2):
         batch = engine._frames_at(rows, values, owners, rho, l)
         alone = [engine._frames_at(rows, values, [i], [r], l)[0] for i, r in zip(owners, rho)]
@@ -388,6 +388,65 @@ def test_signed_zeros_are_distinct_values(monkeypatch):
     assert columns("rho^(a+2) - 2/rho", zeros, 1) == [("float", [1.0]), ("float", [-1.0])]
     assert columns("a/rho^2 + rho^2 - 2/rho", zeros, 1) == [("ndarray", [1.0, -1.0, 1.0])]
     assert columns("a/rho^2 + rho^2 - 2/rho", zeros[1:2] * 2, 0) == [("float", [-1.0])]
+
+
+def test_a_sign_change_across_a_kink_names_the_rejected_root():
+    # V = 2 rho + |rho - k|: V' jumps from 1 to 3 at rho = k, and w = 2 sqrt(3)
+    # on both sides.  At k = 1, F jumps from -0.16 to +0.36 there: Brent ends on
+    # the kink, which misses FRAME_TOL.  At k = 0.1 and 3 the root lies clear
+    # of the kink
+    text = "2*rho + ((rho - k)^2)^0.5"
+    with pytest.raises(engine.FrequencyUndefinedError) as caught:
+        solve(_bound(text, {"k": 1.0}), 0)
+    assert str(caught.value) == (
+        "no candidate expansion point solves the frame equation: the first, "
+        "rho0 = 0.9999999999999998, leaves F(rho0) = -0.159, beyond the tolerance 1e-12")
+    rows = [{"k": k} for k in (0.1, 1.0, 3.0, 0.9)]
+    batch = solve_batch([_bound(text, row) for row in rows], 0)
+    assert [_key(r) for r in batch] == [_key(_lone(text, row, 0)) for row in rows]
+    assert [type(r).__name__ for r in batch] == ["tuple", "FrequencyUndefinedError"] * 2
+
+
+def _grid_roots():
+    """(k, c) where F of -c/rho at l = 0, sqrt(c rho / 2) - 1/2, is exactly 0.0
+    at the grid point k: rho0 = 1 / (2c) is that point, with no bracket."""
+    out = []
+    for k in range(5, SCAN_POINTS - 5):
+        c = 0.5 / _SCAN_GRID[k]
+        if _frame(_bound("-c/rho", {"c": c}), float(_SCAN_GRID[k]), 0)[0] == 0.0:
+            out.append((k, float(c)))
+    return out
+
+
+def test_a_root_on_the_scan_grid_is_the_frame_there(monkeypatch):
+    lanes, run = [], brentq
+    monkeypatch.setattr(engine, "brentq", lambda f, a, *rest: lanes.append(len(a))
+                        or run(f, a, *rest))
+    roots = _grid_roots()
+    assert len(roots) > SCAN_POINTS // 2
+    for k, c in roots[::20]:
+        bound = _bound("-c/rho", {"c": c})
+        rho0 = float(_SCAN_GRID[k])
+        F, w, a = _frame(bound, rho0, 0)
+        w, v0 = float(w), float(a[0])
+        assert F == 0.0
+        assert engine.solve_geometry([bound], 0) == [
+            engine.Geometry(rho0=rho0, w=w, beta=-w / 4.0, lbar=w / 4.0, l=0, v0=v0)]
+    assert lanes == []  # no bracket: each rho0 is the grid point itself
+    # several grid roots, expanded as one array, and one bracketed root
+    rows = [{"c": c} for _, c in roots[::40]] + [{"c": 0.3}]
+    _assert_rows_equal_lone_solves("-c/rho", rows, 0)
+    assert lanes[0] == 1
+
+
+def test_a_real_power_of_a_parameter_column_equals_lone_solves():
+    # b^1.5 over a column of b takes C pow per entry, as each lone float does;
+    # numpy's vectorized power differs from it in the last bit on a few
+    # percent of entries, so 100 rows would catch that power
+    rng = random.Random(15)
+    rows = [{"b": rng.uniform(0.05, 4.0)} for _ in range(100)]
+    for m in (0, 2):
+        _assert_rows_equal_lone_solves("b^1.5*rho - 2/rho", rows, m)
 
 
 def test_rows_of_two_specs_are_rejected():

@@ -106,6 +106,8 @@ def test_missing_parameter_exit_code(capsys):
          "usage error: malformed -p/--param '=3', expected name=value"),
         (("-V", "-2/rho", "-p", " =3"), EXIT_USAGE,
          "usage error: malformed -p/--param ' =3', expected name=value"),
+        (("-V", "g*rho^2 - 2/rho", "-p", "g=abc"), EXIT_USAGE,
+         "usage error: non-numeric value in -p/--param 'g=abc'"),
     ],
 )
 def test_parameter_error_lines(capsys, argv, code, line):
@@ -116,6 +118,13 @@ def test_solver_failure_exit_code(capsys):
     code, _, err = run_cli(capsys, "compute", "-V", "-rho")
     assert code == EXIT_SOLVER
     assert "no stable frame" in err
+
+
+def test_a_root_across_a_kink_exit_code(capsys):
+    # V' jumps from 1 to 3 at rho = 1, where F changes sign without a root
+    code, out, err = run_cli(capsys, "compute", "-V", "2*rho + ((rho-1)^2)^0.5")
+    assert (code, out) == (EXIT_SOLVER, "")
+    assert "rho0 = 0.9999999999999998, leaves F(rho0) = -0.159" in err
 
 
 def test_v_series_overflow_exit_code(capsys):
