@@ -27,7 +27,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -143,7 +142,7 @@ def _frame(bound: BoundPotential, rho, l: int, rho3=None):
 
     ``a`` holds the coefficients V, V', V''/2.  F(rho) = sqrt(s) - l - w / 4
     with s = rho^3 V'/2, rad = 3 + rho V''/V' and w = 2 sqrt(rad); F is NaN
-    where the frame is undefined: non-finite V' or V'', V' <= 0, s <= 0 or
+    where the frame is undefined: non-finite V' or V'', s <= 0 (V' <= 0) or
     rad <= 0.  Every entry goes through the operations a lone float would, so
     it does not depend on the shape of ``rho``; ``rho3``, if given, is
     ``float_pow(rho, 3.0)``.
@@ -156,7 +155,7 @@ def _frame(bound: BoundPotential, rho, l: int, rho3=None):
         rad = 3.0 + rho * v2 / v1
         w = 2.0 * np.sqrt(rad)
         F = np.sqrt(s) - l - w / 4.0
-        ok = np.isfinite(v1) & np.isfinite(v2) & (v1 > 0.0) & (s > 0.0) & (rad > 0.0)
+        ok = np.isfinite(v1) & np.isfinite(v2) & (s > 0.0) & (rad > 0.0)
     return np.where(ok, F, np.nan), w, a
 
 
@@ -235,20 +234,22 @@ def brentq(f, a, b, fa, fb) -> list:
     return roots
 
 
-def _frames_at(rows: list, values, owners: list, rho: list, l: int) -> list:
-    """(F, w, V) as floats at each point of ``rho``, for the row in ``owners``.
+def _frames_at(rows: list, values, points: list, l: int) -> list:
+    """(rho, F, w, V) as floats at each (row, rho) of ``points``.
 
     ``rows`` holds each row's BoundPotential and ``values`` their parameter
     columns (see ``_columns``).  A lone point is expanded as a float, which
-    keeps a lone solve's root finder off numpy arrays, and two or more as one
-    array; both give the same bits.
+    keeps a lone solve off numpy arrays, and two or more as one array; both
+    give the same bits.
     """
-    if len(rho) == 1:
-        F, w, a = _frame(rows[owners[0]], rho[0], l)
-        return [(float(F), float(w), float(a[0]))]
-    bound = BoundPotential(rows[0].spec, _pick(values, np.array(owners)))
-    F, w, a = _frame(bound, np.array(rho), l)
-    return list(zip(F.tolist(), w.tolist(), a[0].tolist()))
+    if len(points) == 1:
+        (i, rho), = points
+        F, w, a = _frame(rows[i], rho, l)
+        return [(rho, float(F), float(w), float(a[0]))]
+    owners, rho = map(list, zip(*points))
+    picked = {k: v[owners] if isinstance(v, np.ndarray) else v for k, v in values.items()}
+    F, w, a = _frame(BoundPotential(rows[0].spec, picked), np.array(rho), l)
+    return list(zip(rho, F.tolist(), w.tolist(), a[0].tolist()))
 
 
 def _columns(rows: list) -> dict:
@@ -258,11 +259,6 @@ def _columns(rows: list) -> dict:
         column = [row.values[k] for row in rows]
         values[k] = column[0] if len(set(map(float.hex, column))) == 1 else np.array(column)
     return values
-
-
-def _pick(values: Mapping[str, object], rows) -> dict:
-    """The parameter values of ``rows``: batched arrays indexed, floats kept."""
-    return {k: v[rows] if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
 def _scan(spec: PotentialSpec, values, n: int, l: int) -> np.ndarray:
@@ -287,11 +283,12 @@ def solve_geometry(rows: list, m: int) -> list:
     stationary and kills the next-to-leading correction.  One walk of the
     tree evaluates every row's frame function F on a logarithmic grid over
     [RHO_LO, RHO_HI]; its sign changes bracket the roots, which one lockstep
-    ``brentq`` refines on the same function; ``_finish_frame`` validates every
-    root from the order-2 expansion F was computed from (no finite
-    differences).  A row with a parameter-only term that fails has a frame
-    equation undefined everywhere.  If a row has several stable frames, the
-    one with the lowest leading energy wins (with a warning).
+    ``brentq`` refines on the same function.  Then every root, on the grid or
+    refined, is expanded once, and ``_finish_frame`` validates it from that
+    order-2 expansion (no finite differences).  A row with a parameter-only
+    term that fails has a frame equation undefined everywhere.  If a row has
+    several stable frames, the one with the lowest leading energy wins (with
+    a warning).
     """
     l = abs(m)
     values = _columns(rows)
@@ -301,30 +298,24 @@ def solve_geometry(rows: list, m: int) -> list:
         scan[[i for i, row in enumerate(rows) if _fails_alone(row)]] = np.nan
 
     roots = [[float(r) for r in _SCAN_GRID[row == 0.0]] for row in scan]
-    seen = {}  # (row, rho) -> (F, w, V) where the root finder evaluated
     sign = np.sign(scan)  # NaN where undefined, so no bracket touches it
     owners, cells = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
     if len(owners):
-        def lane_frame(lanes, x):
+        def frame_f(lanes, x):
             points = list(zip(owners[lanes].tolist(), x))
-            frames = _frames_at(rows, values, [i for i, _ in points], x, l)
-            seen.update(zip(points, frames))
-            return [fr[0] for fr in frames]
+            return [F for _, F, _, _ in _frames_at(rows, values, points, l)]
 
         # The scan's entries are the frame function at the bracket ends, as
         # lone points give it; rho0 comes to a few ulps.
-        found = brentq(lane_frame, _SCAN_GRID[cells], _SCAN_GRID[cells + 1],
+        found = brentq(frame_f, _SCAN_GRID[cells], _SCAN_GRID[cells + 1],
                        scan[owners, cells], scan[owners, cells + 1])
         for i, root in zip(owners.tolist(), found):
             if root is not None:
                 roots[i].append(root)
 
-    # roots on the grid were not evaluated alone: expand there now
-    unseen = [(i, r) for i, rs in enumerate(roots) for r in rs if (i, r) not in seen]
-    if unseen:
-        seen.update(zip(unseen, _frames_at(rows, values, [i for i, _ in unseen],
-                                           [r for _, r in unseen], l)))
-    checked = iter(_finish_frame([(r,) + seen[i, r] for i, rs in enumerate(roots) for r in rs], l))
+    # every root, on the grid or refined, is expanded once here
+    points = [(i, r) for i, rs in enumerate(roots) for r in rs]
+    checked = iter(_finish_frame(_frames_at(rows, values, points, l), l) if points else ())
 
     frames = []
     for rs in roots:

@@ -110,8 +110,6 @@ def _matrix(bound: BoundPotential, l: int, rho_max: float, n_cells: int):
 
     with np.errstate(all="ignore"):  # overflow and poles are caught just below
         v = np.asarray(bound(centers), dtype=float)
-    if v.ndim == 0:
-        v = np.full_like(centers, float(v))
     if not np.all(np.isfinite(v)):
         raise PotentialEvalError("non-finite matrix entries; potential singular on mesh")
 

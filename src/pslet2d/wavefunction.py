@@ -108,8 +108,8 @@ def synthesize_wavefunction(
     """Normalized nodeless wavefunction sampled on ``grid`` (strictly increasing finite rho > 0).
 
     Normalization integrates |Psi|^2 on an internal dense grid reaching from
-    rho ~ 0 out to where the tail mass drops below 1e-8, so the reported
-    samples satisfy the whole-line normalization regardless of the user grid.
+    rho ~ 0 out to where the state's tail mass drops below 1e-8, wherever the
+    user grid ends, so a wide grid does not under-resolve the mass.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
@@ -132,7 +132,7 @@ def synthesize_wavefunction(
         norm=1.0,
     )
 
-    norm_sq, rho_max = _whole_line_mass(wf, geom, float(grid[-1]))
+    norm_sq, rho_max = _whole_line_mass(wf, geom, grid)
     norm = math.sqrt(norm_sq)
 
     psi = wf.unnormalized(grid) / norm
@@ -166,14 +166,15 @@ def simpson(y: np.ndarray, x: np.ndarray) -> float:
     return np.sum(terms)
 
 
-def _whole_line_mass(wf: WavefunctionSeries, geom: Geometry, grid_max: float):
-    """Integrate |Psi_un|^2 over (0, rho_max], auto-extending rho_max."""
-    rho_max = max(grid_max, 4.0 * geom.rho0)
+def _whole_line_mass(wf: WavefunctionSeries, geom: Geometry, grid: np.ndarray):
+    """Integrate |Psi_un|^2 over (0, rho_max], rho_max growing from 4 rho0 until the tail decays."""
+    rho_max = 4.0 * geom.rho0
     eps = 1e-9 * geom.rho0
     for _ in range(60):
         dense = np.linspace(eps, rho_max, 8001)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is the error below
             density = wf.unnormalized(dense) ** 2
+            beyond = wf.unnormalized(grid[grid > rho_max]) ** 2
         if not np.all(np.isfinite(density)):
             raise SolverError("wavefunction series overflowed during normalization")
         total = simpson(density, dense)
@@ -185,7 +186,8 @@ def _whole_line_mass(wf: WavefunctionSeries, geom: Geometry, grid_max: float):
             step = dense[-1] - dense[-2]
             rate = math.log(density[-2] / density[-1]) / step
             tail = density[-1] / rate
-        if tail <= NORM_TAIL * total:
+        # a series that grows again at the user grid's samples is followed there
+        if tail <= NORM_TAIL * total and np.all(beyond <= density[-1]):
             return total, rho_max
         rho_max *= 1.6
     raise SolverError("wavefunction tail did not decay while extending the grid")

@@ -206,11 +206,10 @@ def test_array_frames_equal_float_frames():
     spec = parse_potential("a*rho^1.5 + b*rho - 2/rho")
     values = {"a": np.array([1.3, 0.2, -1.0, 0.7]), "b": 0.4}
     rows = [bind_params(spec, {"a": a, "b": 0.4}) for a in values["a"].tolist()]
-    owners, rho = [0, 1, 2, 3, 1], [0.3, 1.7, 1e-4, 25.0, 3.1]
-    assert len(rho) > 1
+    points = [(0, 0.3), (1, 1.7), (2, 1e-4), (3, 25.0), (1, 3.1)]
     for l in (0, 2):
-        batch = engine._frames_at(rows, values, owners, rho, l)
-        alone = [engine._frames_at(rows, values, [i], [r], l)[0] for i, r in zip(owners, rho)]
+        batch = engine._frames_at(rows, values, points, l)
+        alone = [engine._frames_at(rows, values, [p], l)[0] for p in points]
         assert repr(batch) == repr(alone)  # exact, NaN included
 
 

@@ -12,6 +12,7 @@ from pslet2d.engine import (
     CoefficientTable,
     HierarchyInconsistencyError,
     NoStableFrameError,
+    assemble_energy,
     build_v_series,
     solve,
     solve_batch,
@@ -325,6 +326,15 @@ def test_insufficient_v_series_rejected():
         _hierarchy(v, geom, max_order=3)  # needs orders 0..6
 
 
+def test_a_v_series_of_the_wrong_width_is_rejected():
+    bound = _coulomb()
+    geom = _geometry(bound, 0)
+    v = list(_v_series(bound, geom, 6))
+    v[4] = v[4][:-1]  # v^(4) holds 7 coefficients
+    with pytest.raises(ValueError, match="n \\+ 3 coefficients"):
+        _hierarchy(v, geom, max_order=3)
+
+
 @pytest.mark.parametrize("value", [1e308, math.inf, math.nan])
 def test_non_finite_residual_is_an_error(value):
     # a v-series entry that overflows the order-3 balance leaves NaN in its residual
@@ -507,6 +517,13 @@ def test_hierarchy_accuracy_no_worse_than_convolve():
 
 # ---------------------------------------------------------------------------
 # energies
+
+def test_too_few_lambdas_are_rejected():
+    geom, table, _ = solve(_coulomb(), 0)
+    assert len(table.lambdas) == 3
+    with pytest.raises(ValueError, match="need 4"):
+        assemble_energy([geom], [table], 4)
+
 
 def test_coulomb_exact_all_m():
     for m in range(6):

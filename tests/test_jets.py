@@ -41,6 +41,11 @@ def test_center_must_be_positive():
         jet_lift(_bound("-2/rho"), -1.0, 2)
 
 
+def test_order_must_be_nonnegative():
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        jet_lift(_bound("-2/rho"), 1.0, -1)
+
+
 def test_zeroth_coefficient_matches_eval():
     rng = random.Random(11)
     bound = _bound("-a/rho + b*rho^2 + c*rho", {"a": 1.5, "b": 0.3, "c": 0.7})

@@ -155,6 +155,27 @@ def test_certificate_refuses_all_but_the_lowest_eigenvalue(monkeypatch):
     assert _shift_invert(diag, off, lam1 + 1e-3, np.ones(400), delta) == (lam1, None)
 
 
+def test_a_singular_shift_hands_over_to_bisection(monkeypatch):
+    # dgtsv reporting T - lambda I singular (info > 0) ends the iteration:
+    # bisection gives each mesh's lambda and no eigenvector, so no wall term
+    bound = _bound("rho^2 - 2/rho")
+    dgtsv = oracle.dgtsv
+    monkeypatch.setattr(oracle, "dgtsv", lambda *a: dgtsv(*a)[:4] + (1,))
+    diag, off = _matrix(bound, 0, 10.0, 200)
+    assert _shift_invert(diag, off, -3.6, np.ones(200), oracle._delta(diag, off)) == (
+        _bisect(diag, off), None)
+    e1, e2, e4 = (_bisect(*_matrix(bound, 0, 10.0, n)) for n in (200, 400, 800))
+    assert fd_ground_energy(bound, 0, 10.0, 200) == ((64.0 * e4 - 20.0 * e2 + e1) / 45.0, np.inf)
+
+
+def test_a_potential_constant_on_the_mesh_gives_the_spread_constant():
+    # rho^0 evaluates to one float, 0*rho + 1 to an array over the cells;
+    # the diagonal broadcasts the float to the same bits
+    constant, spread = _bound("rho^0"), _bound("0*rho + 1")
+    assert np.ndim(constant(np.ones(3))) == 0 and np.ndim(spread(np.ones(3))) == 1
+    assert fd_ground_energy(constant, 1, 3.0, 200) == fd_ground_energy(spread, 1, 3.0, 200)
+
+
 @pytest.mark.parametrize("pole, mesh", [(3 / 32, 256), (3 / 64, 512), (3 / 128, 1024)])
 def test_a_pole_on_a_cell_center_of_any_mesh_raises(pole, mesh):
     # with h = 1/16, 1/32 and 1/64 the cell centers are odd multiples of h/2,

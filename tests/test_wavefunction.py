@@ -6,7 +6,7 @@ from scipy.integrate import simpson
 
 from pslet2d import wavefunction
 from pslet2d.expressions import bind_params, parse_potential
-from pslet2d.engine import solve
+from pslet2d.engine import SolverError, solve
 from pslet2d.wavefunction import (
     GridError,
     assemble_exponent_blocks,
@@ -178,3 +178,22 @@ def test_simpson_rejects_an_even_count():
     x = np.linspace(0.0, 1.0, 4)
     with pytest.raises(ValueError, match="odd"):
         wavefunction.simpson(x, x)
+
+
+def test_a_wide_grid_leaves_the_normalization_as_it_is():
+    # a normalization grid that starts at the user grid's end under-resolves
+    # the mass on a wide grid: psi(rho0) is then off by 7e-3 at an end of
+    # 2000 and by a factor 2.4e3 at 1e6
+    geom, table, _ = _solve_coulomb()
+    for end in (6.25, 2000.0, 1e6):
+        wf = synthesize_wavefunction(geom, table, [geom.rho0, end])
+        assert wf.psi[0] == pytest.approx(2.0 * math.exp(-0.5), rel=1e-9), end
+
+
+def test_a_series_that_grows_again_inside_the_grid_is_an_error():
+    # the density decays at rho_max ~ 5.8, but the order-3 series overflows
+    # further out: a grid that reaches there is an error, not inf samples
+    geom, table, _ = solve(_bound("rho^4/4 - 1/(2*rho)"), 1)
+    synthesize_wavefunction(geom, table, np.linspace(0.01, 5.0, 50))
+    with pytest.raises(SolverError, match="overflowed"):
+        synthesize_wavefunction(geom, table, np.linspace(0.01, 30.0, 50))
