@@ -107,9 +107,9 @@ def synthesize_wavefunction(
 ) -> WavefunctionSeries:
     """Normalized nodeless wavefunction sampled on ``grid`` (strictly increasing finite rho > 0).
 
-    Normalization integrates |Psi|^2 on an internal dense grid reaching from
-    rho ~ 0 out to where the state's tail mass drops below 1e-8, wherever the
-    user grid ends, so a wide grid does not under-resolve the mass.
+    Normalization integrates |Psi|^2 stretch by stretch from rho ~ 0 until the
+    tail mass drops below 1e-8, wherever the grid ends; the stretch holding the
+    grid's end is split there, which gives the mass beyond the grid.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
@@ -132,14 +132,16 @@ def synthesize_wavefunction(
         norm=1.0,
     )
 
-    norm_sq, rho_max = _whole_line_mass(wf, geom, grid)
+    # overflow is an error below; psi = 0 where y = rho/rho0 - 1 rounds to -1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        samples = wf.unnormalized(grid)
+        norm_sq, beyond = _whole_line_mass(wf, grid, samples**2)
     norm = math.sqrt(norm_sq)
-
-    psi = wf.unnormalized(grid) / norm
+    psi = samples / norm
     radial = psi / np.sqrt(grid)
 
     # coverage check: mass beyond the user grid's last point
-    tail = _mass_between(wf, float(grid[-1]), rho_max) / norm_sq
+    tail = beyond / norm_sq
     if tail > TAIL_FRACTION:
         raise GridError(
             f"grid does not cover the support: tail mass fraction {tail:.2e}"
@@ -166,35 +168,31 @@ def simpson(y: np.ndarray, x: np.ndarray) -> float:
     return np.sum(terms)
 
 
-def _whole_line_mass(wf: WavefunctionSeries, geom: Geometry, grid: np.ndarray):
-    """Integrate |Psi_un|^2 over (0, rho_max], rho_max growing from 4 rho0 until the tail decays."""
-    rho_max = 4.0 * geom.rho0
-    eps = 1e-9 * geom.rho0
+def _whole_line_mass(wf: WavefunctionSeries, grid: np.ndarray, grid_density: np.ndarray):
+    """Mass of |Psi_un|^2 over (0, inf) and, tail left out, the part of it beyond ``grid[-1]``.
+
+    Integrates (1e-9 rho0, 4 rho0], then each stretch 1.6x further, until the
+    tail is below NORM_TAIL of the total and no ``grid_density`` beyond is denser.
+    """
+    end = float(grid[-1])
+    lo, hi = 1e-9 * wf.geometry.rho0, 4.0 * wf.geometry.rho0
+    total = within = 0.0
     for _ in range(60):
-        dense = np.linspace(eps, rho_max, 8001)
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is the error below
-            density = wf.unnormalized(dense) ** 2
-            beyond = wf.unnormalized(grid[grid > rho_max]) ** 2
-        if not np.all(np.isfinite(density)):
-            raise SolverError("wavefunction series overflowed during normalization")
-        total = simpson(density, dense)
+        for a, b in ((lo, end), (end, hi)) if lo < end < hi else ((lo, hi),):
+            rho = np.linspace(a, b, 2001)
+            density = wf.unnormalized(rho) ** 2
+            if not np.all(np.isfinite(density)):
+                raise SolverError("wavefunction series overflowed during normalization")
+            total += simpson(density, rho)
+            if b <= end:
+                within = total
         # exponential tail estimate from the last two samples
         if density[-1] >= density[-2] or density[-1] == 0.0:
-            decaying = density[-1] == 0.0
-            tail = 0.0 if decaying else math.inf
+            tail = 0.0 if density[-1] == 0.0 else math.inf
         else:
-            step = dense[-1] - dense[-2]
-            rate = math.log(density[-2] / density[-1]) / step
-            tail = density[-1] / rate
+            tail = density[-1] * (rho[-1] - rho[-2]) / math.log(density[-2] / density[-1])
         # a series that grows again at the user grid's samples is followed there
-        if tail <= NORM_TAIL * total and np.all(beyond <= density[-1]):
-            return total, rho_max
-        rho_max *= 1.6
+        if tail <= NORM_TAIL * total and np.all(grid_density[grid > hi] <= density[-1]):
+            return total + tail, total - within
+        lo, hi = hi, 1.6 * hi
     raise SolverError("wavefunction tail did not decay while extending the grid")
-
-
-def _mass_between(wf: WavefunctionSeries, lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
-    seg = np.linspace(lo, hi, 2001)
-    return float(simpson(wf.unnormalized(seg) ** 2, seg))

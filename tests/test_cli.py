@@ -583,6 +583,20 @@ def test_wavefunction_overflow_is_a_solver_error_without_warnings(capsys):
     assert out == "" and err == "solver error: wavefunction series overflowed during normalization\n"
 
 
+@pytest.mark.parametrize("grid, zeros", [
+    ("0.01,1e300,5", (1, 2, 3, 4)),  # np.polyval overflows far out
+    ("1e-320,20,5", (0,)),  # y = rho/rho0 - 1 rounds to -1: log1p(-1) = -inf
+])
+def test_wavefunction_grid_extremes_give_zeros_without_warnings(capsys, grid, zeros):
+    # pytest turns a RuntimeWarning into an error, so a leak would fail here
+    code, out, err = run_cli(capsys, "wavefunction", "-V", "-2/rho", "-m", "0", "--grid", grid)
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    psi = [float(r["psi"]) for r in rows]
+    assert [p == 0.0 for p in psi] == [i in zeros for i in range(5)]
+    assert min(psi) >= 0.0
+
+
 def _fresh_interpreter(script):
     """Run ``script`` in a new interpreter that imports pslet2d from this tree."""
     import os

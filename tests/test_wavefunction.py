@@ -197,3 +197,65 @@ def test_a_series_that_grows_again_inside_the_grid_is_an_error():
     synthesize_wavefunction(geom, table, np.linspace(0.01, 5.0, 50))
     with pytest.raises(SolverError, match="overflowed"):
         synthesize_wavefunction(geom, table, np.linspace(0.01, 30.0, 50))
+
+
+@pytest.mark.parametrize("potential, g", [("-2/rho", None), ("g^2*rho^2/4", 0.5),
+                                          ("g^2*rho^2/4", 1.0), ("g^2*rho^2/4", 2.5)])
+def test_the_norm_holds_the_tail_beyond_the_last_stretch(potential, g):
+    # the closed-form states of the bench's wavefunction workload, on grids to
+    # 1x, 3x and 30x its ends; leaving the tail estimate out of the norm puts
+    # psi off by up to 2.1e-9
+    for m in range(-3, 4):
+        l = abs(m)
+        if g is None:  # E = -1/(l+1/2)^2, decay rate k = 1/(l+1/2)
+            k = 1.0 / (l + 0.5)
+            norm = math.sqrt((2.0 * k) ** (2 * l + 2) / math.gamma(2 * l + 2))
+            exact = lambda r: norm * r ** (l + 0.5) * np.exp(-k * r)
+            end = (l + 0.5) * (l + 12.5)
+        else:  # E = g (l+1)
+            norm = math.sqrt(2.0 / (math.gamma(l + 1) * (2.0 / g) ** (l + 1)))
+            exact = lambda r: norm * r ** (l + 0.5) * np.exp(-g * r * r / 4.0)
+            end = math.sqrt(2.0 * (2 * l + 31) / g)
+        geom, table, _ = solve(_bound(potential, {"g": g} if g else {}), m)
+        for reach in (1.0, 3.0, 30.0):
+            grid = np.linspace(0.01, reach * end, 500)
+            psi, ref = synthesize_wavefunction(geom, table, grid).psi, exact(grid)
+            near = ref >= 1e-2 * ref.max()  # far out the truncated series itself departs
+            assert np.max(np.abs(psi[near] / ref[near] - 1.0)) <= 1e-10, (m, reach)
+
+
+def test_one_pass_samples_each_point_once(monkeypatch):
+    calls = []
+    unnormalized = wavefunction.WavefunctionSeries.unnormalized
+
+    def spy(self, rho):
+        calls.append(np.array(rho, dtype=float))
+        return unnormalized(self, rho)
+
+    monkeypatch.setattr(wavefunction.WavefunctionSeries, "unnormalized", spy)
+    geom, table, _ = _solve_coulomb()
+    grid = np.linspace(0.01, 5.0, 500)  # ends inside the stretch (4.096, 6.5536]
+    synthesize_wavefunction(geom, table, grid)
+    user = [c for c in calls if np.array_equal(c, grid)]
+    stretches = np.concatenate([c for c in calls if not np.array_equal(c, grid)])
+    assert len(user) == 1 and len(calls) == 1 + 6  # five stretches, the last split in two
+    # no user sample is taken again, save the grid's end where it splits a stretch
+    assert not np.isin(grid[:-1], stretches).any()
+    # stretch ends are shared by two stretches; nothing else is sampled twice
+    ends, hi = {float(grid[-1])}, 4.0 * geom.rho0
+    for _ in range(4):
+        ends.add(hi)
+        hi *= 1.6
+    rho, counts = np.unique(stretches, return_counts=True)
+    assert set(rho[counts > 1].tolist()) <= ends and counts.max() == 2
+
+
+def test_the_coverage_mass_is_taken_at_the_split_stretch():
+    # Coulomb m = 0 holds (1 + 4R) e^(-4R) of its mass beyond R; R = 4.0 falls
+    # inside the stretch (2.56, 4.096] and R = 4.3 inside (4.096, 6.5536]
+    geom, table, _ = _solve_coulomb()
+    with pytest.raises(GridError) as info:
+        synthesize_wavefunction(geom, table, np.linspace(0.01, 4.0, 400))
+    fraction = float(str(info.value).rsplit(" ", 1)[1])
+    assert fraction == pytest.approx(17.0 * math.exp(-16.0), rel=1e-2)  # 1.9e-6
+    synthesize_wavefunction(geom, table, np.linspace(0.01, 4.3, 400))
