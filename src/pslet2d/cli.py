@@ -252,9 +252,9 @@ def cmd_wavefunction(args) -> int:
     geom, table, _ = solve(bound, args.m, max_order=args.order)
     wf = synthesize_wavefunction(geom, table, grid)
 
-    # one write of Python floats: a print per np.float64 row took half of the request
-    rows = zip(wf.grid.tolist(), wf.psi.tolist(), wf.radial.tolist())
-    sys.stdout.write("".join(["rho,psi,R\n"] + ["%.9g,%.10e,%.10e\n" % row for row in rows]))
+    # one % over all rows laid end to end: a % per row costs about 10% more
+    cells = np.column_stack((wf.grid, wf.psi, wf.radial)).ravel().tolist()
+    sys.stdout.write("rho,psi,R\n" + "%.9g,%.10e,%.10e\n" * len(wf.grid) % tuple(cells))
     return 0
 
 

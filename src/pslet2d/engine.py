@@ -75,7 +75,7 @@ class HierarchyInconsistencyError(SolverError):
 RESIDUAL_TOL = 1e-9
 FRAME_TOL = 1e-12
 # solve_batch's highest order: the gathers that _products caches for each
-# order s take about s^3 / 4 indices, 220 MB over the orders of K = 60
+# order s take about s^3 / 4 indices, 230 MB over the orders s <= 120 of K = 60
 MAX_ORDER = 60
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,29 +76,26 @@ def assemble_exponent_blocks(
     """
     S = len(table.W) - 1
 
-    # blocks[t][k]: coefficient of y^k at lbar^(-t/2); t = s - k runs over
-    # -2..S-1, as W_s holds s + 2 coefficients
-    blocks = {t: np.zeros(S - t + 1) for t in range(-2, S)}
-    for s in range(S + 1):
-        # x-coefficients of the integral of W_s from x^1 up (zero constant term)
-        integral = table.W[s] / np.arange(1, len(table.W[s]) + 1)
-        for k, c in enumerate(integral, start=1):
-            blocks[s - k][k] += c
+    # rows[t + 2][k]: coefficient of y^k at lbar^(-t/2), t = s - k; W_s holds
+    # s + 2 coefficients, so each entry takes one term of W_s's x-integral
+    W = np.concatenate(table.W)
+    s = np.repeat(np.arange(S + 1), np.arange(2, S + 3))
+    k = np.arange(1, len(W) + 1) - s * (s + 3) // 2
+    rows = np.zeros((S + 2, S + 3))
+    rows[s - k + 2, k] = W / k
 
     # subtract the truncated log series: coefficient 1 at lbar^(+1) (t = -2)
-    # and beta + 1/2 at lbar^0 (t = 0); their sum is lbar + beta + 1/2 = l + 1/2
+    # and beta + 1/2 at lbar^0 (t = 0); their sum is lbar + beta + 1/2 = l + 1/2;
+    # a difference within 4 ulps of the term is rounding noise, made 0
     log_power = geom.l + 0.5
-    for t, coef in ((-2, 1.0), (0, geom.beta + 0.5)):
-        blk = blocks[t]
-        for k in range(1, len(blk)):
-            blk[k] -= coef * (-1.0) ** (k + 1) / k
+    k = np.arange(1.0, S + 3)
+    term = np.array([[1.0], [geom.beta + 0.5]]) * (-1.0) ** (k + 1) / k
+    diff = rows[[0, 2], 1:] - term
+    rows[[0, 2], 1:] = np.where(np.abs(diff) <= 4 * np.finfo(float).eps * np.abs(term), 0.0, diff)
 
     # drop blocks that cancelled to rounding noise
-    cleaned = {}
-    for t, blk in blocks.items():
-        if np.max(np.abs(blk)) > 1e-13:
-            cleaned[t] = blk
-    return log_power, cleaned
+    blocks = {t: rows[t + 2, : S - t + 1] for t in range(-2, S)}
+    return log_power, {t: blk for t, blk in blocks.items() if np.max(np.abs(blk)) > 1e-13}
 
 
 def synthesize_wavefunction(
@@ -107,9 +105,9 @@ def synthesize_wavefunction(
 ) -> WavefunctionSeries:
     """Normalized nodeless wavefunction sampled on ``grid`` (strictly increasing finite rho > 0).
 
-    Normalization integrates |Psi|^2 stretch by stretch from rho ~ 0 until the
-    tail mass drops below 1e-8, wherever the grid ends; the stretch holding the
-    grid's end is split there, which gives the mass beyond the grid.
+    Normalization integrates |Psi|^2 by Gauss-Legendre, stretch by stretch from
+    rho ~ 0 until the tail mass drops below 1e-8, wherever the grid ends; the
+    stretch holding the grid's end is split there, which gives the mass beyond.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
@@ -173,17 +171,22 @@ def _whole_line_mass(wf: WavefunctionSeries, grid: np.ndarray, grid_density: np.
 
     Integrates (1e-9 rho0, 4 rho0], then each stretch 1.6x further, until the
     tail is below NORM_TAIL of the total and no ``grid_density`` beyond is denser.
+    A stretch takes 3 Gauss-Legendre nodes per width rho0/sqrt(lbar w), d/2 times that for
+    an exponent of degree d > 2, and its last 2 of 2001 equal steps for the tail checks.
     """
     end = float(grid[-1])
     lo, hi = 1e-9 * wf.geometry.rho0, 4.0 * wf.geometry.rho0
+    degree = max(np.flatnonzero(b)[-1] for b in wf.blocks.values())  # blocks[-2][1] = -1 always
+    per_rho = 1.5 * max(degree, 2) * math.sqrt(wf.geometry.lbar * wf.geometry.w) / wf.geometry.rho0
     total = within = 0.0
     for _ in range(60):
         for a, b in ((lo, end), (end, hi)) if lo < end < hi else ((lo, hi),):
-            rho = np.linspace(a, b, 2001)
+            nodes, wts = _gauss_legendre(16 * min(max(math.ceil(per_rho * (b - a) / 16), 2), 16))
+            rho = np.append(a + (b - a) / 2 * (nodes + 1.0), (a + 1999.0 * ((b - a) / 2000.0), b))
             density = wf.unnormalized(rho) ** 2
             if not np.all(np.isfinite(density)):
                 raise SolverError("wavefunction series overflowed during normalization")
-            total += simpson(density, rho)
+            total += (b - a) / 2 * np.dot(wts, density[:-2])
             if b <= end:
                 within = total
         # exponential tail estimate from the last two samples
@@ -196,3 +199,10 @@ def _whole_line_mass(wf: WavefunctionSeries, grid: np.ndarray, grid_density: np.
             return total + tail, total - within
         lo, hi = hi, 1.6 * hi
     raise SolverError("wavefunction tail did not decay while extending the grid")
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    from numpy.polynomial.legendre import leggauss  # 3-6 ms to import, so only when needed
+    return leggauss(n)

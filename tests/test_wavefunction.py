@@ -237,17 +237,12 @@ def test_one_pass_samples_each_point_once(monkeypatch):
     grid = np.linspace(0.01, 5.0, 500)  # ends inside the stretch (4.096, 6.5536]
     synthesize_wavefunction(geom, table, grid)
     user = [c for c in calls if np.array_equal(c, grid)]
-    stretches = np.concatenate([c for c in calls if not np.array_equal(c, grid)])
     assert len(user) == 1 and len(calls) == 1 + 6  # five stretches, the last split in two
-    # no user sample is taken again, save the grid's end where it splits a stretch
-    assert not np.isin(grid[:-1], stretches).any()
-    # stretch ends are shared by two stretches; nothing else is sampled twice
-    ends, hi = {float(grid[-1])}, 4.0 * geom.rho0
-    for _ in range(4):
-        ends.add(hi)
-        hi *= 1.6
-    rho, counts = np.unique(stretches, return_counts=True)
-    assert set(rho[counts > 1].tolist()) <= ends and counts.max() == 2
+    # no point is sampled twice, save the grid's end where it splits a stretch
+    rho, counts = np.unique(np.concatenate(calls), return_counts=True)
+    assert rho[counts > 1].tolist() == [grid[-1]] and counts.max() == 2
+    # dense sampling, 2001 points a stretch, would take 500 + 6 x 2001 = 12,506
+    assert sum(map(len, calls)) <= 1000
 
 
 def test_the_coverage_mass_is_taken_at_the_split_stretch():
@@ -259,3 +254,60 @@ def test_the_coverage_mass_is_taken_at_the_split_stretch():
     fraction = float(str(info.value).rsplit(" ", 1)[1])
     assert fraction == pytest.approx(17.0 * math.exp(-16.0), rel=1e-2)  # 1.9e-6
     synthesize_wavefunction(geom, table, np.linspace(0.01, 4.3, 400))
+
+
+def _exact_log_psi(g, m):
+    """ln psi of the closed-form nodeless state: Coulomb for g None, else the oscillator."""
+    l = abs(m)
+    if g is None:  # Coulomb: psi = N rho^(l+1/2) e^(-k rho), k = 1/(l+1/2)
+        k = 1.0 / (l + 0.5)
+        log_norm = 0.5 * ((2 * l + 2) * math.log(2.0 * k) - math.lgamma(2 * l + 2))
+        return lambda r: log_norm + (l + 0.5) * np.log(r) - k * r
+    # oscillator: psi = N rho^(l+1/2) e^(-g rho^2/4)
+    log_norm = 0.5 * (math.log(2.0) - math.lgamma(l + 1) - (l + 1) * math.log(2.0 / g))
+    return lambda r: log_norm + (l + 0.5) * np.log(r) - g * r * r / 4.0
+
+
+@pytest.mark.parametrize("potential, g, m", [("g^2*rho^2/4", 2.5, 10), ("g^2*rho^2/4", 2.5, 30),
+                                             ("g^2*rho^2/4", 2.5, 100), ("-2/rho", None, 10)])
+def test_the_norm_holds_at_large_l(potential, g, m):
+    # the peak narrows as rho0/sqrt(lbar w): 48 nodes a stretch put the norm
+    # off by 1.2e-8 at m = 30 and by 9.9e-4 at m = 100
+    geom, table, _ = solve(_bound(potential, {"g": g} if g else {}), m)
+    wf = synthesize_wavefunction(geom, table, [geom.rho0, 3.0 * geom.rho0])
+    exact = math.exp(_exact_log_psi(g, m)(geom.rho0))
+    assert wf.psi[0] == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [-3, -2, -1, 0, 1, 2, 3])
+def test_log_series_noise_leaves_the_far_coulomb_tail_exact(m):
+    # on a grid to 30x the bench's end, y^3..y^8 noise of 1.7e-16 left in the
+    # lbar^(+1) block at m = +-2 put ln psi off by 1.4e-7 at rho = 89 and by
+    # 3.5e-2 at rho = 400, and made psi 0 beyond rho ~ 1223
+    l = abs(m)
+    geom, table, _ = solve(_bound("-2/rho"), m)
+    grid = np.linspace(0.01, 30.0 * (l + 0.5) * (l + 12.5), 500)
+    psi = synthesize_wavefunction(geom, table, grid).psi
+    assert np.all(psi > 0.0)
+    assert np.max(np.abs(np.log(psi) - _exact_log_psi(None, m)(grid))) <= 1e-10
+
+
+def test_exponent_blocks_equal_the_coefficient_loop():
+    # the scatter gives each block entry its one term, as a loop over W_s does
+    hybrid = ("m*g - 2/rho + g^2*rho^2/4", {"m": 0.0, "g": 1.3542551618871583}, 0, 6)
+    for text, params, m, order in [("-2/rho", {}, 2, 3), ("g^2*rho^2/4", {"g": 1.5}, -1, 6), hybrid]:
+        geom, table, _ = solve(_bound(text, params), m, max_order=order)
+        S = len(table.W) - 1
+        loop = {t: np.zeros(S - t + 1) for t in range(-2, S)}
+        for s in range(S + 1):
+            for k, c in enumerate(table.W[s] / np.arange(1, len(table.W[s]) + 1), start=1):
+                loop[s - k][k] += c
+        for t, coef in ((-2, 1.0), (0, geom.beta + 0.5)):
+            for k in range(1, len(loop[t])):
+                term = coef * (-1.0) ** (k + 1) / k
+                diff = loop[t][k] - term
+                loop[t][k] = 0.0 if abs(diff) <= 4.0 * np.finfo(float).eps * abs(term) else diff
+        _, blocks = assemble_exponent_blocks(geom, table)
+        kept = {t: b for t, b in loop.items() if np.max(np.abs(b)) > 1e-13}
+        assert blocks.keys() == kept.keys()
+        assert all(np.array_equal(blocks[t], kept[t]) for t in kept)
