@@ -36,6 +36,7 @@ class GridError(ValueError):
 
 TAIL_FRACTION = 1e-6  # user grid must capture all but this much of the mass
 NORM_TAIL = 1e-8  # internal normalization grid extends until tail < this
+NODES_PER_WIDTH = 3  # Gauss-Legendre nodes per frame width rho0/sqrt(lbar w)
 
 
 @dataclass(frozen=True)
@@ -85,16 +86,18 @@ def assemble_exponent_blocks(
     rows[s - k + 2, k] = W / k
 
     # subtract the truncated log series: coefficient 1 at lbar^(+1) (t = -2)
-    # and beta + 1/2 at lbar^0 (t = 0); their sum is lbar + beta + 1/2 = l + 1/2;
-    # a difference within 4 ulps of the term is rounding noise, made 0
+    # and beta + 1/2 at lbar^0 (t = 0); their sum is lbar + beta + 1/2 = l + 1/2
     log_power = geom.l + 0.5
-    k = np.arange(1.0, S + 3)
-    term = np.array([[1.0], [geom.beta + 0.5]]) * (-1.0) ** (k + 1) / k
-    diff = rows[[0, 2], 1:] - term
-    rows[[0, 2], 1:] = np.where(np.abs(diff) <= 4 * np.finfo(float).eps * np.abs(term), 0.0, diff)
+    blocks = {t: rows[t + 2, : S - t + 1] for t in range(-2, S)}
+    for t, coef in ((-2, 1.0), (0, geom.beta + 0.5)):
+        blk, k = blocks[t], np.arange(1, S - t + 1)
+        blk[1:] -= coef * (-1.0) ** (k + 1) / k
+        # noise in a block that is linear but for it (closed-form states) grows as
+        # y^k far out, so it goes; in a block with terms of its own it stays
+        if np.all(np.abs(blk[2:]) <= 4 * np.finfo(float).eps * np.abs(coef / k[1:])):
+            blk[2:] = 0.0
 
     # drop blocks that cancelled to rounding noise
-    blocks = {t: rows[t + 2, : S - t + 1] for t in range(-2, S)}
     return log_power, {t: blk for t, blk in blocks.items() if np.max(np.abs(blk)) > 1e-13}
 
 
@@ -171,17 +174,23 @@ def _whole_line_mass(wf: WavefunctionSeries, grid: np.ndarray, grid_density: np.
 
     Integrates (1e-9 rho0, 4 rho0], then each stretch 1.6x further, until the
     tail is below NORM_TAIL of the total and no ``grid_density`` beyond is denser.
-    A stretch takes 3 Gauss-Legendre nodes per width rho0/sqrt(lbar w), d/2 times that for
-    an exponent of degree d > 2, and its last 2 of 2001 equal steps for the tail checks.
+    A stretch gets NODES_PER_WIDTH Gauss-Legendre nodes per frame width (d/2 times that for
+    exponent degree d > 2) on up to 256 equal panels of 32-256 nodes; the tail, overflow and
+    grows-again checks read its points a + 1999 (b - a)/2000 and b.
     """
-    end = float(grid[-1])
-    lo, hi = 1e-9 * wf.geometry.rho0, 4.0 * wf.geometry.rho0
+    geom, end = wf.geometry, float(grid[-1])
+    lo, hi = 1e-9 * geom.rho0, 4.0 * geom.rho0
     degree = max(np.flatnonzero(b)[-1] for b in wf.blocks.values())  # blocks[-2][1] = -1 always
-    per_rho = 1.5 * max(degree, 2) * math.sqrt(wf.geometry.lbar * wf.geometry.w) / wf.geometry.rho0
+    per_rho = NODES_PER_WIDTH * max(degree, 2) / 2 * math.sqrt(geom.lbar * geom.w) / geom.rho0
     total = within = 0.0
     for _ in range(60):
         for a, b in ((lo, end), (end, hi)) if lo < end < hi else ((lo, hi),):
-            nodes, wts = _gauss_legendre(16 * min(max(math.ceil(per_rho * (b - a) / 16), 2), 16))
+            need = per_rho * (b - a)
+            panels = min(max(math.ceil(need / 256), 1), 256)
+            nodes, wts = _gauss_legendre(16 * min(max(math.ceil(need / panels / 16), 2), 16))
+            if panels > 1:  # the same rule on each of the equal panels of [-1, 1]
+                nodes = ((2.0 * np.arange(panels)[:, None] + 1.0 + nodes) / panels - 1.0).ravel()
+                wts = np.tile(wts / panels, panels)
             rho = np.append(a + (b - a) / 2 * (nodes + 1.0), (a + 1999.0 * ((b - a) / 2000.0), b))
             density = wf.unnormalized(rho) ** 2
             if not np.all(np.isfinite(density)):

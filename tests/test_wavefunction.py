@@ -241,7 +241,7 @@ def test_one_pass_samples_each_point_once(monkeypatch):
     # no point is sampled twice, save the grid's end where it splits a stretch
     rho, counts = np.unique(np.concatenate(calls), return_counts=True)
     assert rho[counts > 1].tolist() == [grid[-1]] and counts.max() == 2
-    # dense sampling, 2001 points a stretch, would take 500 + 6 x 2001 = 12,506
+    # the 500 user points and six stretches of the node rule fit in 1,000 samples
     assert sum(map(len, calls)) <= 1000
 
 
@@ -269,14 +269,30 @@ def _exact_log_psi(g, m):
 
 
 @pytest.mark.parametrize("potential, g, m", [("g^2*rho^2/4", 2.5, 10), ("g^2*rho^2/4", 2.5, 30),
-                                             ("g^2*rho^2/4", 2.5, 100), ("-2/rho", None, 10)])
+                                             ("g^2*rho^2/4", 2.5, 100), ("g^2*rho^2/4", 2.5, 200),
+                                             ("g^2*rho^2/4", 2.5, 300), ("g^2*rho^2/4", 2.5, 1000),
+                                             ("-2/rho", None, 10)])
 def test_the_norm_holds_at_large_l(potential, g, m):
     # the peak narrows as rho0/sqrt(lbar w): 48 nodes a stretch put the norm
-    # off by 1.2e-8 at m = 30 and by 9.9e-4 at m = 100
+    # off by 1.2e-8 at m = 30 and by 9.9e-4 at m = 100; from m = 113 on the
+    # first stretch needs more than 256 nodes, and 256 put the norm off by
+    # 1.2e-8 at m = 1000, where three panels take it
     geom, table, _ = solve(_bound(potential, {"g": g} if g else {}), m)
     wf = synthesize_wavefunction(geom, table, [geom.rho0, 3.0 * geom.rho0])
     exact = math.exp(_exact_log_psi(g, m)(geom.rho0))
     assert wf.psi[0] == pytest.approx(exact, rel=1e-12)
+
+
+def test_a_high_order_norm_needs_no_more_nodes(monkeypatch):
+    # K = 12: an exponent of degree 26 asks for 601 nodes on the first
+    # stretch, taken as three panels; four times the nodes moves the norm by
+    # no more than rounding
+    g = 1.3542551618871583
+    geom, table, _ = solve(_bound("m*g - 2/rho + g^2*rho^2/4", {"m": 3.0, "g": g}), 3, max_order=12)
+    grid = np.linspace(0.01 * geom.rho0, 8.0 * geom.rho0, 200)
+    norm = synthesize_wavefunction(geom, table, grid).norm
+    monkeypatch.setattr(wavefunction, "NODES_PER_WIDTH", 4 * wavefunction.NODES_PER_WIDTH)
+    assert synthesize_wavefunction(geom, table, grid).norm == pytest.approx(norm, rel=1e-13)
 
 
 @pytest.mark.parametrize("m", [-3, -2, -1, 0, 1, 2, 3])
@@ -293,7 +309,8 @@ def test_log_series_noise_leaves_the_far_coulomb_tail_exact(m):
 
 
 def test_exponent_blocks_equal_the_coefficient_loop():
-    # the scatter gives each block entry its one term, as a loop over W_s does
+    # the scatter gives each block entry its one term, as a loop over W_s does;
+    # only a log-subtracted block that is linear but for rounding noise changes
     hybrid = ("m*g - 2/rho + g^2*rho^2/4", {"m": 0.0, "g": 1.3542551618871583}, 0, 6)
     for text, params, m, order in [("-2/rho", {}, 2, 3), ("g^2*rho^2/4", {"g": 1.5}, -1, 6), hybrid]:
         geom, table, _ = solve(_bound(text, params), m, max_order=order)
@@ -304,10 +321,23 @@ def test_exponent_blocks_equal_the_coefficient_loop():
                 loop[s - k][k] += c
         for t, coef in ((-2, 1.0), (0, geom.beta + 0.5)):
             for k in range(1, len(loop[t])):
-                term = coef * (-1.0) ** (k + 1) / k
-                diff = loop[t][k] - term
-                loop[t][k] = 0.0 if abs(diff) <= 4.0 * np.finfo(float).eps * abs(term) else diff
+                loop[t][k] -= coef * (-1.0) ** (k + 1) / k
+        if text == "-2/rho":  # exactly -y, but for noise of up to 1.7e-16 in y^3..y^8
+            assert 0.0 < np.max(np.abs(loop[-2][2:])) < 1e-15
+            loop[-2][2:] = 0.0
         _, blocks = assemble_exponent_blocks(geom, table)
         kept = {t: b for t, b in loop.items() if np.max(np.abs(b)) > 1e-13}
         assert blocks.keys() == kept.keys()
         assert all(np.array_equal(blocks[t], kept[t]) for t in kept)
+
+
+def test_a_noise_term_of_a_polynomial_block_is_kept():
+    # the hybrid's y^14 term at lbar^(+1), -5.6e-17, is within 4 ulps of the log
+    # term it was left from; made 0, the series grows again beyond 26 rho0 and a
+    # grid to 30 rho0 put the norm at 1.1e7, with psi 1e-7 of its value at rho0
+    g = 1.3542551618871583
+    geom, table, _ = solve(_bound("m*g - 2/rho + g^2*rho^2/4", {"m": 0.0, "g": g}), 0, max_order=6)
+    grid = np.linspace(0.01 * geom.rho0, 30.0 * geom.rho0, 200)
+    assert synthesize_wavefunction(geom, table, grid).norm == pytest.approx(0.80669031073, rel=1e-9)
+    with pytest.raises(GridError, match="9.05e-04"):
+        synthesize_wavefunction(geom, table, np.linspace(0.01 * geom.rho0, 8.0 * geom.rho0, 200))
