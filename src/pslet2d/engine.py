@@ -125,7 +125,7 @@ class EnergyBreakdown:
     e_minus2: float
     corrections: tuple[float, ...]
     partial_sums: tuple[float, ...]
-    e_minus1: float  # identically ~0 by the choice of beta; kept as a self-check
+    e_minus1: float  # (2 beta + w/2) / rho0^2: exactly 0.0 for finite w, as beta = -w/4 exactly
 
 
 # ---------------------------------------------------------------------------
@@ -394,21 +394,11 @@ def build_v_series(rows: list, geoms: list, max_order: int) -> tuple[list, list]
     return v, failed
 
 
-@functools.lru_cache(maxsize=None)
-def _v_layout(max_order: int) -> tuple[np.ndarray, ...]:
-    """The constant parts of v^(1)..v^(max_order) in one row of ``_v_polys``.
-
-    v^(n) takes the n + 3 entries from n (n + 5) / 2 on.  Returns the slots
-    of the x^(n+2) terms, n >= 1, with (-1)^n (n+3); of the x^n terms, n >= 1,
-    (-1)^n 2 beta (n+1), with the factors (-1)^n 2 and n + 1; and of the
-    x^(n-2) terms, n >= 2, (-1)^n (beta^2 - 1/4) (n-1), with the factors
-    (-1)^n and n - 1.
-    """
-    n = np.arange(1, max_order + 1)
-    sign = np.where(n % 2 == 1, -1.0, 1.0)
-    start = n * (n + 5) // 2
-    return (start + n + 2, sign * (n + 3), start + n, sign * 2.0, n + 1.0,
-            (start + n - 2)[1:], sign[1:], (n - 1.0)[1:])
+# v^(n)'s constant factors, n = 1..2 MAX_ORDER: (-1)^n (n+3) for x^(n+2);
+# (-1)^n 2 and n + 1 for x^n; (-1)^n and n - 1 for x^(n-2)
+_N = np.arange(1, 2 * MAX_ORDER + 1)
+_SIGN = np.where(_N % 2 == 1, -1.0, 1.0)
+_TOP, _MID_F, _MID_G, _LOW_G = _SIGN * (_N + 3), _SIGN * 2.0, _N + 1.0, _N - 1.0
 
 
 def _v_polys(a: np.ndarray, geoms: list, max_order: int) -> tuple[list, list]:
@@ -418,40 +408,39 @@ def _v_polys(a: np.ndarray, geoms: list, max_order: int) -> tuple[list, list]:
     Also returns per row None, or a PotentialEvalError if rho0^(n+4)
     overflows; the arrays hold only the rows without one.
     """
-    top, lead, mid, mid_f, mid_g, low, low_f, low_g = _v_layout(max_order)
+    M = max_order
     rho0, w, beta, Q = np.array([(g.rho0, g.w, g.beta, g.Q) for g in geoms]).T
-    scale = float_pow(rho0, [n + 4.0 for n in range(1, max_order + 1)])
-    out = np.zeros((len(geoms), (max_order + 1) * (max_order + 6) // 2))
+    scale = float_pow(rho0, [n + 4.0 for n in range(1, M + 1)])
+    out = np.zeros((len(geoms), M + 1, M + 3))  # out[r, n, k]: the x^k term of v^(n)
+    flat = out.reshape(len(geoms), -1)  # so (n, n + c) lies at n (M + 4) + c
     with np.errstate(all="ignore"):
         bb = beta * beta - 0.25
-        out[:, 0] = 2.0 * beta  # v^(0) = 2 beta + (w^2 / 4) x^2
-        out[:, 2] = w * w / 4.0
+        out[:, 0, 0] = 2.0 * beta  # v^(0) = 2 beta + (w^2 / 4) x^2
+        out[:, 0, 2] = w * w / 4.0
         # the x^(n+2) term: (-1)^n (n+3) + rho0^(n+4) V^(n+2)(rho0) / (Q (n+2)!)
-        out[:, top] = lead + scale * a[:, 3:] / Q[:, None]
-        out[:, mid] = mid_f * beta[:, None] * mid_g
-        out[:, low] = low_f * bb[:, None] * low_g
+        flat[:, M + 6::M + 4] = _TOP[:M] + scale * a[:, 3:] / Q[:, None]
+        flat[:, M + 4::M + 4] = _MID_F[:M] * beta[:, None] * _MID_G[:M]  # (-1)^n 2 beta (n+1) x^n
+        # (-1)^n (beta^2 - 1/4) (n-1) x^(n-2), n >= 2
+        flat[:, 2 * M + 6::M + 4] = _SIGN[1:M] * bb[:, None] * _LOW_G[1:M]
     failed = [PotentialEvalError(
         f"v-series overflow: rho0^{over.index(True) + 5} exceeds the "
         f"float range at rho0 = {g.rho0}"
     ) if any(over) else None for over, g in zip(np.isinf(scale).tolist(), geoms)]
     out = out[[e is None for e in failed]]
-    return [out[:, k * (k + 5) // 2:(k + 1) * (k + 6) // 2] for k in range(max_order + 1)], failed
+    return [out[:, n, :n + 3] for n in range(M + 1)], failed
 
 
 # ---------------------------------------------------------------------------
 # Coefficient hierarchy
 
-# A batch hierarchy keeps v and W in one (slots, rows) array, slots first so
-# that a gather takes whole rows.  Slots 0, 1 and 2 hold +0.0, -0.0 and 1.0,
-# slots 3 and 4 hold W_0.  Then each order s = 1, 2, ... takes one block:
-# v^(s), with s + 3 coefficients, and W_s, with s + 2 (degree s + 1).  The
-# blocks do not depend on the highest order.
-def _v_slot(s):
-    return 5 + (s - 1) * (s + 5)
-
-
-def _w_slot(s):
-    return _v_slot(s) + s + 3  # 3 for W_0
+# A batch hierarchy keeps v and W in one (slots, rows) array of blocks of
+# _STRIDE slots, slots first so that a gather takes whole rows.  Block 0
+# holds +0.0, -0.0 and 1.0 in slots 0, 1 and 2, and from slot 3 on the
+# v^(s) of the order being solved, up to 2 MAX_ORDER + 3 coefficients.
+# Block s + 1 holds +0.0 and then W_s, with s + 2 coefficients (degree
+# s + 1), padded with +0.0.  The stride is set by MAX_ORDER, so no slot
+# depends on the highest order of a call.
+_STRIDE = 2 * MAX_ORDER + 6
 
 
 @functools.lru_cache(maxsize=None)
@@ -473,37 +462,12 @@ def _products(s: int) -> tuple[np.ndarray, np.ndarray]:
     used = i <= np.minimum(p + 1, j)
     ab = np.zeros((2, pairs + 2, (pairs + 1) * n), dtype=np.intp)
     ab[1] = 1
-    ab[:, 0, :n] = [range(_v_slot(s), _v_slot(s) + n), [2] * n]
-    pair_ab = np.stack((np.where(used, _w_slot(p) + i, 0),
-                        np.where(used, _w_slot(s - p) + j - i, 1)))
+    ab[:, 0, :n] = [range(3, 3 + n), [2] * n]
+    pair_ab = np.stack((np.where(used, (p + 1) * _STRIDE + 1 + i, 0),
+                        np.where(used, (s - p + 1) * _STRIDE + 1 + j - i, 1)))
     ab[:, :, n:] = pair_ab.transpose(0, 3, 1, 2).reshape(2, pairs + 2, -1)  # terms, pairs * n
     terms = np.array([0] + [min(p, s - p) for p in range(1, s)], dtype=np.intp)
     return ab, terms
-
-
-@functools.lru_cache(maxsize=None)
-def _balance(n_orders: int) -> tuple[np.ndarray, ...]:
-    """Slots that load v^(1..n_orders) and check every order after the loop.
-
-    The K_s of orders 1..n_orders stack into one array of their entries,
-    order s's from ``starts[s - 1]`` on.  Entry j of L[W_s] = W_s' - w x W_s
-    is ``mult * B[up] - w * B[down]``: (j+1) W_s[j+1] - w W_s[j-1], a missing
-    coefficient read as +0.0 from slot 0.  At even s, ``k0`` is the entry of
-    K_s[0] and ``c1`` the slot of W_s[1].  ``v_at`` lists the slots of v.
-    """
-    v_at, up, down, mult, starts = [], [], [], [], []
-    for s in range(1, n_orders + 1):
-        starts.append(len(v_at))
-        v_at += range(_v_slot(s), _v_slot(s) + s + 3)
-        for j in range(s + 3):
-            up.append(_w_slot(s) + j + 1 if j + 1 < s + 2 else 0)
-            down.append(_w_slot(s) + j - 1 if 1 <= j <= s + 2 else 0)
-            mult.append(j + 1.0)
-    even = range(2, n_orders + 1, 2)
-    k0 = [starts[s - 1] for s in even]
-    c1 = [_w_slot(s) + 1 for s in even]
-    slots = (np.array(x, dtype=np.intp) for x in (v_at, up, down, k0, c1, starts))
-    return (*slots, np.array(mult)[:, None])
 
 
 def solve_hierarchy(v: list, geoms: list, max_order: int) -> list:
@@ -538,44 +502,45 @@ def solve_hierarchy(v: list, geoms: list, max_order: int) -> list:
         )
     if any(np.shape(v[s])[1] != s + 3 for s in range(n_orders + 1)):
         raise ValueError("v^(n) must hold n + 3 coefficients")
-    v_at, up, down, k0, c1, starts, mult = _balance(n_orders)
     w, beta = np.array([(g.w, g.beta) for g in geoms]).T
     w_rows = w.tolist()
-    B = np.zeros((_v_slot(n_orders + 1), len(geoms)))
-    B[1:3] = [[-0.0], [1.0]]
-    B[_w_slot(0) + 1] = -w / 2.0  # W_0 = -(w/2) x
-    B[v_at] = np.concatenate(v[1:n_orders + 1], axis=1).T
-    K = []
+    blocks = np.zeros((n_orders + 2, _STRIDE, len(geoms)))
+    blocks[0, 1:3] = [[-0.0], [1.0]]
+    B = blocks.reshape(-1, len(geoms))
+    W = blocks[1:]  # W[s, j + 1] is W_s[j], and W[s, 0] is +0.0
+    W[0, 2] = -w / 2.0  # W_0 = -(w/2) x
+    K = np.zeros((n_orders + 1, n_orders + 3, len(geoms)))  # K[s, j]: K_s[j], padded
 
     with np.errstate(all="ignore"):
         for s in range(1, n_orders + 1):
+            blocks[0, 3:s + 6] = v[s].T
             ab, terms = _products(s)
             # the terms lie on axis 0, before at least four entries, so both
             # reductions add in axis-0 order and never pairwise
             x = B.take(ab, axis=0)
-            blocks = np.add.reduce(x[0] * x[1], axis=0).reshape(-1, s + 3, len(geoms))
-            k_s = np.subtract.reduce(blocks.take(terms, axis=0), axis=0)
-            K.append(k_s)
+            sums = np.add.reduce(x[0] * x[1], axis=0).reshape(-1, s + 3, len(geoms))
+            k_s = K[s, :s + 3] = np.subtract.reduce(sums.take(terms, axis=0), axis=0)
             top = []
             for k, w_row in zip(k_s.T.tolist(), w_rows):
                 c = [0.0] * (s + 4)
                 for j in range(s + 2, 0, -1):
                     c[j - 1] = ((j + 1) * c[j + 1] - k[j]) / w_row
                 top.append(c[:s + 2])
-            B[_w_slot(s):_w_slot(s) + s + 2].T[...] = top
+            W[s, 1:s + 3].T[...] = top
 
-        # the lambdas, and the residual K_s - RHS_s - L[W_s] of every order
-        K = np.concatenate(K)
-        rhs = K[k0] - B[c1]
+        # the lambdas from each even order's x^0 equation, then every order's
+        # residual K_s - RHS_s - ((j+1) W_s[j+1] - w W_s[j-1]), padding included
+        rhs = K[2::2, 0] - W[2::2, 2]
         lambdas = rhs.copy()
         lambdas[0] -= beta * beta - 0.25
-        K[k0] -= rhs
-        res = np.abs(K - (mult * B[up] - w * B[down]))
-        res_max = np.maximum.reduceat(res, starts, axis=0)  # a NaN wins
+        K[2::2, 0] -= rhs
+        j1 = np.arange(1.0, n_orders + 4)[:, None]  # j + 1
+        res = np.abs(K[1:] - (j1 * W[1:, 2:n_orders + 5] - w * W[1:, :n_orders + 3]))
+        res_max = np.maximum.reduce(res, axis=1)  # a NaN wins
 
     out = []
-    for row, row_res, row_lambdas in zip(np.ascontiguousarray(B.T), res_max.T.tolist(),
-                                         lambdas.T.tolist()):
+    W_rows = np.ascontiguousarray(W[:, 1:n_orders + 3].transpose(2, 0, 1))
+    for row, row_res, row_lambdas in zip(W_rows, res_max.T.tolist(), lambdas.T.tolist()):
         bad = next((s for s, r in enumerate(row_res, 1) if not r <= RESIDUAL_TOL), None)
         if bad is not None:
             out.append(HierarchyInconsistencyError(
@@ -583,7 +548,7 @@ def solve_hierarchy(v: list, geoms: list, max_order: int) -> list:
             ))
         else:
             out.append(CoefficientTable(
-                W=tuple(row[_w_slot(s):_w_slot(s) + s + 2] for s in range(n_orders + 1)),
+                W=tuple(row[s, :s + 2] for s in range(n_orders + 1)),
                 lambdas=tuple(row_lambdas),
                 residuals=tuple(row_res),
             ))

@@ -172,14 +172,14 @@ def simpson(y: np.ndarray, x: np.ndarray) -> float:
 def _whole_line_mass(wf: WavefunctionSeries, grid: np.ndarray, grid_density: np.ndarray):
     """Mass of |Psi_un|^2 over (0, inf) and, tail left out, the part of it beyond ``grid[-1]``.
 
-    Integrates (1e-9 rho0, 4 rho0], then each stretch 1.6x further, until the
-    tail is below NORM_TAIL of the total and no ``grid_density`` beyond is denser.
+    Integrates (0, 4 rho0], then each stretch 1.6x further, until the tail is
+    below NORM_TAIL of the total and no ``grid_density`` beyond is denser.
     A stretch gets NODES_PER_WIDTH Gauss-Legendre nodes per frame width (d/2 times that for
     exponent degree d > 2) on up to 256 equal panels of 32-256 nodes; the tail, overflow and
-    grows-again checks read its points a + 1999 (b - a)/2000 and b.
+    grows-again checks read its last node and its end b.
     """
     geom, end = wf.geometry, float(grid[-1])
-    lo, hi = 1e-9 * geom.rho0, 4.0 * geom.rho0
+    lo, hi = 0.0, 4.0 * geom.rho0
     degree = max(np.flatnonzero(b)[-1] for b in wf.blocks.values())  # blocks[-2][1] = -1 always
     per_rho = NODES_PER_WIDTH * max(degree, 2) / 2 * math.sqrt(geom.lbar * geom.w) / geom.rho0
     total = within = 0.0
@@ -191,11 +191,11 @@ def _whole_line_mass(wf: WavefunctionSeries, grid: np.ndarray, grid_density: np.
             if panels > 1:  # the same rule on each of the equal panels of [-1, 1]
                 nodes = ((2.0 * np.arange(panels)[:, None] + 1.0 + nodes) / panels - 1.0).ravel()
                 wts = np.tile(wts / panels, panels)
-            rho = np.append(a + (b - a) / 2 * (nodes + 1.0), (a + 1999.0 * ((b - a) / 2000.0), b))
+            rho = np.append(a + (b - a) / 2 * (nodes + 1.0), b)
             density = wf.unnormalized(rho) ** 2
             if not np.all(np.isfinite(density)):
                 raise SolverError("wavefunction series overflowed during normalization")
-            total += (b - a) / 2 * np.dot(wts, density[:-2])
+            total += (b - a) / 2 * np.dot(wts, density[:-1])
             if b <= end:
                 within = total
         # exponential tail estimate from the last two samples

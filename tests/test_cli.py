@@ -127,6 +127,14 @@ def test_a_root_across_a_kink_exit_code(capsys):
     assert "rho0 = 0.9999999999999998, leaves F(rho0) = -0.159" in err
 
 
+def test_a_failing_preset_row_exit_code(capsys):
+    # at order 19 one row's order-38 residual exceeds RESIDUAL_TOL; the
+    # table prints nothing, not the rows before it
+    code, out, err = run_cli(capsys, "table", "hybrid-1s-gamma", "--order", "19")
+    assert (code, out) == (EXIT_SOLVER, "")
+    assert err == "solver error: hierarchy inconsistency at order 38: residual 1.863e-09\n"
+
+
 def test_v_series_overflow_exit_code(capsys):
     # rho0 ~ 316, and rho0^124 leaves the float range at order 60
     code, _, err = run_cli(

@@ -9,6 +9,8 @@ from pslet2d import cli
 from pslet2d.expressions import bind_params, parse_potential
 from pslet2d.engine import (
     RESIDUAL_TOL,
+    RHO_HI,
+    RHO_LO,
     CoefficientTable,
     HierarchyInconsistencyError,
     NoStableFrameError,
@@ -207,6 +209,42 @@ def test_the_two_frames_warning_names_the_caller():
         with pytest.warns(UserWarning, match="2 stable frames") as record:
             call()
         assert [w.filename for w in record] == [__file__] * len(record)
+
+
+def test_scaled_potential_scales_the_energies():
+    # -nabla^2 + s^2 V(s rho) has s^2 times the spectrum of -nabla^2 + V, and
+    # the frame maps rho0 -> rho0 / s with w, beta and lbar unchanged, so every
+    # partial sum scales by s^2, exactly in floats for s = 2^k.  Pairs whose
+    # rho0 / s leaves the scan window are skipped (ROADMAP item 11).  At K = 6
+    # the hierarchy's rounding alone moves the sums by up to 1.5e-6, so K = 3.
+    spec = parse_potential("a*rho^q - c/rho^p + b*rho^2")
+    rng = random.Random(11)
+    checked = 0
+    for draw in range(80):
+        m = draw % 4
+        a, q, c, p, b = (rng.uniform(0.1, 2), rng.uniform(0.5, 3), rng.uniform(0.5, 3),
+                         rng.uniform(0.5, 1.5), rng.uniform(0.05, 1))
+        sigmas = [2.0 ** k for k in range(-10, 11)]
+        rows = [bind_params(spec, {"a": a * s ** (2 + q), "q": q, "c": c * s ** (2 - p), "p": p,
+                                   "b": b * s ** 4}) for s in [1.0] + sigmas]
+        (geom, _, energy), *scaled = solve_batch(rows, m, 3)
+        for s, result in zip(sigmas, scaled):
+            if not RHO_LO <= geom.rho0 / s <= RHO_HI:
+                continue
+            sums = np.array(result[2].partial_sums)
+            expected = s * s * np.array(energy.partial_sums)
+            assert np.max(np.abs(sums - expected)) <= 1e-10 * np.max(np.abs(expected)), (draw, s)
+            checked += 1
+    assert checked > 1500
+
+
+@pytest.mark.xfail(strict=True, raises=NoStableFrameError,
+                   reason="ROADMAP item 11: the frame scan covers only [RHO_LO, RHO_HI]")
+@pytest.mark.parametrize("c", [2e-5, 2e4])
+def test_coulomb_solves_beyond_the_scan_window(c):
+    # rho0 = 1 / (2c): 2.5e4 and 2.5e-5, outside [1e-4, 1e4]
+    _, _, breakdown = solve(_bound("-c/rho", {"c": c}), 0, max_order=6)
+    assert breakdown.partial_sums[6] == pytest.approx(-c * c, rel=1e-12)
 
 
 @pytest.mark.parametrize("text", ["rho^rho", "1/(0)*rho", "0^(-1)*rho"])
