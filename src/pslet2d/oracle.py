@@ -5,23 +5,20 @@ plus a finite-difference eigensolver for arbitrary potentials.  The FD route
 never touches the expansion machinery, so agreement between the two is a real
 cross-check.
 
-Discretizing the reduced form [-d^2/drho^2 + (4l^2-1)/(4 rho^2) + V] Psi = E Psi
-directly on a linear mesh fails for l = 0: the attractive -1/(4 rho^2) term
-either spawns spurious states localized on the innermost mesh point or, with
-the boundary pushed out, converges at a uselessly slow rate (the sqrt(rho)
-cusp of Psi defeats second-order differences; -2.46 instead of -4.0 for the
-2D Coulomb ground state at 4000 points).  We therefore substitute
-Psi = sqrt(rho) phi and solve the exactly equivalent cylindrical form
+The radial equation is solved for phi = Psi / sqrt(rho), in the form
 
     -(1/rho) d/drho (rho dphi/drho) + (l^2/rho^2) phi + V phi = E phi,
 
-which is regular at the origin, with a conservative finite-volume scheme on
-cell centers rho_i = (i - 1/2) h, h = rho_max / points, over the whole of
-(0, rho_max] with a hard wall at rho_max.  Same operator, same spectrum,
-and an error even in h where rho V is smooth at the origin (Coulomb's is
+which is regular at the origin (differencing the reduced form, with its
+-1/(4 rho^2) term, fails at l = 0: spurious states on the innermost point,
+or -2.46 instead of -4.0 for the Coulomb ground state on 4000 points).  A
+conservative finite-volume scheme on cell centers rho_i = (i - 1/2) h,
+h = rho_max / points, covers (0, rho_max] with a hard wall at rho_max.  Its
+error is even in h where rho V is smooth at the origin (Coulomb's is
 constant); -1/rho^q leaves a term h^(2 + 2l - q) besides.
 
-Three meshes of n, 2n and 4n cells give E1, E2 and E4, and Romberg's
+Three meshes of n, 2n and 4n cells, built in one pass from one evaluation
+of V on all 7n cell centers, give E1, E2 and E4, and Romberg's
 E = (64 E4 - 20 E2 + E1)/45 cancels the h^2 and h^4 terms.  Its error bar
 adds the certificates' deltas (below) with the same weights; four times
 |R3 - R2|, R2 = (4 E4 - E2)/3, which bounds the error left by a term h^p,
@@ -31,31 +28,32 @@ and twice |Psi'(rho_max)|^2 / (2 kappa), which the hard wall adds to a tail
 exp(-kappa rho) (dE/drho_max = -|Psi'|^2; this fell short by up to 2% on
 Coulomb and oscillator states).
 
-The lowest eigenvalue of each symmetric tridiagonal matrix T comes from
-inverse iteration with Rayleigh-quotient shifts (Parlett, The Symmetric
-Eigenvalue Problem, 1980, ch. 4), one LAPACK ``dgtsv`` solve per step.  The
-base mesh starts from Sturm-sequence bisection to ``SEED_TOL`` = 1e-3 Ry and
-a constant vector, each finer mesh from the eigenvalue below it and that
-mesh's eigenvector with every entry repeated.  Each iterate is offered to a
-certificate, and the first that passes is the result.  The off-diagonal of
-T is negative, so by Perron-Frobenius the ground eigenvector is its only
-nonnegative one, and ``dpttrf`` must factor T - (lambda - delta) I as
-positive definite, which proves that no eigenvalue lies below
-lambda - delta, delta being the tolerance of bisection.  A Rayleigh
-quotient is never below the lowest eigenvalue, so a certified lambda is
-within delta of it.  Neither fact needs the iteration to have converged:
-the certificate alone carries the proof, and the step size is only a
-reason to give up.  A matrix whose iteration hits a singular shift, stalls
-(a step below delta) or runs out of steps uncertified is solved by
-bisection to full precision instead.  Whatever the seed, the result is
-certified or replaced by bisection, so the seed needs no more digits than
-the first shift can use.
+The lowest eigenvalue of each tridiagonal matrix T comes from inverse
+iteration with Rayleigh-quotient shifts (Parlett, The Symmetric Eigenvalue
+Problem, 1980, ch. 4), one LAPACK ``dgtsv`` solve per step.  The base mesh
+starts from a constant vector and LAPACK ``dstebz``'s Sturm-sequence
+bisection to ``SEED_TOL`` = 1e-3 Ry, which costs mostly its search for the
+lowest eigenvalue's index, whatever the tolerance (on 500 cells about 90,
+120 and 240 us at 0.1, 1e-3 and 0).  Each finer mesh starts from the
+eigenvalue below it and that mesh's eigenvector with every entry repeated.
+The first iterate that passes a certificate is the result: T's
+off-diagonal is negative, so by Perron-Frobenius the ground eigenvector is
+its only nonnegative one, and ``dpttrf`` must factor T - (lambda - delta) I
+as positive definite, so that no eigenvalue lies below lambda - delta,
+delta being bisection's tolerance; a Rayleigh quotient never lies below the
+lowest eigenvalue.  That holds converged or not, and the step size is only
+a reason to give up: a singular shift, a step below delta or ``MAX_SHIFTS``
+uncertified steps send the matrix to bisection to full precision, so the
+seed needs no more digits than the first shift can use.
 
 scipy is imported on the first FD call, not with this module, so that
 every other command starts without it.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -76,11 +74,16 @@ def oscillator_exact(m: int, gamma: float) -> float:
     return gamma * (abs(m) + 1)
 
 
-def eigvalsh_tridiagonal(*args, **kwargs):
-    """``scipy.linalg.eigvalsh_tridiagonal``, imported on first use."""
-    from scipy.linalg import eigvalsh_tridiagonal
+def eigvalsh_tridiagonal(d, e, tol=0.0):
+    """Lowest eigenvalue of the tridiagonal (d, e) to ``tol`` (0: full precision),
+    imported on first use: LAPACK ``dstebz`` called as scipy's wrapper calls it
+    for ``select="i", select_range=(0, 0)``, but without its finiteness check."""
+    from scipy.linalg.lapack import dstebz
 
-    return eigvalsh_tridiagonal(*args, **kwargs)
+    _, w, _, _, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, tol, "E")
+    if info:
+        raise np.linalg.LinAlgError(f"dstebz did not converge (LAPACK info={info})")
+    return float(w[0])
 
 
 def dgtsv(*args):
@@ -102,26 +105,39 @@ MAX_SHIFTS = 8  # Rayleigh-quotient steps before a matrix falls back to bisectio
 RATIO_TOL = 0.05  # how far (E2 - E1)/(E4 - E2) may stray from 4 before Romberg is distrusted
 
 
-def _matrix(bound: BoundPotential, l: int, rho_max: float, n_cells: int):
-    """Diagonal and (negative) off-diagonal of the symmetric FD matrix."""
-    h = rho_max / n_cells
-    centers = (np.arange(1, n_cells + 1) - 0.5) * h
-    faces = np.arange(n_cells + 1) * h
-
+def _meshes(bound: BoundPotential, l: int, rho_max: float, sizes: tuple[int, ...]):
+    """(diagonal, negative off-diagonal) of the symmetric FD matrix on a mesh of
+    each of ``sizes`` cells, as views of one array built from one walk of V."""
+    steps = [rho_max / n for n in sizes]
+    try:
+        squares = [h**2 for h in steps]
+    except OverflowError:  # as if h^2 had underflowed: the entries below are infinite
+        squares = [0.0] * len(sizes)
+    index = np.concatenate([np.arange(1.0, n + 1) for n in sizes])
+    h, h2 = np.array(steps).repeat(sizes), np.array(squares).repeat(sizes)
+    centers, faces = (index - 0.5) * h, index * h  # faces: each cell's outer one
     with np.errstate(all="ignore"):  # overflow and poles are caught just below
         v = np.asarray(bound(centers), dtype=float)
-    if not np.all(np.isfinite(v)):
+        # finite volume for -(rho phi')' + rho (l^2/rho^2 + V) phi = E rho phi,
+        # symmetrized to a standard tridiagonal problem by the rho^(1/2) similarity
+        diag = ((index - 1) * h + faces) / h2 / centers + (l * l) / centers**2 + v
+        off = -faces[:-1] / h2[:-1] / np.sqrt(centers[:-1] * centers[1:])
+    if not np.isfinite(v).all():
         raise PotentialEvalError("non-finite matrix entries; potential singular on mesh")
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError(f"rho_max = {rho_max!r} on {sizes[0]} cells gives FD matrix "
+                         "entries beyond the float range")
+    # off[end - 1], at a mesh's last cell, couples it to the next mesh
+    return [(diag[end - n:end], off[end - n:end - 1]) for n, end in zip(sizes, accumulate(sizes))]
 
-    # finite volume for -(rho phi')' + rho (l^2/rho^2 + V) phi = E rho phi,
-    # symmetrized to a standard tridiagonal problem by the rho^(1/2) similarity
-    diag = (faces[:-1] + faces[1:]) / h**2 / centers + (l * l) / centers**2 + v
-    off = -faces[1:-1] / h**2 / np.sqrt(centers[:-1] * centers[1:])
-    return diag, off
+
+def _matrix(bound: BoundPotential, l: int, rho_max: float, n_cells: int):
+    """Diagonal and (negative) off-diagonal of the symmetric FD matrix."""
+    return _meshes(bound, l, rho_max, (n_cells,))[0]
 
 
 def _bisect(diag: np.ndarray, off: np.ndarray) -> float:
-    return float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
+    return eigvalsh_tridiagonal(diag, off)
 
 
 def _delta(diag: np.ndarray, off: np.ndarray) -> float:
@@ -129,18 +145,14 @@ def _delta(diag: np.ndarray, off: np.ndarray) -> float:
     row = np.abs(diag)
     row[:-1] += np.abs(off)
     row[1:] += np.abs(off)
-    return np.finfo(float).eps * float(row.max())
+    return math.ulp(1.0) * float(row.max())
 
 
 def _shift_invert(diag: np.ndarray, off: np.ndarray, lam: float, x: np.ndarray, delta: float):
-    """Lowest eigenvalue and eigenvector of T by Rayleigh-quotient iteration.
-
-    Starts from the shift ``lam`` and the vector ``x``, and returns the first
-    iterate (lambda, eigenvector) that passes the certificate with ``delta``,
-    T's ``_delta``.  A singular solve, a step below delta or ``MAX_SHIFTS``
-    steps without a certified iterate hand over to bisection: (its lambda, None).
-    """
-    eps = np.finfo(float).eps
+    """The first Rayleigh-quotient iterate (lambda, eigenvector) of T, from the
+    shift ``lam`` and the vector ``x``, that passes the certificate with T's
+    ``_delta`` ``delta``; (bisection's lambda, None) where the iteration gives up."""
+    eps = math.ulp(1.0)
     # row sums d_i + e_i + e_(i-1), with the rounding error of the first sum
     # added back (TwoSum), so that (T x)_i = sums_i x_i + e_i (x_(i+1) - x_i)
     # + e_(i-1) (x_(i-1) - x_i) cancels the O(1/h^2) entries before rounding;
@@ -157,8 +169,8 @@ def _shift_invert(diag: np.ndarray, off: np.ndarray, lam: float, x: np.ndarray, 
         y, info = dgtsv(off, diag - lam, off, x)[3:]
         if info:  # T - lam I is singular to working precision: let bisection decide
             break
-        x = y / np.copysign(np.linalg.norm(y), y.sum())
-        flux = off * np.diff(x)
+        x = y / math.copysign(math.sqrt(y @ y), y.sum())
+        flux = off * (x[1:] - x[:-1])
         r = (sums - lam) * x
         r[:-1] += flux
         r[1:] -= flux
@@ -174,22 +186,19 @@ def _shift_invert(diag: np.ndarray, off: np.ndarray, lam: float, x: np.ndarray, 
 
 def fd_ground_energy(bound: BoundPotential, l: int, rho_max: float,
                      points: int) -> tuple[float, float]:
-    """Lowest eigenvalue on (0, rho_max] and its error bar: (energy, error).
-
-    Romberg over ``points``, ``2 * points`` and ``4 * points`` uniform cells
-    with a hard wall at rho_max; the module docstring gives the seeding, the
-    certificate and the three terms of the error.
-    """
+    """Lowest eigenvalue on (0, rho_max] and its error bar, (energy, error), by
+    Romberg over ``points``, ``2 * points`` and ``4 * points`` uniform cells with
+    a hard wall at rho_max; the module docstring gives the seed, certificate and bar."""
     if points < 200:
         raise ValueError(f"need at least 200 points, got {points}")
     if not 0.0 < rho_max < np.inf:
         raise ValueError(f"rho_max must be positive and finite, got {rho_max}")
-    meshes = [_matrix(bound, l, rho_max, n) for n in (points, 2 * points, 4 * points)]
-    lam = float(eigvalsh_tridiagonal(*meshes[0], select="i", select_range=(0, 0), tol=SEED_TOL)[0])
+    meshes = _meshes(bound, l, rho_max, (points, 2 * points, 4 * points))
+    lam = eigvalsh_tridiagonal(*meshes[0], SEED_TOL)
     x, wall, energies = None, np.inf, []
     deltas = [_delta(diag, off) for diag, off in meshes]
     for (diag, off), delta in zip(meshes, deltas):
-        x = np.ones(len(diag)) if x is None else np.repeat(x, 2)
+        x = np.ones(len(diag)) if x is None else x.repeat(2)
         lam, x = _shift_invert(diag, off, lam, x, delta)
         energies.append(lam)
         if x is not None:  # the wall term, from Psi' = x[-1] / h^1.5 and kappa^2 =

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
@@ -286,3 +288,133 @@ def test_the_error_bar_widens_where_the_meshes_do_not_converge_as_h2():
     assert 1e-4 < abs(e - ref) <= err - ref_err
     # -2/rho^1.5 shows no convergence on these meshes, so no bar is given
     assert fd_ground_energy(_bound("rho^2 - 2/rho^1.5"), 0, 20.0, 500)[1] == np.inf
+
+
+def _reference_matrix(bound, l, rho_max, n_cells):
+    """One mesh's matrix built on its own, as the oracle built each mesh before."""
+    h = rho_max / n_cells
+    centers = (np.arange(1, n_cells + 1) - 0.5) * h
+    faces = np.arange(n_cells + 1) * h
+    v = np.asarray(bound(centers), dtype=float)
+    diag = (faces[:-1] + faces[1:]) / h**2 / centers + (l * l) / centers**2 + v
+    off = -faces[1:-1] / h**2 / np.sqrt(centers[:-1] * centers[1:])
+    return diag, off
+
+
+def _reference_lowest(diag, off, tol=0.0):
+    return float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0), tol=tol)[0])
+
+
+def _reference_shift_invert(diag, off, lam, x, delta):
+    """The Rayleigh-quotient iteration through numpy's helpers, as before."""
+    eps = np.finfo(float).eps
+    first = diag.copy()
+    first[:-1] += off
+    back = first - diag
+    error = diag - (first - back)
+    error[:-1] += off - back[:-1]
+    sums = first
+    sums[1:] += off
+    sums += error
+    for _ in range(oracle.MAX_SHIFTS):
+        y, info = oracle.dgtsv(off, diag - lam, off, x)[3:]
+        if info:
+            break
+        x = y / np.copysign(np.linalg.norm(y), y.sum())
+        flux = off * np.diff(x)
+        r = (sums - lam) * x
+        r[:-1] += flux
+        r[1:] -= flux
+        step = float(x @ r)
+        lam += step
+        if x.min() >= -eps * x.max() and oracle.dpttrf(diag - (lam - delta), off)[2] == 0:
+            return lam, x
+        if abs(step) <= delta:
+            break
+    return _reference_lowest(diag, off), None
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _bits_corpus():
+    rng = np.random.default_rng(1999)
+    for _ in range(48):
+        a, b, c = rng.uniform(0.1, 2.0), rng.uniform(0.5, 3.0), rng.uniform(0.0, 1.0)
+        p, q = rng.choice([0.5, 0.7, 1.5, 2.0]), rng.choice([0.5, 0.7, 1.0, 1.5])
+        text = f"{a!r}*rho^{p} - {b!r}/rho^{q} + {c!r}*rho^{rng.choice([0.5, 0.7, 1.5])}"
+        yield (text, int(rng.integers(0, 4)), float(rng.choice([10.0, 20.0, 30.0])),
+               int(rng.choice([200, 500, 1000])))
+    for l, rho_max, points in ((0, 10.0, 200), (1, 20.0, 500), (3, 30.0, 1000)):
+        yield "rho^0", l, rho_max, points  # V is one float, not an array
+
+
+def test_one_pass_meshes_equal_per_mesh_matrices_bit_for_bit():
+    for text, l, rho_max, points in _bits_corpus():
+        bound = _bound(text)
+        sizes = (points, 2 * points, 4 * points)
+        for (diag, off), n in zip(oracle._meshes(bound, l, rho_max, sizes), sizes):
+            ref_diag, ref_off = _reference_matrix(bound, l, rho_max, n)
+            assert _same_bits(diag, ref_diag) and _same_bits(off, ref_off), (text, l, n)
+        diag, off = _matrix(bound, l, rho_max, points)
+        ref_diag, ref_off = _reference_matrix(bound, l, rho_max, points)
+        assert _same_bits(diag, ref_diag) and _same_bits(off, ref_off)
+
+
+def test_fd_energy_equals_the_per_mesh_scipy_oracle_bit_for_bit(monkeypatch):
+    # the reference runs the oracle with each mesh built on its own, scipy's
+    # eigvalsh_tridiagonal for the seed and the fallback, and numpy's norm and
+    # diff in the Rayleigh step
+    corpus = list(_bits_corpus())
+    results = [fd_ground_energy(_bound(text), l, rho_max, points)
+               for text, l, rho_max, points in corpus]
+    monkeypatch.setattr(oracle, "_meshes", lambda bound, l, rho_max, sizes: [
+        _reference_matrix(bound, l, rho_max, n) for n in sizes])
+    monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", _reference_lowest)
+    monkeypatch.setattr(oracle, "_shift_invert", _reference_shift_invert)
+    for (text, l, rho_max, points), result in zip(corpus, results):
+        reference = fd_ground_energy(_bound(text), l, rho_max, points)
+        assert result == reference, (text, l, rho_max, points)
+        assert all(type(x) is float for x in result)
+
+
+def test_the_lowest_eigenvalue_equals_scipys_bisection():
+    for text, l, rho_max, points in list(_bits_corpus())[:12]:
+        diag, off = _matrix(_bound(text), l, rho_max, points)
+        for tol in (0.0, oracle.SEED_TOL):
+            assert oracle.eigvalsh_tridiagonal(diag, off, tol) == _reference_lowest(diag, off, tol)
+
+
+@pytest.mark.parametrize("rho_max", [1e-160, 1e300])
+def test_a_mesh_floats_cannot_hold_is_refused_before_lapack(monkeypatch, rho_max):
+    # 1e-160 / 500 squares to 0, so 1/h^2 is infinite; (1e300 / 500)^2 overflows
+    def lapack(*args):
+        raise AssertionError("LAPACK called on a matrix floats cannot hold")
+
+    for name in ("eigvalsh_tridiagonal", "dgtsv", "dpttrf"):
+        monkeypatch.setattr(oracle, name, lapack)
+    message = rf"rho_max = {re.escape(repr(rho_max))} on 500 cells .* float range"
+    with pytest.raises(ValueError, match=message):
+        fd_ground_energy(_bound("-2/rho"), 0, rho_max, 500)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: an h^2 and an h^1.5 term mix and the "
+                   "mesh ratio passes through 4")
+def test_the_error_bar_covers_a_mixed_order_l0_state():
+    # rho0/h = 2.5: errs by 8.5e-3 against a bar of 9.2e-4
+    bound = _bound("g*rho^2 - 2/rho^0.5", {"g": 1e4})
+    e, err = fd_ground_energy(bound, 0, 20.0, 500)
+    ref, ref_err = fd_ground_energy(bound, 0, 20.0, 16000)
+    assert abs(e - ref) <= err + ref_err
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: a near-zero h^4 coefficient hides the "
+                   "h^6 term from |R3 - R2|")
+def test_the_error_bar_covers_a_vanishing_h4_term():
+    # errs by 2.1e-9 against a bar of 4.4e-10
+    bound = _bound("0.47690740887060123*rho^3.0 - 2.6595756112567366/rho^1.5"
+                   " + 0.7687165031643948*rho")
+    e, err = fd_ground_energy(bound, 2, 30.0, 500)
+    ref, ref_err = fd_ground_energy(bound, 2, 30.0, 2000)
+    assert abs(e - ref) <= err + ref_err
