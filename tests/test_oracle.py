@@ -291,7 +291,7 @@ def test_the_error_bar_widens_where_the_meshes_do_not_converge_as_h2():
 
 
 def _reference_matrix(bound, l, rho_max, n_cells):
-    """One mesh's matrix built on its own, as the oracle built each mesh before."""
+    """One mesh's matrix built on its own with its scalar h: the one-pass build's reference."""
     h = rho_max / n_cells
     centers = (np.arange(1, n_cells + 1) - 0.5) * h
     faces = np.arange(n_cells + 1) * h
@@ -306,7 +306,7 @@ def _reference_lowest(diag, off, tol=0.0):
 
 
 def _reference_shift_invert(diag, off, lam, x, delta):
-    """The Rayleigh-quotient iteration through numpy's helpers, as before."""
+    """The Rayleigh-quotient iteration with numpy's norm, diff and copysign."""
     eps = np.finfo(float).eps
     first = diag.copy()
     first[:-1] += off
