@@ -42,12 +42,13 @@ its only nonnegative one, and ``dpttrf`` must factor T - (lambda - delta) I
 as positive definite, so that no eigenvalue lies below lambda - delta,
 delta being bisection's tolerance; a Rayleigh quotient never lies below the
 lowest eigenvalue.  That holds converged or not, and the step size is only
-a reason to give up: a singular shift, a step below delta or ``MAX_SHIFTS``
-uncertified steps send the matrix to bisection to full precision, so the
-seed needs no more digits than the first shift can use.
+a reason to give up: a singular shift, an iterate whose norm under- or
+overflows, a step below delta or ``MAX_SHIFTS`` uncertified steps send the
+matrix to bisection to full precision, so the seed needs no more digits than
+the first shift can use.
 
-scipy is imported on the first FD call, not with this module, so that
-every other command starts without it.
+LAPACK is scipy's ``_flapack`` extension, loaded by file on the first FD call:
+no other command imports scipy, and the oracle skips ``scipy.linalg``'s init.
 """
 
 from __future__ import annotations
@@ -74,30 +75,45 @@ def oscillator_exact(m: int, gamma: float) -> float:
     return gamma * (abs(m) + 1)
 
 
-def eigvalsh_tridiagonal(d, e, tol=0.0):
-    """Lowest eigenvalue of the tridiagonal (d, e) to ``tol`` (0: full precision),
-    imported on first use: LAPACK ``dstebz`` called as scipy's wrapper calls it
-    for ``select="i", select_range=(0, 0)``, but without its finiteness check."""
-    from scipy.linalg.lapack import dstebz
+def _flapack():
+    """scipy's ``_flapack``, put in ``sys.modules`` so that a later ``import scipy.linalg``
+    shares it; where that fails, ``scipy.linalg.lapack`` (the same functions)."""
+    import sys
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        from importlib import import_module, machinery, util
+        import scipy
+        loaders = (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
+        spec = machinery.FileFinder(f"{scipy.__path__[0]}/linalg", loaders).find_spec(name)
+        try:
+            if spec is None:
+                raise ImportError(name)
+            module = util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:
+            return import_module("scipy.linalg.lapack")
+        sys.modules[name] = module
+    return sys.modules[name]
 
-    _, w, _, _, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, tol, "E")
+
+def eigvalsh_tridiagonal(d, e, tol=0.0):
+    """Lowest eigenvalue of the tridiagonal (d, e) to ``tol`` (0: full precision):
+    LAPACK ``dstebz`` from ``_flapack`` called as scipy's wrapper calls it for
+    ``select="i", select_range=(0, 0)``, but without its finiteness check."""
+    _, w, _, _, info = _flapack().dstebz(d, e, 2, 0.0, 1.0, 1, 1, tol, "E")
     if info:
         raise np.linalg.LinAlgError(f"dstebz did not converge (LAPACK info={info})")
     return float(w[0])
 
 
 def dgtsv(*args):
-    """LAPACK ``dgtsv`` from ``scipy.linalg.lapack``, imported on first use."""
-    from scipy.linalg.lapack import dgtsv
-
-    return dgtsv(*args)
+    """LAPACK ``dgtsv``, the very function ``scipy.linalg.lapack`` exports, from ``_flapack``."""
+    return _flapack().dgtsv(*args)
 
 
 def dpttrf(*args):
-    """LAPACK ``dpttrf`` from ``scipy.linalg.lapack``, imported on first use."""
-    from scipy.linalg.lapack import dpttrf
-
-    return dpttrf(*args)
+    """LAPACK ``dpttrf``, the very function ``scipy.linalg.lapack`` exports, from ``_flapack``."""
+    return _flapack().dpttrf(*args)
 
 
 SEED_TOL = 1e-3  # Ry, the base mesh's bisection tolerance
@@ -140,19 +156,16 @@ def _bisect(diag: np.ndarray, off: np.ndarray) -> float:
     return eigvalsh_tridiagonal(diag, off)
 
 
-def _delta(diag: np.ndarray, off: np.ndarray) -> float:
-    """Bisection's own tolerance on T: ulp times its 1-norm."""
+def _rows(meshes):
+    """Each mesh's ``delta`` (ulp times T's 1-norm, bisection's own tolerance) and
+    row sums, in one pass with the entries coupling one mesh to the next zeroed."""
+    starts = [0, *accumulate(len(diag) for diag, _ in meshes)]
+    diag = np.concatenate([diag for diag, _ in meshes])
+    off = np.concatenate([part for _, e in meshes for part in (e, [0.0])])[:-1]
     row = np.abs(diag)
     row[:-1] += np.abs(off)
     row[1:] += np.abs(off)
-    return math.ulp(1.0) * float(row.max())
-
-
-def _shift_invert(diag: np.ndarray, off: np.ndarray, lam: float, x: np.ndarray, delta: float):
-    """The first Rayleigh-quotient iterate (lambda, eigenvector) of T, from the
-    shift ``lam`` and the vector ``x``, that passes the certificate with T's
-    ``_delta`` ``delta``; (bisection's lambda, None) where the iteration gives up."""
-    eps = math.ulp(1.0)
+    deltas = [math.ulp(1.0) * float(norm) for norm in np.maximum.reduceat(row, starts[:-1])]
     # row sums d_i + e_i + e_(i-1), with the rounding error of the first sum
     # added back (TwoSum), so that (T x)_i = sums_i x_i + e_i (x_(i+1) - x_i)
     # + e_(i-1) (x_(i-1) - x_i) cancels the O(1/h^2) entries before rounding;
@@ -165,19 +178,30 @@ def _shift_invert(diag: np.ndarray, off: np.ndarray, lam: float, x: np.ndarray, 
     sums = first
     sums[1:] += off
     sums += error
+    return deltas, [sums[start:end] for start, end in zip(starts, starts[1:])]
+
+
+def _shift_invert(diag: np.ndarray, off: np.ndarray, lam: float, x: np.ndarray, delta: float,
+                  sums: np.ndarray):
+    """The first Rayleigh-quotient iterate (lambda, eigenvector) of T, from the shift
+    ``lam`` and the vector ``x``, that passes the certificate with T's ``_rows``
+    ``delta`` and ``sums``; (bisection's lambda, None) where the iteration gives up."""
+    eps = math.ulp(1.0)
     for _ in range(MAX_SHIFTS):
         y, info = dgtsv(off, diag - lam, off, x)[3:]
-        if info:  # T - lam I is singular to working precision: let bisection decide
-            break
-        x = y / math.copysign(math.sqrt(y @ y), y.sum())
+        norm = math.sqrt(y @ y)
+        if info or not 0.0 < norm < math.inf:  # T - lam I singular to working precision,
+            break  # or ||y|| under- or overflowed: let bisection decide
+        x = y / math.copysign(norm, y.sum())
         flux = off * (x[1:] - x[:-1])
         r = (sums - lam) * x
         r[:-1] += flux
         r[1:] -= flux
         step = float(x @ r)
         lam += step
-        # nonnegative up to rounding: the Perron vector, not another one
-        if x.min() >= -eps * x.max() and dpttrf(diag - (lam - delta), off)[2] == 0:
+        # a finite lambda (dpttrf passes NaN) and, nonnegative up to rounding, the Perron vector
+        if (math.isfinite(lam) and x.min() >= -eps * x.max()
+                and dpttrf(diag - (lam - delta), off)[2] == 0):
             return lam, x
         if abs(step) <= delta:  # converged, but not to a certified lowest eigenvalue
             break
@@ -196,10 +220,10 @@ def fd_ground_energy(bound: BoundPotential, l: int, rho_max: float,
     meshes = _meshes(bound, l, rho_max, (points, 2 * points, 4 * points))
     lam = eigvalsh_tridiagonal(*meshes[0], SEED_TOL)
     x, wall, energies = None, np.inf, []
-    deltas = [_delta(diag, off) for diag, off in meshes]
-    for (diag, off), delta in zip(meshes, deltas):
+    deltas, sums = _rows(meshes)
+    for (diag, off), delta, row_sums in zip(meshes, deltas, sums):
         x = np.ones(len(diag)) if x is None else x.repeat(2)
-        lam, x = _shift_invert(diag, off, lam, x, delta)
+        lam, x = _shift_invert(diag, off, lam, x, delta, row_sums)
         energies.append(lam)
         if x is not None:  # the wall term, from Psi' = x[-1] / h^1.5 and kappa^2 =
             # V + l^2/rho^2 - E on the last cell, whose diagonal is 2/h^2 + l^2/rho^2 + V

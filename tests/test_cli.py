@@ -605,16 +605,29 @@ def test_wavefunction_grid_extremes_give_zeros_without_warnings(capsys, grid, ze
     assert min(psi) >= 0.0
 
 
-def _fresh_interpreter(script):
-    """Run ``script`` in a new interpreter that imports pslet2d from this tree."""
+def _fresh_interpreter(script, *flags):
+    """Run ``script`` in a new interpreter, started with ``flags``, that imports
+    pslet2d from this tree."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
+
+
+ORACLE_SWEEP = ["sweep", "-V", "m*g - 2/rho + g^2*rho^2/4", "--sweep-param", "g",
+                "--range", "0.5,1.5,2", "--oracle"]
+# defines sweep(), which runs ORACLE_SWEEP and returns its stdout
+SWEEP_SCRIPT = ("import contextlib, io, sys\n"
+                "from pslet2d.cli import main\n"
+                "def sweep():\n"
+                "    out = io.StringIO()\n"
+                "    with contextlib.redirect_stdout(out):\n"
+                f"        assert main({ORACLE_SWEEP!r}) == 0\n"
+                "    return out.getvalue()\n")
 
 
 def test_cold_start_imports_scipy_only_for_the_oracle(capsys):
@@ -630,14 +643,52 @@ def test_cold_start_imports_scipy_only_for_the_oracle(capsys):
               "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
     assert _fresh_interpreter(script).stdout.splitlines()[-1] == "[0, 0, 0] []"
 
-    # the first FD call imports scipy; from cold it prints what it prints warm
-    sweep = ["sweep", "-V", hybrid, "--sweep-param", "g", "--range", "0.5,1.5,2", "--oracle"]
-    cold = _fresh_interpreter(f"import sys\nfrom pslet2d.cli import main\nsys.exit(main({sweep!r}))\n")
-    code, out, err = run_cli(capsys, *sweep)
+    # the first FD call loads scipy's LAPACK extension without the scipy.linalg
+    # package, warning-free; from cold it prints what it prints warm
+    loaded = "[m in sys.modules for m in ('scipy.linalg._flapack', 'scipy.linalg')]"
+    cold = _fresh_interpreter(SWEEP_SCRIPT + f"print(sweep(), end='')\nprint({loaded})\n",
+                              "-W", "error")
+    code, out, err = run_cli(capsys, *ORACLE_SWEEP)
     assert code == 0, err
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 2 and all(r["fd"] for r in rows)
-    assert cold.stdout == out
+    assert cold.stdout == out + "[True, False]\n"
+
+
+def test_a_later_scipy_linalg_import_shares_the_oracles_lapack():
+    script = SWEEP_SCRIPT + (
+        "first = sweep()\n"
+        "called = sys.modules['scipy.linalg._flapack']\n"
+        "import scipy.linalg\n"
+        "print(scipy.linalg.lapack.dgtsv is called.dgtsv, scipy.linalg.lapack._flapack is called,\n"
+        "      sweep() == first)\n")
+    assert _fresh_interpreter(script, "-W", "error").stdout == "True True True\n"
+
+
+def test_the_oracle_falls_back_to_scipy_linalg_where_the_extension_is_not_found():
+    report = "print(sweep(), end='')\nprint('scipy.linalg' in sys.modules)\n"
+    # importlib.abc registers the finder class by name, so it is imported first
+    nowhere = ("import importlib.abc, importlib.machinery\n"
+               "class Nowhere(importlib.machinery.FileFinder):\n"
+               "    def find_spec(self, fullname, target=None):\n"
+               "        return None\n"
+               "importlib.machinery.FileFinder = Nowhere\n")
+    fast = _fresh_interpreter(SWEEP_SCRIPT + report, "-W", "error").stdout
+    fallback = _fresh_interpreter(nowhere + SWEEP_SCRIPT + report, "-W", "error").stdout
+    assert fast.endswith("False\n") and fallback.endswith("True\n")
+    assert fallback[:-len("True\n")] == fast[:-len("False\n")]
+
+
+def test_the_oracle_prints_no_nan_where_an_iterate_underflows(capsys):
+    # ||T|| is about 1e195 at g = 1; the 1000-cell mesh's iterate underflows,
+    # and its NaN once passed the certificate (dpttrf lets a NaN diagonal through)
+    with pytest.warns(UserWarning) as record:  # the engine's choice among stable frames
+        code, out, _ = run_cli(capsys, "sweep", "-V", "g*rho^150 - 2/rho", "-m", "0",
+                               "--sweep-param", "g", "--range", "1,2,2", "--oracle")
+    assert {w.category for w in record} == {UserWarning}
+    assert code == 0 and "nan" not in out
+    for row in csv.DictReader(io.StringIO(out)):
+        assert math.isfinite(float(row["fd"])) or row["error"]
 
 
 # ---------------------------------------------------------------------------

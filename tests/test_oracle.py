@@ -126,8 +126,8 @@ def _lowest_long_double(diag, off, guess, width=1e-9):
 def test_eigenvalues_match_long_double_bisection(monkeypatch, text, params, l):
     solved = []
 
-    def spy(diag, off, lam, x, delta):
-        result = _shift_invert(diag, off, lam, x, delta)
+    def spy(diag, off, lam, x, delta, sums):
+        result = _shift_invert(diag, off, lam, x, delta, sums)
         solved.append((diag, off, result))
         return result
 
@@ -139,22 +139,40 @@ def test_eigenvalues_match_long_double_bisection(monkeypatch, text, params, l):
         assert abs(LD(lam) - _lowest_long_double(diag, off, lam)) <= 1e-11
 
 
+def test_an_iterate_that_underflows_hands_its_mesh_to_bisection(monkeypatch):
+    # the sweep's mesh of g rho^150 - 2/rho at g = 1: on 1000 cells y @ y
+    # underflows to 0 and the iterate turns NaN, which dpttrf factors with
+    # info = 0, so a NaN lambda used to pass the certificate
+    solved = []
+
+    def spy(*args):
+        result = _shift_invert(*args)
+        solved.append((args[0], args[1], result))
+        return result
+
+    monkeypatch.setattr(oracle, "_shift_invert", spy)
+    energy, error = fd_ground_energy(_bound("g*rho^150 - 2/rho", {"g": 1.0}), 0, 20.0, 500)
+    assert np.isfinite(energy) and not np.isnan(error)
+    diag, off, (lam, vector) = solved[1]
+    assert vector is None and lam == _bisect(diag, off)
+
+
 def test_certificate_refuses_all_but_the_lowest_eigenvalue(monkeypatch):
     diag, off = _matrix(_bound("-2/rho"), 0, 20.0, 400)
     lam1 = oracle._bisect(diag, off)
     lam2 = eigvalsh_tridiagonal(diag, off, select="i", select_range=(1, 1))[0]
     # seeded next to lambda_2 the iteration converges there; its eigenvector
     # has a node, so bisection takes over and lambda_1 comes back
-    delta = oracle._delta(diag, off)
-    lam, vector = _shift_invert(diag, off, lam2 + 1e-3, np.ones(400), delta)
+    (delta,), (sums,) = oracle._rows([(diag, off)])
+    lam, vector = _shift_invert(diag, off, lam2 + 1e-3, np.ones(400), delta, sums)
     assert vector is None
     assert lam == lam1
 
-    lam, vector = _shift_invert(diag, off, lam1 + 1e-3, np.ones(400), delta)
+    lam, vector = _shift_invert(diag, off, lam1 + 1e-3, np.ones(400), delta, sums)
     assert vector is not None and abs(lam - lam1) <= 1e-10
     # a failed factorization of T - (lambda - delta) I also hands over to bisection
     monkeypatch.setattr(oracle, "dpttrf", lambda d, e: (d, e, 1))
-    assert _shift_invert(diag, off, lam1 + 1e-3, np.ones(400), delta) == (lam1, None)
+    assert _shift_invert(diag, off, lam1 + 1e-3, np.ones(400), delta, sums) == (lam1, None)
 
 
 def test_a_singular_shift_hands_over_to_bisection(monkeypatch):
@@ -164,8 +182,8 @@ def test_a_singular_shift_hands_over_to_bisection(monkeypatch):
     dgtsv = oracle.dgtsv
     monkeypatch.setattr(oracle, "dgtsv", lambda *a: dgtsv(*a)[:4] + (1,))
     diag, off = _matrix(bound, 0, 10.0, 200)
-    assert _shift_invert(diag, off, -3.6, np.ones(200), oracle._delta(diag, off)) == (
-        _bisect(diag, off), None)
+    (delta,), (sums,) = oracle._rows([(diag, off)])
+    assert _shift_invert(diag, off, -3.6, np.ones(200), delta, sums) == (_bisect(diag, off), None)
     e1, e2, e4 = (_bisect(*_matrix(bound, 0, 10.0, n)) for n in (200, 400, 800))
     assert fd_ground_energy(bound, 0, 10.0, 200) == ((64.0 * e4 - 20.0 * e2 + e1) / 45.0, np.inf)
 
@@ -207,9 +225,9 @@ def test_certificate_contract_on_a_seeded_corpus(monkeypatch):
     # the certificate's delta; a fallback is bisection's value itself
     solved = []
 
-    def spy(diag, off, lam, x, delta):
+    def spy(diag, off, lam, x, delta, sums):
         assert delta == _delta(diag, off)  # the delta of the mesh it certifies
-        result = _shift_invert(diag, off, lam, x, delta)
+        result = _shift_invert(diag, off, lam, x, delta, sums)
         solved.append((diag, off, result))
         return result
 
@@ -305,8 +323,9 @@ def _reference_lowest(diag, off, tol=0.0):
     return float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0), tol=tol)[0])
 
 
-def _reference_shift_invert(diag, off, lam, x, delta):
-    """The Rayleigh-quotient iteration with numpy's norm, diff and copysign."""
+def _reference_shift_invert(diag, off, lam, x, delta, _sums):
+    """The Rayleigh-quotient iteration with numpy's norm, diff and copysign; it
+    builds each mesh's row sums itself and ignores the one-pass ones it is given."""
     eps = np.finfo(float).eps
     first = diag.copy()
     first[:-1] += off
@@ -384,6 +403,37 @@ def test_the_lowest_eigenvalue_equals_scipys_bisection():
         diag, off = _matrix(_bound(text), l, rho_max, points)
         for tol in (0.0, oracle.SEED_TOL):
             assert oracle.eigvalsh_tridiagonal(diag, off, tol) == _reference_lowest(diag, off, tol)
+
+
+LAPACK_BITS = """
+import hashlib, sys
+import numpy as np
+from pslet2d import oracle
+from pslet2d.expressions import bind_params, parse_potential
+{lapack}
+digest = hashlib.sha256()
+for text, params, l in {matrices!r}:
+    diag, off = oracle._matrix(bind_params(parse_potential(text), params), l, 20.0, 500)
+    w = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")
+    shifted = diag - (w[1][0] - 1e-3)
+    for result in (w, lapack.dgtsv(off, shifted, off, np.ones(len(diag))), lapack.dpttrf(shifted, off)):
+        for part in result:
+            digest.update(np.asarray(part).tobytes())
+print(digest.hexdigest(), "scipy.linalg" in sys.modules)
+"""
+
+
+def test_the_loaded_lapack_equals_scipy_linalg_lapack_bit_for_bit():
+    from test_cli import _fresh_interpreter
+
+    matrices = [("-2/rho", {}, 0), (HYBRID, {"m": -1.0, "g": 1.0}, 1),
+                ("rho^2 - 2/rho^0.5", {}, 0), ("g^2*rho^2/4", {"g": 3.0}, 2)]
+    loaded, reference = (_fresh_interpreter(LAPACK_BITS.format(lapack=lapack, matrices=matrices),
+                                            "-W", "error").stdout.split()
+                         for lapack in ("lapack = oracle._flapack()",
+                                        "import scipy.linalg.lapack as lapack"))
+    assert loaded[1] == "False" and reference[1] == "True"
+    assert loaded[0] == reference[0]
 
 
 @pytest.mark.parametrize("rho_max", [1e-160, 1e300])
