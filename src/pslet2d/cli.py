@@ -49,7 +49,8 @@ class ParameterError(Exception):
 
 
 def _fmt(v: float) -> str:
-    return f"{v:.9f}"
+    """Nine decimals; in exponent form from |v| = 1e15, where fixed point prints every digit."""
+    return f"{v:.9e}" if abs(v) >= 1e15 else f"{v:.9f}"
 
 
 def _parse_param_flags(pairs: list[str] | None) -> dict[str, float]:
@@ -136,7 +137,7 @@ def cmd_compute(args) -> int:
                 print(f"  {k:>8} = {v:.12g}")
         print("partial sums:")
         for k, v in partial_sums.items():
-            print(f"  {k:>8} = {v:.9f}")
+            print(f"  {k:>8} = {_fmt(v)}")
     return 0
 
 

@@ -69,7 +69,7 @@ class FrequencyUndefinedError(SolverError):
 
 
 class HierarchyInconsistencyError(SolverError):
-    """Residual after an order solve exceeded tolerance (degree bookkeeping bug)."""
+    """A residual above RESIDUAL_TOL: high-order rounding grew (Coulomb m = 1, 2 at K >= 20)."""
 
 
 RESIDUAL_TOL = 1e-9

@@ -147,15 +147,6 @@ def _meshes(bound: BoundPotential, l: int, rho_max: float, sizes: tuple[int, ...
     return [(diag[end - n:end], off[end - n:end - 1]) for n, end in zip(sizes, accumulate(sizes))]
 
 
-def _matrix(bound: BoundPotential, l: int, rho_max: float, n_cells: int):
-    """Diagonal and (negative) off-diagonal of the symmetric FD matrix."""
-    return _meshes(bound, l, rho_max, (n_cells,))[0]
-
-
-def _bisect(diag: np.ndarray, off: np.ndarray) -> float:
-    return eigvalsh_tridiagonal(diag, off)
-
-
 def _rows(meshes):
     """Each mesh's ``delta`` (ulp times T's 1-norm, bisection's own tolerance) and
     row sums, in one pass with the entries coupling one mesh to the next zeroed."""
@@ -205,7 +196,7 @@ def _shift_invert(diag: np.ndarray, off: np.ndarray, lam: float, x: np.ndarray, 
             return lam, x
         if abs(step) <= delta:  # converged, but not to a certified lowest eigenvalue
             break
-    return _bisect(diag, off), None
+    return eigvalsh_tridiagonal(diag, off), None
 
 
 def fd_ground_energy(bound: BoundPotential, l: int, rho_max: float,

@@ -687,8 +687,21 @@ def test_the_oracle_prints_no_nan_where_an_iterate_underflows(capsys):
                                "--sweep-param", "g", "--range", "1,2,2", "--oracle")
     assert {w.category for w in record} == {UserWarning}
     assert code == 0 and "nan" not in out
-    for row in csv.DictReader(io.StringIO(out)):
+    rows = list(csv.DictReader(io.StringIO(out)))
+    for row in rows:
         assert math.isfinite(float(row["fd"])) or row["error"]
+    # fd is 2.83e171 at g = 1: in exponent form, not its 182 fixed-point characters
+    fd = rows[0]["fd"]
+    assert rows[0]["g"] == "1" and fd.startswith("2.83") and math.isfinite(float(fd))
+    assert len(fd) == len("2.830117782e+171")
+
+
+def test_values_print_in_fixed_point_below_1e15_and_in_exponent_form_above():
+    below = math.nextafter(1e15, 0.0)
+    for v in (0.0, -0.0, -4.0, 1.25e-12, below, -below, math.inf, -math.inf, math.nan):
+        assert cli._fmt(v) == f"{v:.9f}"
+    assert [cli._fmt(v) for v in (1e15, -1e15, 2.5e171)] == [
+        "1.000000000e+15", "-1.000000000e+15", "2.500000000e+171"]
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,41 @@ def test_degree_bounds():
         assert len(w_n) - 1 <= 2 * n + 1
 
 
+def _wrong_parity_coefficients(table):
+    """Every W_s[j] with j = s (mod 2), as ``float.hex``."""
+    return [c.hex() for s, w in enumerate(table.W) for c in w.tolist()[s % 2::2]]
+
+
+def _assert_wrong_parity_is_plus_zero(results):
+    # v^(n) holds only terms of n's parity and W_0 = -(w/2) x, so by induction
+    # over the order-s balance W_s has parity (-1)^(s+1); the dead entries of
+    # K_s start at +0.0, and +0.0 - (+-0.0) is +0.0, so they never turn -0.0
+    dead = [c for result in results for c in _wrong_parity_coefficients(result[1])]
+    assert dead and set(dead) == {"0x0.0p+0"}
+
+
+def test_wrong_parity_coefficients_are_plus_zero_on_the_golden_requests():
+    from test_golden import _requests
+
+    _assert_wrong_parity_is_plus_zero(
+        result for _, result in _requests() if not isinstance(result, Exception))
+
+
+@pytest.mark.parametrize("order", [3, 6, 10, 15])
+def test_wrong_parity_coefficients_are_plus_zero_on_a_seeded_batch(order):
+    rng = random.Random(order)
+    spec = parse_potential("-a/rho^p + b*rho^2 + c*rho^1.5 + d*rho")
+    results = []
+    for m in (-2, -1, 0, 1, 3):
+        p = rng.choice([0.5, 1.0, 1.5])  # an exponent: one value per batch
+        rows = [bind_params(spec, {"a": rng.uniform(0.5, 3.0), "p": p, "b": rng.uniform(0.1, 2.0),
+                                   "c": rng.uniform(0.0, 1.0), "d": rng.uniform(-0.5, 0.5)})
+                for _ in range(8)]
+        results += solve_batch(rows, m, order)
+    assert not any(isinstance(result, Exception) for result in results)
+    _assert_wrong_parity_is_plus_zero(results)
+
+
 def test_insufficient_v_series_rejected():
     bound = _coulomb()
     geom = _geometry(bound, 0)

@@ -12,7 +12,7 @@ from pslet2d.oracle import (
     fd_ground_energy,
     oscillator_exact,
 )
-from pslet2d.oracle import _bisect, _matrix, _shift_invert
+from pslet2d.oracle import _meshes, _shift_invert
 
 HYBRID = "m*g - 2/rho + g^2*rho^2/4"
 LD = np.longdouble
@@ -78,7 +78,7 @@ def test_grid_halving_second_order():
     bound = _bound("g^2*rho^2/4", {"g": 1.0})
     exact = oscillator_exact(1, 1.0)
     errs = [
-        abs(_bisect(*_matrix(bound, 1, 20.0, n)) - exact)
+        abs(oracle.eigvalsh_tridiagonal(*_meshes(bound, 1, 20.0, (n,))[0]) - exact)
         for n in (500, 1000, 2000)
     ]
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
@@ -154,12 +154,12 @@ def test_an_iterate_that_underflows_hands_its_mesh_to_bisection(monkeypatch):
     energy, error = fd_ground_energy(_bound("g*rho^150 - 2/rho", {"g": 1.0}), 0, 20.0, 500)
     assert np.isfinite(energy) and not np.isnan(error)
     diag, off, (lam, vector) = solved[1]
-    assert vector is None and lam == _bisect(diag, off)
+    assert vector is None and lam == oracle.eigvalsh_tridiagonal(diag, off)
 
 
 def test_certificate_refuses_all_but_the_lowest_eigenvalue(monkeypatch):
-    diag, off = _matrix(_bound("-2/rho"), 0, 20.0, 400)
-    lam1 = oracle._bisect(diag, off)
+    diag, off = _meshes(_bound("-2/rho"), 0, 20.0, (400,))[0]
+    lam1 = oracle.eigvalsh_tridiagonal(diag, off)
     lam2 = eigvalsh_tridiagonal(diag, off, select="i", select_range=(1, 1))[0]
     # seeded next to lambda_2 the iteration converges there; its eigenvector
     # has a node, so bisection takes over and lambda_1 comes back
@@ -181,10 +181,12 @@ def test_a_singular_shift_hands_over_to_bisection(monkeypatch):
     bound = _bound("rho^2 - 2/rho")
     dgtsv = oracle.dgtsv
     monkeypatch.setattr(oracle, "dgtsv", lambda *a: dgtsv(*a)[:4] + (1,))
-    diag, off = _matrix(bound, 0, 10.0, 200)
+    diag, off = _meshes(bound, 0, 10.0, (200,))[0]
     (delta,), (sums,) = oracle._rows([(diag, off)])
-    assert _shift_invert(diag, off, -3.6, np.ones(200), delta, sums) == (_bisect(diag, off), None)
-    e1, e2, e4 = (_bisect(*_matrix(bound, 0, 10.0, n)) for n in (200, 400, 800))
+    lam = oracle.eigvalsh_tridiagonal(diag, off)
+    assert _shift_invert(diag, off, -3.6, np.ones(200), delta, sums) == (lam, None)
+    e1, e2, e4 = (oracle.eigvalsh_tridiagonal(*mesh)
+                  for mesh in _meshes(bound, 0, 10.0, (200, 400, 800)))
     assert fd_ground_energy(bound, 0, 10.0, 200) == ((64.0 * e4 - 20.0 * e2 + e1) / 45.0, np.inf)
 
 
@@ -204,7 +206,7 @@ def test_a_pole_on_a_cell_center_of_any_mesh_raises(pole, mesh):
     hits = []
     for n in (256, 512, 1024):
         try:
-            _matrix(bound, 0, 16.0, n)
+            _meshes(bound, 0, 16.0, (n,))
         except PotentialEvalError:
             hits.append(n)
     assert hits == [mesh]
@@ -240,7 +242,7 @@ def test_certificate_contract_on_a_seeded_corpus(monkeypatch):
         fd_ground_energy(_bound(f"{a!r}*rho^{p} - {b!r}/rho^{q} + {c!r}*rho"), l, rho_max, 4000)
     fallbacks = 0
     for diag, off, (lam, vector) in solved:
-        exact = _bisect(diag, off)
+        exact = oracle.eigvalsh_tridiagonal(diag, off)
         if vector is None:
             fallbacks += 1
             assert lam == exact
@@ -376,7 +378,7 @@ def test_one_pass_meshes_equal_per_mesh_matrices_bit_for_bit():
         for (diag, off), n in zip(oracle._meshes(bound, l, rho_max, sizes), sizes):
             ref_diag, ref_off = _reference_matrix(bound, l, rho_max, n)
             assert _same_bits(diag, ref_diag) and _same_bits(off, ref_off), (text, l, n)
-        diag, off = _matrix(bound, l, rho_max, points)
+        diag, off = _meshes(bound, l, rho_max, (points,))[0]
         ref_diag, ref_off = _reference_matrix(bound, l, rho_max, points)
         assert _same_bits(diag, ref_diag) and _same_bits(off, ref_off)
 
@@ -400,7 +402,7 @@ def test_fd_energy_equals_the_per_mesh_scipy_oracle_bit_for_bit(monkeypatch):
 
 def test_the_lowest_eigenvalue_equals_scipys_bisection():
     for text, l, rho_max, points in list(_bits_corpus())[:12]:
-        diag, off = _matrix(_bound(text), l, rho_max, points)
+        diag, off = _meshes(_bound(text), l, rho_max, (points,))[0]
         for tol in (0.0, oracle.SEED_TOL):
             assert oracle.eigvalsh_tridiagonal(diag, off, tol) == _reference_lowest(diag, off, tol)
 
@@ -413,7 +415,7 @@ from pslet2d.expressions import bind_params, parse_potential
 {lapack}
 digest = hashlib.sha256()
 for text, params, l in {matrices!r}:
-    diag, off = oracle._matrix(bind_params(parse_potential(text), params), l, 20.0, 500)
+    diag, off = oracle._meshes(bind_params(parse_potential(text), params), l, 20.0, (500,))[0]
     w = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")
     shifted = diag - (w[1][0] - 1e-3)
     for result in (w, lapack.dgtsv(off, shifted, off, np.ones(len(diag))), lapack.dpttrf(shifted, off)):
