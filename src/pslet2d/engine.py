@@ -1,7 +1,7 @@
 """Shifted-l expansion engine for nodeless 2D radial states.
 
-Four stages, each over a batch of BoundPotentials of one PotentialSpec at one
-magnetic quantum number m (l = |m|):
+Four internal steps of ``solve_batch``, each over a batch of BoundPotentials
+of one PotentialSpec at one magnetic quantum number m (l = |m|):
 
   1. solve_geometry(rows, m)  -- the expansion point rho0 minimizing the leading
        energy term, the oscillator frequency w, the shift beta and lbar = l - beta.
@@ -13,9 +13,8 @@ magnetic quantum number m (l = |m|):
        E^(1), ... and cumulative partial sums EN_0..EN_K.
 
 Stages 1-3 give each row its result or its error, and each stage takes the
-rows left.  ``solve_batch`` chains the four stages, and ``solve`` is the batch
-of one, so a row gives the same bits alone or in any batch.  The ``pslet2d``
-package runs the engine only through ``solve`` and ``solve_batch``.
+rows left, relying unchecked on what the stage before made.  ``solve`` is the
+batch of one, so a row gives the same bits alone or in any batch.
 
 All quantities are in effective Rydberg units (hbar = 2m = 1).
 """
@@ -47,10 +46,6 @@ __all__ = [
     "Geometry",
     "CoefficientTable",
     "EnergyBreakdown",
-    "solve_geometry",
-    "build_v_series",
-    "solve_hierarchy",
-    "assemble_energy",
     "solve",
     "solve_batch",
 ]
@@ -485,9 +480,12 @@ def solve_hierarchy(v: list, geoms: list, max_order: int) -> list:
     residual is checked: one above RESIDUAL_TOL, or not finite, is an error.
 
     ``geoms`` holds the Geometry of each row of a batch and each v^(n) is an
-    (rows, n + 3) array.  Gives per row a CoefficientTable or a
-    HierarchyInconsistencyError; a row's numbers do not depend on the rows
-    beside it.
+    (rows, n + 3) array with only terms of n's parity, as ``build_v_series``
+    makes it.  W_s then has parity (-1)^(s+1), and the back-substitution runs
+    only the chain c_(s+1), c_(s-1), ...; the other c keep their +0.0, which
+    the dead chain gives while the earlier W are finite.  Gives per row a
+    CoefficientTable or a HierarchyInconsistencyError; a row's numbers do not
+    depend on the rows beside it.
 
     The products use no BLAS, so their bits do not depend on the host.  Each
     unordered pair W_p W_q, p <= q, is formed once, each coefficient summed
@@ -496,12 +494,6 @@ def solve_hierarchy(v: list, geoms: list, max_order: int) -> list:
     first moves Coulomb's K = 30 error at m = 0 from 0.028 to 7.8e14.
     """
     n_orders = 2 * max_order
-    if len(v) < n_orders + 1:
-        raise ValueError(
-            f"v-series covers orders 0..{len(v) - 1}, need 0..{n_orders}"
-        )
-    if any(np.shape(v[s])[1] != s + 3 for s in range(n_orders + 1)):
-        raise ValueError("v^(n) must hold n + 3 coefficients")
     w, beta = np.array([(g.w, g.beta) for g in geoms]).T
     w_rows = w.tolist()
     blocks = np.zeros((n_orders + 2, _STRIDE, len(geoms)))
@@ -523,7 +515,7 @@ def solve_hierarchy(v: list, geoms: list, max_order: int) -> list:
             top = []
             for k, w_row in zip(k_s.T.tolist(), w_rows):
                 c = [0.0] * (s + 4)
-                for j in range(s + 2, 0, -1):
+                for j in range(s + 2, 0, -2):
                     c[j - 1] = ((j + 1) * c[j + 1] - k[j]) / w_row
                 top.append(c[:s + 2])
             W[s, 1:s + 3].T[...] = top
@@ -564,9 +556,6 @@ def assemble_energy(geoms: list, tables: list, max_order: int) -> list:
     ``geoms`` and ``tables`` are lists of Geometries and their CoefficientTables,
     one entry per row of a batch; gives one EnergyBreakdown per row.
     """
-    have = min(len(t.lambdas) for t in tables)
-    if have < max_order:
-        raise ValueError(f"table holds lambda^(0..{have - 1}), need {max_order}")
     rho0, w, beta, lbar, v0 = np.array([(g.rho0, g.w, g.beta, g.lbar, g.v0) for g in geoms]).T
     lambdas = np.array([t.lambdas[:max_order] for t in tables])
     # rho0^2, then lbar^2 = Q and lbar^k, k >= 1

@@ -772,6 +772,6 @@ def test_the_package_runs_the_engine_only_through_solve_and_solve_batch():
     import pslet2d
 
     for name in STAGES:
-        assert name in engine.__all__
+        assert hasattr(engine, name) and name not in engine.__all__
         assert name not in pslet2d.__all__ and not hasattr(pslet2d, name)
     assert {"solve", "solve_batch"} <= set(pslet2d.__all__)
