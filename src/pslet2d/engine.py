@@ -359,36 +359,6 @@ def _finish_frame(points: list, l: int) -> list:
 # ---------------------------------------------------------------------------
 # Perturbation polynomials
 
-def build_v_series(rows: list, geoms: list, max_order: int) -> tuple[list, list]:
-    """v^(0)..v^(max_order) of each BoundPotential in ``rows`` about its frame in ``geoms``.
-
-    v^(n) needs the (n+2)-th derivative of V at rho0: one jet of order
-    max_order + 2 about every rho0 supplies all of them.  Returns the
-    (rows, n + 3) arrays in x of the rows left, and per row None or its
-    PotentialEvalError.
-    """
-    order, failed = max_order + 2, [None] * len(rows)
-    # a lone row's jet stays on numpy scalars, which is faster than a batch of one
-    center = geoms[0].rho0 if len(rows) == 1 else np.array([g.rho0 for g in geoms])
-    try:
-        lifts = jet_lift(BoundPotential(rows[0].spec, _columns(rows)), center, order)
-        lifts = lifts.T.reshape(len(rows), -1)
-    except PotentialEvalError:
-        # some row's jet is not finite: lift each row alone for its own error
-        lifts = []
-        for i, (row, g) in enumerate(zip(rows, geoms)):
-            try:
-                lifts.append(jet_lift(row, g.rho0, order))
-            except PotentialEvalError as exc:
-                failed[i] = exc
-    kept = [i for i, e in enumerate(failed) if e is None]
-    v = []
-    if kept:
-        v, over = _v_polys(np.array(lifts), [geoms[i] for i in kept], max_order)
-        _drop_failed(failed, kept, over)
-    return v, failed
-
-
 # v^(n)'s constant factors, n = 1..2 MAX_ORDER: (-1)^n (n+3) for x^(n+2);
 # (-1)^n 2 and n + 1 for x^n; (-1)^n and n - 1 for x^(n-2)
 _N = np.arange(1, 2 * MAX_ORDER + 1)
@@ -396,18 +366,36 @@ _SIGN = np.where(_N % 2 == 1, -1.0, 1.0)
 _TOP, _MID_F, _MID_G, _LOW_G = _SIGN * (_N + 3), _SIGN * 2.0, _N + 1.0, _N - 1.0
 
 
-def _v_polys(a: np.ndarray, geoms: list, max_order: int) -> tuple[list, list]:
-    """v^(0)..v^(max_order) of each row, as (rows, n + 3) arrays in x.
+def build_v_series(rows: list, geoms: list, max_order: int) -> tuple[list, list]:
+    """v^(0)..v^(max_order) of each BoundPotential in ``rows`` about its frame in ``geoms``.
 
-    ``a[r, k]`` is V^(k)(rho0) / k! of row r, whose frame is ``geoms[r]``.
-    Also returns per row None, or a PotentialEvalError if rho0^(n+4)
-    overflows; the arrays hold only the rows without one.
+    v^(n) needs the (n+2)-th derivative of V at rho0: one jet of order
+    max_order + 2 about every rho0 supplies all of them.  Returns the
+    (rows, n + 3) arrays in x of the rows left, and per row None or its
+    PotentialEvalError: a jet that is not finite, or rho0^(n+4) overflowing.
     """
-    M = max_order
-    rho0, w, beta, Q = np.array([(g.rho0, g.w, g.beta, g.Q) for g in geoms]).T
+    M, failed = max_order, [None] * len(rows)
+    # a lone row's jet stays on numpy scalars, which is faster than a batch of one
+    center = geoms[0].rho0 if len(rows) == 1 else np.array([g.rho0 for g in geoms])
+    try:
+        a = jet_lift(BoundPotential(rows[0].spec, _columns(rows)), center, M + 2)
+        a = a.T.reshape(len(rows), -1)  # a[r, k]: V^(k)(rho0) / k! of row r
+    except PotentialEvalError:
+        # some row's jet is not finite: lift each row alone for its own error
+        a = []
+        for i, (row, g) in enumerate(zip(rows, geoms)):
+            try:
+                a.append(jet_lift(row, g.rho0, M + 2))
+            except PotentialEvalError as exc:
+                failed[i] = exc
+    live = [i for i, e in enumerate(failed) if e is None]
+    if not live:
+        return [], failed
+    a = np.array(a)
+    rho0, w, beta, Q = np.array([(g.rho0, g.w, g.beta, g.Q) for g in geoms])[live].T
     scale = float_pow(rho0, [n + 4.0 for n in range(1, M + 1)])
-    out = np.zeros((len(geoms), M + 1, M + 3))  # out[r, n, k]: the x^k term of v^(n)
-    flat = out.reshape(len(geoms), -1)  # so (n, n + c) lies at n (M + 4) + c
+    out = np.zeros((len(live), M + 1, M + 3))  # out[r, n, k]: the x^k term of v^(n)
+    flat = out.reshape(len(live), -1)  # so (n, n + c) lies at n (M + 4) + c
     with np.errstate(all="ignore"):
         bb = beta * beta - 0.25
         out[:, 0, 0] = 2.0 * beta  # v^(0) = 2 beta + (w^2 / 4) x^2
@@ -417,11 +405,11 @@ def _v_polys(a: np.ndarray, geoms: list, max_order: int) -> tuple[list, list]:
         flat[:, M + 4::M + 4] = _MID_F[:M] * beta[:, None] * _MID_G[:M]  # (-1)^n 2 beta (n+1) x^n
         # (-1)^n (beta^2 - 1/4) (n-1) x^(n-2), n >= 2
         flat[:, 2 * M + 6::M + 4] = _SIGN[1:M] * bb[:, None] * _LOW_G[1:M]
-    failed = [PotentialEvalError(
-        f"v-series overflow: rho0^{over.index(True) + 5} exceeds the "
-        f"float range at rho0 = {g.rho0}"
-    ) if any(over) else None for over, g in zip(np.isinf(scale).tolist(), geoms)]
-    out = out[[e is None for e in failed]]
+    for i, over in zip(live, np.isinf(scale).tolist()):
+        if any(over):
+            failed[i] = PotentialEvalError(f"v-series overflow: rho0^{over.index(True) + 5} "
+                                           f"exceeds the float range at rho0 = {geoms[i].rho0}")
+    out = out[[failed[i] is None for i in live]]
     return [out[:, n, :n + 3] for n in range(M + 1)], failed
 
 

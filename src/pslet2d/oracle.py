@@ -45,7 +45,8 @@ lowest eigenvalue.  That holds converged or not, and the step size is only
 a reason to give up: a singular shift, an iterate whose norm under- or
 overflows, a step below delta or ``MAX_SHIFTS`` uncertified steps send the
 matrix to bisection to full precision, so the seed needs no more digits than
-the first shift can use.
+the first shift can use.  The pass that builds the meshes also gives each
+one's delta and the row sums of its Rayleigh residual.
 
 LAPACK is scipy's ``_flapack`` extension, loaded by file on the first FD call:
 no other command imports scipy, and the oracle skips ``scipy.linalg``'s init.
@@ -122,8 +123,9 @@ RATIO_TOL = 0.05  # how far (E2 - E1)/(E4 - E2) may stray from 4 before Romberg 
 
 
 def _meshes(bound: BoundPotential, l: int, rho_max: float, sizes: tuple[int, ...]):
-    """(diagonal, negative off-diagonal) of the symmetric FD matrix on a mesh of
-    each of ``sizes`` cells, as views of one array built from one walk of V."""
+    """Per mesh of each of ``sizes`` cells, (diagonal, negative off-diagonal, delta,
+    row sums) of the symmetric FD matrix T, as views of arrays built in one pass
+    from one walk of V; delta is ulp times T's 1-norm, bisection's own tolerance."""
     steps = [rho_max / n for n in sizes]
     try:
         squares = [h**2 for h in steps]
@@ -143,20 +145,11 @@ def _meshes(bound: BoundPotential, l: int, rho_max: float, sizes: tuple[int, ...
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError(f"rho_max = {rho_max!r} on {sizes[0]} cells gives FD matrix "
                          "entries beyond the float range")
-    # off[end - 1], at a mesh's last cell, couples it to the next mesh
-    return [(diag[end - n:end], off[end - n:end - 1]) for n, end in zip(sizes, accumulate(sizes))]
-
-
-def _rows(meshes):
-    """Each mesh's ``delta`` (ulp times T's 1-norm, bisection's own tolerance) and
-    row sums, in one pass with the entries coupling one mesh to the next zeroed."""
-    starts = [0, *accumulate(len(diag) for diag, _ in meshes)]
-    diag = np.concatenate([diag for diag, _ in meshes])
-    off = np.concatenate([part for _, e in meshes for part in (e, [0.0])])[:-1]
+    starts = [0, *accumulate(sizes)]
+    off[[end - 1 for end in starts[1:-1]]] = 0.0  # the entries coupling a mesh to the next
     row = np.abs(diag)
     row[:-1] += np.abs(off)
     row[1:] += np.abs(off)
-    deltas = [math.ulp(1.0) * float(norm) for norm in np.maximum.reduceat(row, starts[:-1])]
     # row sums d_i + e_i + e_(i-1), with the rounding error of the first sum
     # added back (TwoSum), so that (T x)_i = sums_i x_i + e_i (x_(i+1) - x_i)
     # + e_(i-1) (x_(i-1) - x_i) cancels the O(1/h^2) entries before rounding;
@@ -169,14 +162,15 @@ def _rows(meshes):
     sums = first
     sums[1:] += off
     sums += error
-    return deltas, [sums[start:end] for start, end in zip(starts, starts[1:])]
+    return [(diag[a:b], off[a:b - 1], math.ulp(1.0) * norm, sums[a:b]) for a, b, norm
+            in zip(starts, starts[1:], np.maximum.reduceat(row, starts[:-1]).tolist())]
 
 
 def _shift_invert(diag: np.ndarray, off: np.ndarray, lam: float, x: np.ndarray, delta: float,
                   sums: np.ndarray):
     """The first Rayleigh-quotient iterate (lambda, eigenvector) of T, from the shift
-    ``lam`` and the vector ``x``, that passes the certificate with T's ``_rows``
-    ``delta`` and ``sums``; (bisection's lambda, None) where the iteration gives up."""
+    ``lam`` and the vector ``x``, that passes the certificate with T's ``delta`` and
+    ``sums`` from ``_meshes``; (bisection's lambda, None) where the iteration gives up."""
     eps = math.ulp(1.0)
     for _ in range(MAX_SHIFTS):
         y, info = dgtsv(off, diag - lam, off, x)[3:]
@@ -209,19 +203,18 @@ def fd_ground_energy(bound: BoundPotential, l: int, rho_max: float,
     if not 0.0 < rho_max < np.inf:
         raise ValueError(f"rho_max must be positive and finite, got {rho_max}")
     meshes = _meshes(bound, l, rho_max, (points, 2 * points, 4 * points))
-    lam = eigvalsh_tridiagonal(*meshes[0], SEED_TOL)
+    lam = eigvalsh_tridiagonal(*meshes[0][:2], SEED_TOL)
     x, wall, energies = None, np.inf, []
-    deltas, sums = _rows(meshes)
-    for (diag, off), delta, row_sums in zip(meshes, deltas, sums):
+    for diag, off, delta, sums in meshes:
         x = np.ones(len(diag)) if x is None else x.repeat(2)
-        lam, x = _shift_invert(diag, off, lam, x, delta, row_sums)
+        lam, x = _shift_invert(diag, off, lam, x, delta, sums)
         energies.append(lam)
         if x is not None:  # the wall term, from Psi' = x[-1] / h^1.5 and kappa^2 =
             # V + l^2/rho^2 - E on the last cell, whose diagonal is 2/h^2 + l^2/rho^2 + V
             h = rho_max / len(diag)
             kappa2 = diag[-1] - 2.0 / h**2 - lam
             wall = x[-1] ** 2 / h**3 / np.sqrt(kappa2) if kappa2 > 0.0 else np.inf
-    (e1, e2, e4), (d1, d2, d4) = energies, deltas
+    (e1, e2, e4), (d1, d2, d4) = energies, (delta for _, _, delta, _ in meshes)
     step, last = e2 - e1, e4 - e2
     romberg = 4.0 * abs(4.0 * last - step) / 45.0  # four times |R3 - R2|
     if abs(step - 4.0 * last) > RATIO_TOL * abs(last):  # not converging as h^2

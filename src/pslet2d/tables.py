@@ -123,7 +123,11 @@ def load_published_values(preset_name: str) -> tuple[PublishedCell, ...]:
 
 
 def solve_hybrid(gamma: float, m: int, max_order: int = 3):
-    """Solve the hybrid potential at field strength gamma."""
+    """Solve the hybrid potential at field strength gamma.
+
+    Only the benchmark's span binding ``tables.solve_hybrid`` calls it: the
+    change to the benchmark that drops that binding deletes it (ROADMAP 6(a)).
+    """
     bound = bind_params(_HYBRID_SPEC, {"m": float(m), "g": gamma})
     return solve(bound, m, max_order=max_order)
 

@@ -155,7 +155,9 @@ def simpson(y: np.ndarray, x: np.ndarray) -> float:
     """Composite Simpson integral of samples ``y`` at increasing points ``x``, an odd count.
 
     The same operations as scipy.integrate.simpson (scipy 1.17) on an odd
-    number of samples, so the two agree bit for bit.
+    number of samples, so the two agree bit for bit.  Only the benchmark's span
+    binding ``wavefunction.simpson`` and its two tests use it: the change to the
+    benchmark that drops that binding deletes them (ROADMAP 6(a)).
     """
     if len(y) % 2 == 0:
         raise ValueError(f"simpson needs an odd number of samples, got {len(y)}")

@@ -343,6 +343,31 @@ def test_v_series_overflow_fails_only_its_row():
     assert not isinstance(batch[0], Exception) and not isinstance(batch[2], Exception)
 
 
+def test_one_batch_keeps_a_lift_failure_an_overflow_and_solved_rows():
+    # one v-series failure list holds both of build_v_series' failures: at
+    # g = 1e15 the batch lift raises, so each row is lifted alone; at g = 1e-15
+    # rho0^83 overflows after the lift; the rows beside them go on to the
+    # hierarchy, where Coulomb plus the oscillator fails and the oscillator solves
+    text, rows = "g*rho^2 - c/rho", [{"g": g, "c": c} for g, c in
+                                     [(1e15, 2.0), (1e-15, 0.0), (1.0, 2.0), (1.0, 0.0)]]
+    batch = solve_batch([_bound(text, row) for row in rows], 0, 45)
+
+    def outcome(result):
+        if isinstance(result, Exception):
+            return type(result).__name__, str(result)
+        return [float.hex(e) for e in result[2].partial_sums]
+
+    assert [outcome(r) for r in batch] == [outcome(_lone(text, row, 0, 45)) for row in rows]
+    assert [outcome(r) for r in batch[:3]] == [
+        ("PotentialEvalError",
+         "non-finite jet coefficients when expanding about rho=0.00017781410470994735"),
+        ("PotentialEvalError",
+         "v-series overflow: rho0^83 exceeds the float range at rho0 = 5623.413251903491"),
+        ("HierarchyInconsistencyError", "hierarchy inconsistency at order 38: residual 1.164e-09"),
+    ]
+    assert batch[3][2].partial_sums[-1] == 2.0
+
+
 def test_order_above_max_is_refused_before_any_solve(monkeypatch):
     monkeypatch.setattr(engine, "_solve_rows", None)  # a solve would fail the test here
     with pytest.raises(ValueError, match="max_order"):

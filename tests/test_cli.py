@@ -696,6 +696,19 @@ def test_the_oracle_prints_no_nan_where_an_iterate_underflows(capsys):
     assert len(fd) == len("2.830117782e+171")
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 7: the oracle's rho_max = max(20, 8 rho0) ignores the "
+                   "wall near rho = 1")
+def test_the_sweep_oracle_resolves_a_steep_wall(capsys):
+    # on (0, 20] T's norm is about 1e195: fd_err reads inf at g = 1 and 1.1e180
+    # at g = 2, where rho_max = 1.1 gives bars of 5.5e-9 and 6.1e-9
+    with pytest.warns(UserWarning, match="3 stable frames"):
+        code, out, _ = run_cli(capsys, "sweep", "-V", "g*rho^150 - 2/rho", "-m", "0",
+                               "--sweep-param", "g", "--range", "1,2,2", "--oracle")
+    assert code == 0
+    assert all(float(row["fd_err"]) < 1e-6 for row in csv.DictReader(io.StringIO(out)))
+
+
 def test_values_print_in_fixed_point_below_1e15_and_in_exponent_form_above():
     below = math.nextafter(1e15, 0.0)
     for v in (0.0, -0.0, -4.0, 1.25e-12, below, -below, math.inf, -math.inf, math.nan):

@@ -78,7 +78,7 @@ def test_grid_halving_second_order():
     bound = _bound("g^2*rho^2/4", {"g": 1.0})
     exact = oscillator_exact(1, 1.0)
     errs = [
-        abs(oracle.eigvalsh_tridiagonal(*_meshes(bound, 1, 20.0, (n,))[0]) - exact)
+        abs(oracle.eigvalsh_tridiagonal(*_meshes(bound, 1, 20.0, (n,))[0][:2]) - exact)
         for n in (500, 1000, 2000)
     ]
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
@@ -158,12 +158,11 @@ def test_an_iterate_that_underflows_hands_its_mesh_to_bisection(monkeypatch):
 
 
 def test_certificate_refuses_all_but_the_lowest_eigenvalue(monkeypatch):
-    diag, off = _meshes(_bound("-2/rho"), 0, 20.0, (400,))[0]
+    diag, off, delta, sums = _meshes(_bound("-2/rho"), 0, 20.0, (400,))[0]
     lam1 = oracle.eigvalsh_tridiagonal(diag, off)
     lam2 = eigvalsh_tridiagonal(diag, off, select="i", select_range=(1, 1))[0]
     # seeded next to lambda_2 the iteration converges there; its eigenvector
     # has a node, so bisection takes over and lambda_1 comes back
-    (delta,), (sums,) = oracle._rows([(diag, off)])
     lam, vector = _shift_invert(diag, off, lam2 + 1e-3, np.ones(400), delta, sums)
     assert vector is None
     assert lam == lam1
@@ -181,11 +180,10 @@ def test_a_singular_shift_hands_over_to_bisection(monkeypatch):
     bound = _bound("rho^2 - 2/rho")
     dgtsv = oracle.dgtsv
     monkeypatch.setattr(oracle, "dgtsv", lambda *a: dgtsv(*a)[:4] + (1,))
-    diag, off = _meshes(bound, 0, 10.0, (200,))[0]
-    (delta,), (sums,) = oracle._rows([(diag, off)])
+    diag, off, delta, sums = _meshes(bound, 0, 10.0, (200,))[0]
     lam = oracle.eigvalsh_tridiagonal(diag, off)
     assert _shift_invert(diag, off, -3.6, np.ones(200), delta, sums) == (lam, None)
-    e1, e2, e4 = (oracle.eigvalsh_tridiagonal(*mesh)
+    e1, e2, e4 = (oracle.eigvalsh_tridiagonal(*mesh[:2])
                   for mesh in _meshes(bound, 0, 10.0, (200, 400, 800)))
     assert fd_ground_energy(bound, 0, 10.0, 200) == ((64.0 * e4 - 20.0 * e2 + e1) / 45.0, np.inf)
 
@@ -325,10 +323,8 @@ def _reference_lowest(diag, off, tol=0.0):
     return float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0), tol=tol)[0])
 
 
-def _reference_shift_invert(diag, off, lam, x, delta, _sums):
-    """The Rayleigh-quotient iteration with numpy's norm, diff and copysign; it
-    builds each mesh's row sums itself and ignores the one-pass ones it is given."""
-    eps = np.finfo(float).eps
+def _reference_sums(diag, off):
+    """One mesh's row sums d_i + e_i + e_(i-1), with the first sum's rounding error added back."""
     first = diag.copy()
     first[:-1] += off
     back = first - diag
@@ -337,6 +333,14 @@ def _reference_shift_invert(diag, off, lam, x, delta, _sums):
     sums = first
     sums[1:] += off
     sums += error
+    return sums
+
+
+def _reference_shift_invert(diag, off, lam, x, delta, _sums):
+    """The Rayleigh-quotient iteration with numpy's norm, diff and copysign; it
+    builds each mesh's row sums itself and ignores the one-pass ones it is given."""
+    eps = np.finfo(float).eps
+    sums = _reference_sums(diag, off)
     for _ in range(oracle.MAX_SHIFTS):
         y, info = oracle.dgtsv(off, diag - lam, off, x)[3:]
         if info:
@@ -375,12 +379,17 @@ def test_one_pass_meshes_equal_per_mesh_matrices_bit_for_bit():
     for text, l, rho_max, points in _bits_corpus():
         bound = _bound(text)
         sizes = (points, 2 * points, 4 * points)
-        for (diag, off), n in zip(oracle._meshes(bound, l, rho_max, sizes), sizes):
+        for (diag, off, delta, sums), n in zip(oracle._meshes(bound, l, rho_max, sizes), sizes):
             ref_diag, ref_off = _reference_matrix(bound, l, rho_max, n)
             assert _same_bits(diag, ref_diag) and _same_bits(off, ref_off), (text, l, n)
-        diag, off = _meshes(bound, l, rho_max, (points,))[0]
+            # the one pass also builds each mesh's delta and row sums
+            assert delta == _delta(ref_diag, ref_off), (text, l, n)
+            assert _same_bits(sums, _reference_sums(ref_diag, ref_off)), (text, l, n)
+        diag, off, delta, sums = _meshes(bound, l, rho_max, (points,))[0]
         ref_diag, ref_off = _reference_matrix(bound, l, rho_max, points)
         assert _same_bits(diag, ref_diag) and _same_bits(off, ref_off)
+        assert delta == _delta(ref_diag, ref_off)
+        assert _same_bits(sums, _reference_sums(ref_diag, ref_off))
 
 
 def test_fd_energy_equals_the_per_mesh_scipy_oracle_bit_for_bit(monkeypatch):
@@ -391,7 +400,8 @@ def test_fd_energy_equals_the_per_mesh_scipy_oracle_bit_for_bit(monkeypatch):
     results = [fd_ground_energy(_bound(text), l, rho_max, points)
                for text, l, rho_max, points in corpus]
     monkeypatch.setattr(oracle, "_meshes", lambda bound, l, rho_max, sizes: [
-        _reference_matrix(bound, l, rho_max, n) for n in sizes])
+        (diag, off, _delta(diag, off), None)
+        for diag, off in (_reference_matrix(bound, l, rho_max, n) for n in sizes)])
     monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", _reference_lowest)
     monkeypatch.setattr(oracle, "_shift_invert", _reference_shift_invert)
     for (text, l, rho_max, points), result in zip(corpus, results):
@@ -402,7 +412,7 @@ def test_fd_energy_equals_the_per_mesh_scipy_oracle_bit_for_bit(monkeypatch):
 
 def test_the_lowest_eigenvalue_equals_scipys_bisection():
     for text, l, rho_max, points in list(_bits_corpus())[:12]:
-        diag, off = _meshes(_bound(text), l, rho_max, (points,))[0]
+        diag, off, _, _ = _meshes(_bound(text), l, rho_max, (points,))[0]
         for tol in (0.0, oracle.SEED_TOL):
             assert oracle.eigvalsh_tridiagonal(diag, off, tol) == _reference_lowest(diag, off, tol)
 
@@ -415,7 +425,7 @@ from pslet2d.expressions import bind_params, parse_potential
 {lapack}
 digest = hashlib.sha256()
 for text, params, l in {matrices!r}:
-    diag, off = oracle._meshes(bind_params(parse_potential(text), params), l, 20.0, (500,))[0]
+    diag, off, _, _ = oracle._meshes(bind_params(parse_potential(text), params), l, 20.0, (500,))[0]
     w = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")
     shifted = diag - (w[1][0] - 1e-3)
     for result in (w, lapack.dgtsv(off, shifted, off, np.ones(len(diag))), lapack.dpttrf(shifted, off)):
@@ -459,6 +469,20 @@ def test_the_error_bar_covers_a_mixed_order_l0_state():
     e, err = fd_ground_energy(bound, 0, 20.0, 500)
     ref, ref_err = fd_ground_energy(bound, 0, 20.0, 16000)
     assert abs(e - ref) <= err + ref_err
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP items 4 and 10: the frame at rho0 = 0.25 sees only Coulomb, "
+                   "not the wall near rho = 1")
+@pytest.mark.parametrize("g, fd", [(1.0, -2.9637916039), (2.0, -2.9449407917)])
+def test_the_expansion_sees_a_steep_wall(g, fd):
+    # EN3 = -3.9999999999999964 at both g, and compute prints -4.000000000 with
+    # exit 0; fd is the oracle on (0, 1.1] with 500 cells, bars 5.5e-9 and 6.1e-9
+    bound = _bound("g*rho^150 - 2/rho", {"g": g})
+    assert fd_ground_energy(bound, 0, 1.1, 500)[0] == pytest.approx(fd, abs=1e-9)
+    with pytest.warns(UserWarning, match="3 stable frames"):
+        _, _, breakdown = solve(bound, 0)
+    assert abs(breakdown.partial_sums[3] - fd) < 0.05
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: a near-zero h^4 coefficient hides the "

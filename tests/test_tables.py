@@ -1,6 +1,8 @@
 import pytest
 
 from pslet2d import tables
+from pslet2d.engine import solve
+from pslet2d.expressions import bind_params, parse_potential
 
 
 def test_presets_present():
@@ -52,7 +54,8 @@ def test_erratum_tags():
 
 
 def test_gamma_zero_row_is_field_free_limit():
-    _, _, breakdown = tables.solve_hybrid(0.0, m=0)
+    bound = bind_params(parse_potential(tables.HYBRID_EXPRESSION), {"m": 0.0, "g": 0.0})
+    _, _, breakdown = solve(bound, 0)
     assert all(s == pytest.approx(-4.0, abs=1e-12) for s in breakdown.partial_sums)
 
 
