@@ -70,7 +70,7 @@ class HierarchyInconsistencyError(SolverError):
 RESIDUAL_TOL = 1e-9
 FRAME_TOL = 1e-12
 # solve_batch's highest order: the gathers that _products caches for each
-# order s take about s^3 / 4 indices, 230 MB over the orders s <= 120 of K = 60
+# order s take about s^3 / 16 index pairs, 58 MB over the orders s <= 120 of K = 60
 MAX_ORDER = 60
 
 
@@ -428,27 +428,30 @@ _STRIDE = 2 * MAX_ORDER + 6
 
 @functools.lru_cache(maxsize=None)
 def _products(s: int) -> tuple[np.ndarray, np.ndarray]:
-    """The gather that forms K_s.
+    """The gather that forms K_s's entries j = s (mod 2), the only live ones.
 
-    Returns (ab, terms).  ``ab`` holds (2, terms, (pairs + 1) * (s+3)) slot
-    indices: entry j of block k sums ab[0, t] * ab[1, t] over t.  Block 0 is
-    v^(s) times 1.0.  Block k >= 1 is W_p W_(s-p) with p = k <= s/2, each
-    coefficient summed in the index order of the shorter factor W_p.
-    Padding terms multiply +0.0 by -0.0, and adding -0.0 leaves every sum as
-    it is.  ``terms`` lists the block of v^(s) and then of each product that
-    K_s subtracts, in the order p = 1..s-1.
+    Returns (ab, terms).  ``ab`` holds (2, terms, (pairs + 1) * (s//2 + 2))
+    slot indices: entry o of block k, j = s % 2 + 2 o, sums ab[0, t] * ab[1, t]
+    over t.  Block 0 is v^(s) times 1.0.  Block k >= 1 is W_p W_(s-p) with
+    p = k <= s/2, summed over the live terms i = p + 1 (mod 2) only, in the
+    index order of the shorter factor W_p.  The full sum's other terms are
+    +0.0 * +0.0; np.add.reduce starts from +0.0, which does what they did:
+    an all -0.0 sum ends +0.0.  Padding terms multiply +0.0 by -0.0, and
+    adding -0.0 leaves every sum as it is.  ``terms`` lists the block of
+    v^(s) and then of each product that K_s subtracts, in the order p = 1..s-1.
     """
-    n, pairs = s + 3, s // 2
+    n, pairs, most = s // 2 + 2, s // 2, (s // 2 + 3) // 2  # most: a sum's most live terms
     p = np.arange(1, pairs + 1)[:, None, None]
-    j = np.arange(n)[None, :, None]
-    i = np.maximum(0, j - (s - p + 1)) + np.arange(pairs + 2)  # W_p's index, term by term
+    j = s % 2 + 2 * np.arange(n)[None, :, None]
+    lo = np.maximum(0, j - (s - p + 1))
+    i = lo + (lo + p + 1) % 2 + 2 * np.arange(most)  # W_p's live indices, term by term
     used = i <= np.minimum(p + 1, j)
-    ab = np.zeros((2, pairs + 2, (pairs + 1) * n), dtype=np.intp)
+    ab = np.zeros((2, most, (pairs + 1) * n), dtype=np.intp)
     ab[1] = 1
-    ab[:, 0, :n] = [range(3, 3 + n), [2] * n]
+    ab[:, 0, :n] = [3 + j.ravel(), [2] * n]
     pair_ab = np.stack((np.where(used, (p + 1) * _STRIDE + 1 + i, 0),
                         np.where(used, (s - p + 1) * _STRIDE + 1 + j - i, 1)))
-    ab[:, :, n:] = pair_ab.transpose(0, 3, 1, 2).reshape(2, pairs + 2, -1)  # terms, pairs * n
+    ab[:, :, n:] = pair_ab.transpose(0, 3, 1, 2).reshape(2, most, -1)  # terms, pairs * n
     terms = np.array([0] + [min(p, s - p) for p in range(1, s)], dtype=np.intp)
     return ab, terms
 
@@ -479,7 +482,9 @@ def solve_hierarchy(v: list, geoms: list, max_order: int) -> list:
     unordered pair W_p W_q, p <= q, is formed once, each coefficient summed
     in W_p's index order, and K_s subtracts the products in the order
     p = 1, 2, ...: high orders amplify rounding, and summing the products
-    first moves Coulomb's K = 30 error at m = 0 from 0.028 to 7.8e14.
+    first moves Coulomb's K = 30 error at m = 0 from 0.028 to 7.8e14.  Only
+    K_s's entries of s's parity are formed, from the products' live terms;
+    the others keep +0.0, as full sums give them while the W are finite.
     """
     n_orders = 2 * max_order
     w, beta = np.array([(g.w, g.beta) for g in geoms]).T
@@ -495,13 +500,13 @@ def solve_hierarchy(v: list, geoms: list, max_order: int) -> list:
         for s in range(1, n_orders + 1):
             blocks[0, 3:s + 6] = v[s].T
             ab, terms = _products(s)
-            # the terms lie on axis 0, before at least four entries, so both
-            # reductions add in axis-0 order and never pairwise
+            # the terms lie on axis 0, alone (s = 1) or before at least four
+            # entries, so both reductions add in axis-0 order and never pairwise
             x = B.take(ab, axis=0)
-            sums = np.add.reduce(x[0] * x[1], axis=0).reshape(-1, s + 3, len(geoms))
-            k_s = K[s, :s + 3] = np.subtract.reduce(sums.take(terms, axis=0), axis=0)
+            sums = np.add.reduce(x[0] * x[1], axis=0).reshape(-1, s // 2 + 2, len(geoms))
+            K[s, s % 2:s + 3:2] = np.subtract.reduce(sums.take(terms, axis=0), axis=0)
             top = []
-            for k, w_row in zip(k_s.T.tolist(), w_rows):
+            for k, w_row in zip(K[s, :s + 3].T.tolist(), w_rows):
                 c = [0.0] * (s + 4)
                 for j in range(s + 2, 0, -2):
                     c[j - 1] = ((j + 1) * c[j + 1] - k[j]) / w_row

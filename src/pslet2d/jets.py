@@ -28,7 +28,8 @@ class _Series:
     expansion point, and both operands of an operation share one batch shape.
     Each point goes through the same floating-point operations in the same
     order whatever the batch shape, so a batch entry equals the single-point
-    result.  A pole, a non-positive base under a real power or an overflow
+    result; a point's recurrences run on Python floats, a batch's on numpy
+    rows.  A pole, a non-positive base under a real power or an overflow
     gives inf or NaN in that entry instead of raising.
     """
 
@@ -72,6 +73,13 @@ class _Series:
             return _Series(self.c * other)
         # Cauchy product, each coefficient summed in order of a's index
         a, b = self.c, other.c
+        if a.ndim == 1:  # a point: the same sums on Python floats
+            a, b = a.tolist(), b.tolist()
+            out = [a[0] * x for x in b]
+            for j in range(1, len(a)):
+                for k in range(j, len(a)):
+                    out[k] += a[j] * b[k - j]
+            return _Series(np.array(out))
         out = a[0] * b
         for j in range(1, len(a)):
             out[j:] += a[j] * b[: len(a) - j]
@@ -95,13 +103,15 @@ class _Series:
 
 def _series_div(num: _Series, den: _Series) -> _Series:
     """num / den; a zero constant term of den (a pole) gives inf or NaN."""
-    out = np.empty_like(num.c)
+    n, d, out = num.c, den.c, np.empty_like(num.c)
+    if d.ndim == 1 and d[0] != 0.0:  # a point off a pole: Python floats
+        n, d, out = n.tolist(), d.tolist(), out.tolist()
     for k in range(len(out)):
-        acc = num.c[k]
+        acc = n[k]
         for j in range(1, k + 1):
-            acc = acc - den.c[j] * out[k - j]  # not -=: acc may view num.c
-        out[k] = acc / den.c[0]
-    return _Series(out)
+            acc = acc - d[j] * out[k - j]  # not -=: acc may view num.c
+        out[k] = acc / d[0]
+    return _Series(np.asarray(out))
 
 
 def _series_pow(base: _Series, p: float) -> _Series:
@@ -114,12 +124,14 @@ def _series_pow(base: _Series, p: float) -> _Series:
     f = base.c
     g = np.empty_like(f)
     g[0] = np.where(f[0] > 0.0, float_pow(f[0], p), np.nan)
+    if f.ndim == 1 and f[0] > 0.0:  # a point with a positive base: Python floats
+        f, g = f.tolist(), g.tolist()
     for k in range(1, len(f)):
         acc = 0.0
         for j in range(1, k + 1):
             acc += (j * p - (k - j)) * f[j] * g[k - j]
         g[k] = acc / (k * f[0])
-    return _Series(g)
+    return _Series(np.asarray(g))
 
 
 def taylor_coeffs(bound: BoundPotential, center, order: int) -> np.ndarray:

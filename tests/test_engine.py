@@ -12,6 +12,7 @@ from pslet2d.engine import (
     RHO_HI,
     RHO_LO,
     CoefficientTable,
+    Geometry,
     HierarchyInconsistencyError,
     NoStableFrameError,
     build_v_series,
@@ -501,6 +502,20 @@ def test_hierarchy_equals_reference_on_exact_potentials(order):
     for m in range(6):
         _same_as_reference(_coulomb(), m, order)
         _same_as_reference(_oscillator(1.5), m, order)
+
+
+def test_an_all_negative_zero_product_sum_equals_the_full_sum():
+    # The gathers skip a product's dead terms, each +0.0 * +0.0.  In the full
+    # sum they turn a sum of -0.0's into +0.0; np.add.reduce's start, +0.0,
+    # does the same, so no term stands in for them.  A subnormal x^3 of v^(1)
+    # underflows W_1[2] to -0.0 beside W_1[0] = 0.25, so both live terms of
+    # (W_1 W_1)[2] are -0.0, with the dead W_1[1]^2 between them
+    assert math.copysign(1.0, np.add.reduce(np.full((2, 4, 1), -0.0), axis=0)[0, 0]) == 1.0
+    geom = Geometry(rho0=1.0, w=4.0, beta=-1.0, lbar=1.0, l=0, v0=0.0)
+    v = ([-2.0, 0.0, 4.0], [0.0, -1.0, 0.0, 5e-324], [0.5, 0.0, 0.0, 0.0, 5e-324])
+    W_1 = _hierarchy(v, geom, 1).W[1]
+    assert W_1.tolist() == [0.25, 0.0, 0.0] and np.signbit(W_1).tolist() == [False, False, True]
+    assert _bits(_hierarchy, v, geom, 1) == _bits(_reference_hierarchy, v, geom, 1)
 
 
 def test_hierarchy_calls_no_blas(monkeypatch):
