@@ -21,6 +21,7 @@ All quantities are in effective Rydberg units (hbar = 2m = 1).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import sys
@@ -36,7 +37,7 @@ from .expressions import (
     evaluate,
     float_pow,
 )
-from .jets import jet_lift, taylor_coeffs
+from .jets import jet_lift, taylor_jet
 
 __all__ = [
     "SolverError",
@@ -132,26 +133,35 @@ _SCAN_GRID = np.logspace(math.log10(RHO_LO), math.log10(RHO_HI), SCAN_POINTS)
 _SCAN_CUBES = float_pow(_SCAN_GRID, 3.0)
 
 
+# the frame's elementwise primitives for a float and for an array: a square root
+# NaN below zero, the division by V' (NaN at V' = 0, where F is undefined), a select
+_FLOAT_OPS = (lambda x: math.sqrt(x) if x >= 0.0 else math.nan,
+              lambda x, y: x / y if y != 0.0 else math.nan,
+              math.isfinite, lambda ok, F: F if ok else math.nan)
+_ARRAY_OPS = (np.sqrt, np.divide, np.isfinite, lambda ok, F: np.where(ok, F, np.nan))
+
+
 def _frame(bound: BoundPotential, rho, l: int, rho3=None):
     """(F, w, a) at rho, a float or an array, from one order-2 expansion.
 
     ``a`` holds the coefficients V, V', V''/2.  F(rho) = sqrt(s) - l - w / 4
     with s = rho^3 V'/2, rad = 3 + rho V''/V' and w = 2 sqrt(rad); F is NaN
     where the frame is undefined: non-finite V' or V'', s <= 0 (V' <= 0) or
-    rad <= 0.  Every entry goes through the operations a lone float would, so
-    it does not depend on the shape of ``rho``; ``rho3``, if given, is
-    ``float_pow(rho, 3.0)``.
+    rad <= 0.  A float runs on ``math`` and an array on numpy, with the same
+    IEEE operations, so F (and w and V where F is defined) does not depend on
+    the shape of ``rho``; ``rho3``, if given, is ``float_pow(rho, 3.0)``.
     """
-    a = taylor_coeffs(bound, rho, 2)
-    v1 = a[1]
-    with np.errstate(all="ignore"):
-        v2 = 2.0 * a[2]
+    point = isinstance(rho, float)
+    sqrt, div, isfinite, select = _FLOAT_OPS if point else _ARRAY_OPS
+    a = taylor_jet(bound, rho, 2)
+    with contextlib.nullcontext() if point else np.errstate(all="ignore"):
+        v1, v2 = a[1], 2.0 * a[2]
         s = (float_pow(rho, 3.0) if rho3 is None else rho3) * v1 / 2.0
-        rad = 3.0 + rho * v2 / v1
-        w = 2.0 * np.sqrt(rad)
-        F = np.sqrt(s) - l - w / 4.0
-        ok = np.isfinite(v1) & np.isfinite(v2) & (s > 0.0) & (rad > 0.0)
-    return np.where(ok, F, np.nan), w, a
+        rad = 3.0 + div(rho * v2, v1)
+        w = 2.0 * sqrt(rad)
+        F = sqrt(s) - l - w / 4.0
+        ok = isfinite(v1) & isfinite(v2) & (s > 0.0) & (rad > 0.0)
+    return select(ok, F), w, a
 
 
 # brentq's stopping rule, scipy's with xtol ~ 0: rtol = 4 eps is the only stop
@@ -234,13 +244,13 @@ def _frames_at(rows: list, values, points: list, l: int) -> list:
 
     ``rows`` holds each row's BoundPotential and ``values`` their parameter
     columns (see ``_columns``).  A lone point is expanded as a float, which
-    keeps a lone solve off numpy arrays, and two or more as one array; both
-    give the same bits.
+    keeps a lone solve off numpy, and two or more as one array; both give
+    the same F, and w and V where F is defined.
     """
     if len(points) == 1:
         (i, rho), = points
         F, w, a = _frame(rows[i], rho, l)
-        return [(rho, float(F), float(w), float(a[0]))]
+        return [(rho, F, w, a[0])]
     owners, rho = map(list, zip(*points))
     picked = {k: v[owners] if isinstance(v, np.ndarray) else v for k, v in values.items()}
     F, w, a = _frame(BoundPotential(rows[0].spec, picked), np.array(rho), l)
@@ -375,7 +385,7 @@ def build_v_series(rows: list, geoms: list, max_order: int) -> tuple[list, list]
     PotentialEvalError: a jet that is not finite, or rho0^(n+4) overflowing.
     """
     M, failed = max_order, [None] * len(rows)
-    # a lone row's jet stays on numpy scalars, which is faster than a batch of one
+    # a lone row's jet runs on Python floats, which is faster than a batch of one
     center = geoms[0].rho0 if len(rows) == 1 else np.array([g.rho0 for g in geoms])
     try:
         a = jet_lift(BoundPotential(rows[0].spec, _columns(rows)), center, M + 2)

@@ -213,6 +213,43 @@ def test_array_frames_equal_float_frames():
         assert repr(batch) == repr(alone)  # exact, NaN included
 
 
+def test_float_frame_equals_its_array_entry():
+    # a float's frame runs on Python floats and math, an array's on numpy:
+    # F carries the same bits or is NaN in both, and w and V agree where F is
+    # defined.  The cases reach V' <= 0, rad <= 0, a pole, a negative base
+    # under a real power and an overflow
+    rng = random.Random(30)
+    cases = [("1/(rho-1)", {}, 1.0), ("(rho-1)^0.5", {}, 1.0), ("(1-rho)^1.5", {}, 2.0),
+             ("1e300*rho^3", {}, 1e4), ("rho^0.5 - 3/rho", {}, 0.7)]
+    while len(cases) < 400:
+        text = _random_text(rng, 4)
+        if "rho" in text:
+            params = {k: rng.choice((0.0, -0.0, 1.5, -2.0, 3.0, 1e200, 1e-300))
+                      for k in parse_potential(text).params}
+            cases.append((text, params, rng.choice((0.3, 1.0, 1.7, 2.0, 25.0))))
+    seen = set()
+    for text, params, rho in cases:
+        bound = _bound(text, params)
+        for l in (0, 2):
+            try:
+                F, w, a = _frame(bound, np.array([0.5, rho, 2.5]), l)
+            except ArithmeticError:  # a term of the parameters alone fails
+                with pytest.raises(ArithmeticError):
+                    _frame(bound, rho, l)
+                continue
+            F1, w1, a1 = _frame(bound, rho, l)
+            assert all(type(x) is float for x in (F1, w1, *a1)), (text, params, rho)
+            v1, rad = a1[1], 3.0 + rho * 2.0 * a1[2] / a1[1] if a1[1] else math.nan
+            seen.add("V' <= 0" if v1 <= 0.0 else "rad <= 0" if rad <= 0.0 else
+                     "not finite" if not math.isfinite(F1) else "defined")
+            if math.isnan(F1):
+                assert math.isnan(F[1]), (text, params, rho, l)
+            else:  # repr tells every bit but a NaN's sign and payload
+                entry = tuple(map(float, (F[1], w[1], a[0, 1])))
+                assert repr((F1, w1, a1[0])) == repr(entry), (text, params, rho, l)
+    assert seen == {"V' <= 0", "rad <= 0", "not finite", "defined"}
+
+
 # ---------------------------------------------------------------------------
 # solve_batch
 

@@ -414,7 +414,9 @@ def _reference_hierarchy(v, geom, max_order):
     Each unordered pair W_p W_q, p <= q, is formed once, every coefficient
     summed term by term in W_p's index order; K_s subtracts the products from
     v^(s) in the order p = 1, 2, ...; the residual is taken in Python floats
-    too.  An order whose residual is above RESIDUAL_TOL or not finite raises.
+    too.  Every sum, v^(s)'s included, starts from +0.0, as np.add.reduce's
+    do, so a sum of -0.0's and a -0.0 entry of v^(s) give +0.0.  An order
+    whose residual is above RESIDUAL_TOL or not finite raises.
     """
     w, beta = geom.w, geom.beta
     W = [[0.0, -w / 2.0]]
@@ -426,11 +428,11 @@ def _reference_hierarchy(v, geom, max_order):
             products[p] = []
             for j in range(s + 3):
                 terms = [a[i] * b[j - i] for i in range(len(a)) if 0 <= j - i < len(b)]
-                total = terms[0]
-                for term in terms[1:]:
+                total = 0.0
+                for term in terms:
                     total += term
                 products[p].append(total)
-        k_s = list(map(float, v[s]))
+        k_s = [0.0 + float(x) for x in v[s]]
         for p in range(1, s):
             k_s = [k - x for k, x in zip(k_s, products[min(p, s - p)])]
         c = [0.0] * (s + 4)
@@ -515,6 +517,16 @@ def test_an_all_negative_zero_product_sum_equals_the_full_sum():
     v = ([-2.0, 0.0, 4.0], [0.0, -1.0, 0.0, 5e-324], [0.5, 0.0, 0.0, 0.0, 5e-324])
     W_1 = _hierarchy(v, geom, 1).W[1]
     assert W_1.tolist() == [0.25, 0.0, 0.0] and np.signbit(W_1).tolist() == [False, False, True]
+    assert _bits(_hierarchy, v, geom, 1) == _bits(_reference_hierarchy, v, geom, 1)
+
+
+def test_a_negative_zero_of_v_enters_k_s_as_positive_zero():
+    # the kernel sums v^(s) from +0.0, so the -0.0 of v^(2)[2] enters K_2 as
+    # +0.0, which flips the signs of W_2's zeros; the reference must agree
+    geom = Geometry(rho0=1.0, w=4.0, beta=-1.0, lbar=1.0, l=0, v0=0.0)
+    v = ([-2.0, 0.0, 4.0], [0.0, -1.0, 0.0, 5e-324], [0.5, 0.0, -0.0, 0.0, 5e-324])
+    W_2 = _hierarchy(v, geom, 1).W[2]
+    assert np.signbit(W_2).tolist() == [False, True, False, True]
     assert _bits(_hierarchy, v, geom, 1) == _bits(_reference_hierarchy, v, geom, 1)
 
 

@@ -11,7 +11,7 @@ from pslet2d.expressions import (
     parse_potential,
 )
 from pslet2d.engine import _SCAN_GRID
-from pslet2d.jets import jet_lift, taylor_coeffs
+from pslet2d.jets import jet_lift, taylor_coeffs, taylor_jet
 from test_batch import _random_text
 
 
@@ -205,9 +205,10 @@ def _nan_bits(a):
 
 @pytest.mark.parametrize("order", [2, 8, 32, 62, 122])
 def test_point_jets_equal_their_batch_entries(order):
-    # a point's recurrences run on Python floats and a batch's on numpy rows;
-    # where a float would raise (a pole, a zero or negative base under a real
-    # power), the point stays on numpy scalars.  Order 122 is the lift of K = 60
+    # a point's coefficients are Python floats and a batch's numpy rows; where
+    # a float would raise (a pole, a zero or negative base under a real
+    # power), the point's quotient or power runs on numpy scalars and its
+    # result goes back to floats.  Order 122 is the lift of K = 60
     rng = random.Random(order)
     cases = [("1/(rho-1)", {}, 1.0), ("(rho-1)^0.5", {}, 1.0), ("(1-rho)^1.5", {}, 2.0),
              ("1/rho + rho^-1.5", {}, 1e-300)]  # the last overflows
@@ -227,5 +228,6 @@ def test_point_jets_equal_their_batch_entries(order):
                 taylor_coeffs(bound, center, order)
             continue
         for i, c in enumerate(centers):
-            point = taylor_coeffs(bound, c, order)
+            point = taylor_jet(bound, c, order)
+            assert all(type(x) is float for x in point), (text, params, c)
             assert _nan_bits(point) == _nan_bits(batch[:, i]), (text, params, c)
