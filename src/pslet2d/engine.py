@@ -164,6 +164,8 @@ def _frame(bound: BoundPotential, rho, l: int, rho3=None):
     return select(ok, F), w, a
 
 
+_FEW = 3  # up to this many points or rows go one by one on floats (BENCH_small_batch.json)
+
 # brentq's stopping rule, scipy's with xtol ~ 0: rtol = 4 eps is the only stop
 _RTOL, _MAXITER = 8.9e-16, 100
 
@@ -243,14 +245,13 @@ def _frames_at(rows: list, values, points: list, l: int) -> list:
     """(rho, F, w, V) as floats at each (row, rho) of ``points``.
 
     ``rows`` holds each row's BoundPotential and ``values`` their parameter
-    columns (see ``_columns``).  A lone point is expanded as a float, which
-    keeps a lone solve off numpy, and two or more as one array; both give
-    the same F, and w and V where F is defined.
+    columns (see ``_columns``).  Up to ``_FEW`` points are expanded one by one
+    as floats, which keeps lone and small solves off numpy, and more as one
+    array; both give the same F, and w and V where F is defined.
     """
-    if len(points) == 1:
-        (i, rho), = points
-        F, w, a = _frame(rows[i], rho, l)
-        return [(rho, F, w, a[0])]
+    if len(points) <= _FEW:
+        frames = [_frame(rows[i], rho, l) for i, rho in points]
+        return [(rho, F, w, a[0]) for (_, rho), (F, w, a) in zip(points, frames)]
     owners, rho = map(list, zip(*points))
     picked = {k: v[owners] if isinstance(v, np.ndarray) else v for k, v in values.items()}
     F, w, a = _frame(BoundPotential(rows[0].spec, picked), np.array(rho), l)
@@ -288,10 +289,11 @@ def solve_geometry(rows: list, m: int) -> list:
     stationary and kills the next-to-leading correction.  One walk of the
     tree evaluates every row's frame function F on a logarithmic grid over
     [RHO_LO, RHO_HI]; its sign changes bracket the roots, which one lockstep
-    ``brentq`` refines on the same function.  Then every root, on the grid or
-    refined, is expanded once, and ``_finish_frame`` validates it from that
-    order-2 expansion (no finite differences).  A row with a parameter-only
-    term that fails has a frame equation undefined everywhere.  If a row has
+    ``brentq`` refines on the same function, keeping each step's expansion;
+    a root that no step expanded (a grid root, or one on a bracket end) is
+    expanded then.  ``_finish_frame`` validates every root from its order-2
+    expansion (no finite differences).  A row with a parameter-only term
+    that fails has a frame equation undefined everywhere.  If a row has
     several stable frames, the one with the lowest leading energy wins (with
     a warning).
     """
@@ -305,10 +307,12 @@ def solve_geometry(rows: list, m: int) -> list:
     roots = [[float(r) for r in _SCAN_GRID[row == 0.0]] for row in scan]
     sign = np.sign(scan)  # NaN where undefined, so no bracket touches it
     owners, cells = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
+    walked: dict = {}  # (row, rho) -> (rho, F, w, V) of every point expanded after the scan
     if len(owners):
         def frame_f(lanes, x):
             points = list(zip(owners[lanes].tolist(), x))
-            return [F for _, F, _, _ in _frames_at(rows, values, points, l)]
+            walked.update(zip(points, _frames_at(rows, values, points, l)))
+            return [walked[p][1] for p in points]
 
         # The scan's entries are the frame function at the bracket ends, as
         # lone points give it; rho0 comes to a few ulps.
@@ -318,9 +322,11 @@ def solve_geometry(rows: list, m: int) -> list:
             if root is not None:
                 roots[i].append(root)
 
-    # every root, on the grid or refined, is expanded once here
+    # only a grid root, or a root on a bracket end, was not expanded by a step
     points = [(i, r) for i, rs in enumerate(roots) for r in rs]
-    checked = iter(_finish_frame(_frames_at(rows, values, points, l), l) if points else ())
+    fresh = [p for p in points if p not in walked]
+    walked.update(zip(fresh, _frames_at(rows, values, fresh, l)))
+    checked = iter(_finish_frame([walked[p] for p in points], l) if points else ())
 
     frames = []
     for rs in roots:
@@ -380,18 +386,17 @@ def build_v_series(rows: list, geoms: list, max_order: int) -> tuple[list, list]
     """v^(0)..v^(max_order) of each BoundPotential in ``rows`` about its frame in ``geoms``.
 
     v^(n) needs the (n+2)-th derivative of V at rho0: one jet of order
-    max_order + 2 about every rho0 supplies all of them.  Returns the
-    (rows, n + 3) arrays in x of the rows left, and per row None or its
-    PotentialEvalError: a jet that is not finite, or rho0^(n+4) overflowing.
+    max_order + 2 about every rho0 supplies all of them: one array lift above
+    ``_FEW`` rows, else (or where it fails) a float lift per row, for its own
+    error.  Returns the (rows, n + 3) arrays in x of the rows left, and per
+    row None or its PotentialEvalError: a jet not finite, or rho0^(n+4) overflowing.
     """
-    M, failed = max_order, [None] * len(rows)
-    # a lone row's jet runs on Python floats, which is faster than a batch of one
-    center = geoms[0].rho0 if len(rows) == 1 else np.array([g.rho0 for g in geoms])
-    try:
-        a = jet_lift(BoundPotential(rows[0].spec, _columns(rows)), center, M + 2)
-        a = a.T.reshape(len(rows), -1)  # a[r, k]: V^(k)(rho0) / k! of row r
-    except PotentialEvalError:
-        # some row's jet is not finite: lift each row alone for its own error
+    M, failed, a = max_order, [None] * len(rows), None
+    if len(rows) > _FEW:
+        with contextlib.suppress(PotentialEvalError):  # some row's jet is not finite
+            a = jet_lift(BoundPotential(rows[0].spec, _columns(rows)),
+                         np.array([g.rho0 for g in geoms]), M + 2).T
+    if a is None:
         a = []
         for i, (row, g) in enumerate(zip(rows, geoms)):
             try:
@@ -401,7 +406,7 @@ def build_v_series(rows: list, geoms: list, max_order: int) -> tuple[list, list]
     live = [i for i, e in enumerate(failed) if e is None]
     if not live:
         return [], failed
-    a = np.array(a)
+    a = np.array(a)  # a[r, k]: row r's V^(k)(rho0) / k!
     rho0, w, beta, Q = np.array([(g.rho0, g.w, g.beta, g.Q) for g in geoms])[live].T
     scale = float_pow(rho0, [n + 4.0 for n in range(1, M + 1)])
     out = np.zeros((len(live), M + 1, M + 3))  # out[r, n, k]: the x^k term of v^(n)

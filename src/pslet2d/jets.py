@@ -7,9 +7,9 @@ A jet stores the coefficients a_0..a_K of the expansion
 Propagating jets through a potential's expression tree yields every
 derivative d^n V / d rho^n at the expansion point in one pass, exact to
 floating-point rounding -- no finite differencing, no symbolic algebra.
-``jet_lift`` (checked finite) and ``taylor_coeffs`` return plain coefficient
-arrays, row k holding a_k, about a point or a whole array of points;
-``taylor_jet`` gives a point's coefficients as Python floats.
+``jet_lift`` returns them checked finite as an array, row k holding a_k,
+about a point or a whole array of points; ``taylor_jet`` returns them
+unchecked, a point's as Python floats.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .expressions import BoundPotential, PotentialEvalError, evaluate, float_pow
 
-__all__ = ["jet_lift", "taylor_coeffs", "taylor_jet"]
+__all__ = ["jet_lift", "taylor_jet"]
 
 
 class _Series:
@@ -161,15 +161,10 @@ def taylor_jet(bound: BoundPotential, center, order: int):
     return result.c if isinstance(result, _Series) else _Series(seed)._lift(result)
 
 
-def taylor_coeffs(bound: BoundPotential, center, order: int) -> np.ndarray:
-    """``taylor_jet``'s coefficients as an array, about a float too."""
-    return np.asarray(taylor_jet(bound, center, order))
-
-
 def jet_lift(bound: BoundPotential, center, order: int) -> np.ndarray:
     """Coefficients a_0..a_order of ``bound`` about ``center``, checked finite.
 
-    ``center`` is a float or a 1-D array, as for ``taylor_coeffs``; the error
+    ``center`` is a float or a 1-D array, as for ``taylor_jet``; the error
     names the first center whose coefficients are not all finite.
     """
     point = isinstance(center, float)

@@ -202,11 +202,12 @@ def test_batched_scan_equals_lone_points(text, rows):
 
 
 def test_array_frames_equal_float_frames():
-    # _frames_at takes a lone point as a float and more as one array
+    # _frames_at takes up to _FEW points as floats and more as one array
     spec = parse_potential("a*rho^1.5 + b*rho - 2/rho")
     values = {"a": np.array([1.3, 0.2, -1.0, 0.7]), "b": 0.4}
     rows = [bind_params(spec, {"a": a, "b": 0.4}) for a in values["a"].tolist()]
     points = [(0, 0.3), (1, 1.7), (2, 1e-4), (3, 25.0), (1, 3.1)]
+    assert len(points) > engine._FEW
     for l in (0, 2):
         batch = engine._frames_at(rows, values, points, l)
         alone = [engine._frames_at(rows, values, [p], l)[0] for p in points]
@@ -275,15 +276,23 @@ def test_table_rows_equal_lone_solves_at_high_order(max_order):
 
 @pytest.mark.parametrize("max_order", [3, 10, 20])
 def test_random_rows_equal_lone_solves(max_order):
+    # batches of 2 and 3 rows are expanded and lifted row by row on floats,
+    # and batches of 5 as arrays; a < 0 or b < 0 leaves some rows with no
+    # frame or a failed hierarchy, and those errors must match too
     rng = random.Random(max_order)
     text = "-a/rho + b*rho^2 + c*rho^1.5"
+    small = set()
     for m in (-2, 0, 3):
-        c = rng.uniform(0.0, 1.0)  # shared by every row
-        rows = [{"a": rng.uniform(0.5, 3.0), "b": rng.uniform(0.1, 2.0), "c": c}
-                for _ in range(5)]
-        batch = solve_batch([_bound(text, row) for row in rows], m, max_order)
-        for row, result in zip(rows, batch):
-            assert _key(result) == _key(_lone(text, row, m, max_order))
+        for n in (2, 3, 5):
+            c = rng.uniform(0.0, 1.0)  # shared by every row
+            rows = [{"a": rng.uniform(-1.0, 3.0), "b": rng.uniform(-1.0, 2.0), "c": c}
+                    for _ in range(n)]
+            batch = solve_batch([_bound(text, row) for row in rows], m, max_order)
+            for row, result in zip(rows, batch):
+                assert _key(result) == _key(_lone(text, row, m, max_order))
+                if n <= engine._FEW:
+                    small.add(isinstance(result, Exception))
+    assert small == {False, True}  # the small batches hold solved rows and errors
 
 
 @pytest.mark.parametrize("last", ["1/b", "1/(1/b)", "(1/b)^0"])
@@ -323,7 +332,7 @@ def test_fails_alone_exactly_when_a_lone_expansion_raises():
         row = bind_params(spec, {k: rng.choice((0.0, -0.0, 1.5, -2.0, 3.0, 1e200, 1e-300))
                                  for k in spec.params})
         try:
-            jets.taylor_coeffs(row, 1.7, 2)
+            np.asarray(jets.taylor_jet(row, 1.7, 2))
             raised = False
         except ArithmeticError:
             raised = True
@@ -333,22 +342,24 @@ def test_fails_alone_exactly_when_a_lone_expansion_raises():
 
 
 def test_a_failed_batch_lift_gives_each_row_its_lone_error(monkeypatch):
-    # at g = 1e15 and 3e15 rho0 is 1.8e-4 and 1.4e-4, where the order-62 jet
-    # overflows; g = 1e16 has no frame.  The two-row lift raises, so each row
-    # is lifted alone for its own error
-    text, rows = "g*rho^2 - 2/rho", [{"g": g} for g in (1e15, 3e15, 1e16)]
+    # at g = 1e15 and 3e15 rho0 is 1.8e-4 and 1.4e-4, where the order-122 jet
+    # of K = 60 overflows; g = 1e16 has no frame.  With g = 1 and 2, four rows
+    # have frames, more than _FEW, so they take one array lift; it raises, and
+    # each row is lifted alone for its own error or its jet
+    text, rows = "g*rho^2 - 2/rho", [{"g": g} for g in (1e15, 3e15, 1e16, 1.0, 2.0)]
     centers, jet_lift = [], engine.jet_lift
     monkeypatch.setattr(engine, "jet_lift", lambda bound, center, order:
                         centers.append(center) or jet_lift(bound, center, order))
     batch = solve_batch([_bound(text, row) for row in rows], 0, 60)
     monkeypatch.undo()
     assert [_key(r) for r in batch] == [_key(_lone(text, row, 0, 60)) for row in rows]
-    assert [np.shape(c) for c in centers] == [(2,), (), ()]
+    assert [np.shape(c) for c in centers] == [(4,), (), (), (), ()]
     assert centers[1:] == centers[0].tolist()
-    for result, rho0 in zip(batch, centers[1:]):
+    for result, rho0 in zip(batch, centers[1:3]):
         assert isinstance(result, engine.PotentialEvalError)
         assert str(result) == f"non-finite jet coefficients when expanding about rho={rho0}"
     assert isinstance(batch[2], engine.NoStableFrameError)
+    assert not any(isinstance(r, engine.PotentialEvalError) for r in batch[3:])
 
 
 @pytest.mark.parametrize("value", [1e308, math.inf, math.nan])
@@ -498,6 +509,48 @@ def test_a_root_on_the_scan_grid_is_the_frame_there(monkeypatch):
     rows = [{"c": c} for _, c in roots[::40]] + [{"c": 0.3}]
     _assert_rows_equal_lone_solves("-c/rho", rows, 0)
     assert lanes[0] == 1
+
+
+def test_a_refined_root_is_expanded_once(monkeypatch):
+    # brentq keeps the expansion of every point it steps to, so after it only
+    # a root that no step reached is expanded: a grid root, or a root that
+    # ended on a bracket end, where the scan holds F alone.  -c/rho at l = 0
+    # has its root at 1 / (2c), next to the grid point k for c = 0.5 / rho_k
+    grid = _SCAN_GRID.tolist()
+    grid_k, grid_c = _grid_roots()[0]
+    end_k, end_c = next((k, c) for k, c in ((k, 0.5 / grid[k]) for k in range(5, SCAN_POINTS))
+                        if _frame(_bound("-c/rho", {"c": c}), grid[k], 0)[0] != 0.0
+                        and solve(_bound("-c/rho", {"c": c}), 0)[0].rho0 == grid[k])
+    walks, steps, frames_at, run = [], [], engine._frames_at, brentq
+
+    def refine(*args):
+        roots = run(*args)
+        steps.append(len(walks))  # the walks so far came from brentq's steps
+        return roots
+
+    monkeypatch.setattr(engine, "brentq", refine)
+    monkeypatch.setattr(engine, "_frames_at", lambda rows, values, points, l:
+                        walks.append(list(points)) or frames_at(rows, values, points, l))
+
+    def walks_after_brentq(text, rows, m):
+        """The points expanded after brentq returned."""
+        walks.clear()
+        steps.clear()
+        geoms = [r[0] for r in solve_batch([_bound(text, row) for row in rows], m)]
+        points = [p for walk in walks for p in walk]
+        assert len(points) == len(set(points)), (text, rows)  # no point is expanded twice
+        assert all((i, g.rho0) in points for i, g in enumerate(geoms)), (text, rows)
+        return [p for walk in walks[steps[0] if steps else 0:] for p in walk]
+
+    hybrid = [{"m": -1.0, "g": 1.3}, {"m": -1.0, "g": 2.0}]
+    assert walks_after_brentq(tables.HYBRID_EXPRESSION, hybrid[:1], -1) == []
+    assert walks_after_brentq(tables.HYBRID_EXPRESSION, hybrid, -1) == []
+    assert max(map(len, walks)) == 2  # each Brent step expands both rows' points
+    assert walks_after_brentq("-c/rho", [{"c": grid_c}], 0) == [(0, grid[grid_k])]
+    assert steps == []  # a grid root has no bracket
+    assert walks_after_brentq("-c/rho", [{"c": grid_c}, {"c": end_c}], 0) == [
+        (0, grid[grid_k]), (1, grid[end_k])]
+    assert steps != []
 
 
 def test_a_real_power_of_a_parameter_column_equals_lone_solves():

@@ -11,7 +11,7 @@ from pslet2d.expressions import (
     parse_potential,
 )
 from pslet2d.engine import _SCAN_GRID
-from pslet2d.jets import jet_lift, taylor_coeffs, taylor_jet
+from pslet2d.jets import jet_lift, taylor_jet
 from test_batch import _random_text
 
 
@@ -171,7 +171,7 @@ def test_real_power_jet():
 def test_grid_expansion_matches_single_points(text, params, rel, order):
     # one walk over the scan grid gives each point's single-point coefficients
     bound = _bound(text, params)
-    batch = taylor_coeffs(bound, _SCAN_GRID, order)
+    batch = np.asarray(taylor_jet(bound, _SCAN_GRID, order))
     stacked = np.stack([jet_lift(bound, r, order) for r in _SCAN_GRID], axis=1)
     assert batch.shape == (order + 1, len(_SCAN_GRID))
     if rel == 0.0:
@@ -183,7 +183,7 @@ def test_grid_expansion_matches_single_points(text, params, rel, order):
 def test_real_powers_on_a_grid_equal_single_points():
     # float_pow takes every entry through the C library's pow, as a float does
     bound = _bound("a*rho^1.5 + (rho + b)^-0.5", {"a": 1.3, "b": 0.4})
-    batch = taylor_coeffs(bound, _SCAN_GRID, 4)
+    batch = np.asarray(taylor_jet(bound, _SCAN_GRID, 4))
     assert np.array_equal(batch, np.stack([jet_lift(bound, r, 4) for r in _SCAN_GRID], axis=1))
 
 
@@ -192,7 +192,7 @@ def test_array_parameters_batch_along_the_points():
     # the operation, where numpy would build an object array
     spec = parse_potential("a*rho - a/rho + a^2*rho^2")
     a = np.array([2.0, 3.0])
-    batch = taylor_coeffs(BoundPotential(spec, {"a": a}), a, 3)
+    batch = np.asarray(taylor_jet(BoundPotential(spec, {"a": a}), a, 3))
     assert batch.dtype == float
     for j, x in enumerate(a.tolist()):
         assert np.array_equal(batch[:, j], jet_lift(bind_params(spec, {"a": x}), x, 3))
@@ -222,10 +222,10 @@ def test_point_jets_equal_their_batch_entries(order):
         bound = _bound(text, params)
         centers = [0.5, center, 2.5]
         try:
-            batch = taylor_coeffs(bound, np.array(centers), order)
+            batch = np.asarray(taylor_jet(bound, np.array(centers), order))
         except ArithmeticError:  # a term of the parameters alone fails
             with pytest.raises(ArithmeticError):
-                taylor_coeffs(bound, center, order)
+                np.asarray(taylor_jet(bound, center, order))
             continue
         for i, c in enumerate(centers):
             point = taylor_jet(bound, c, order)

@@ -35,10 +35,12 @@ ORDERS = (3, 6, 10, 15)
 # (n, l) of each state, an n = 1 state named by its l alone
 STATES = [pytest.param(n, l, id=str(l) if n == 1 else f"n2-{l}") for n in (1, 2) for l in range(3)]
 # |EN_K - E| at K = 3, 6, 10, 15, as measured (float gamma), rounded up in the
-# third digit.  At n = 1, l = 0, K = 15 is worse than K = 10, and at n = 2,
-# l = 0, K = 10 is worse than K = 6: the series diverges there or the
-# hierarchy's rounding grows (ROADMAP item 3 tells which), so no monotone
-# improvement is asserted.
+# third digit.  At n = 1, l = 0, K = 15 is worse than K = 10 because the
+# series diverges there, not because of rounding: the same expansion run in
+# mpmath gives EN15 = 8.000572, and the float EN15 lies within 1.4e-8 of it.
+# At n = 2, l = 0, K = 10 is worse than K = 6, and whether the series
+# diverges there or the hierarchy's rounding grows is still open (ROADMAP
+# item 13).  So no monotone improvement is asserted.
 PARTIAL_SUM_ERRORS = {
     (1, 0): (8.39e-2, 8.06e-3, 1.40e-4, 5.72e-4),
     (1, 1): (1.34e-3, 2.42e-5, 1.42e-7, 7.66e-8),
