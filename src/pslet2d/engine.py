@@ -12,7 +12,7 @@ of one PotentialSpec at one magnetic quantum number m (l = |m|):
   4. assemble_energy(geoms, tables, max_order)  -- corrections E^(-2), E^(0),
        E^(1), ... and cumulative partial sums EN_0..EN_K.
 
-Stages 1-3 give each row its result or its error, and each stage takes the
+Each stage gives each row its result or its error, and each stage takes the
 rows left, relying unchecked on what the stage before made.  ``solve`` is the
 batch of one, so a row gives the same bits alone or in any batch.
 
@@ -562,7 +562,9 @@ def assemble_energy(geoms: list, tables: list, max_order: int) -> list:
     """Corrections E^(-2), E^(0)..E^(max_order-1) and partial sums EN_0..EN_max_order.
 
     ``geoms`` and ``tables`` are lists of Geometries and their CoefficientTables,
-    one entry per row of a batch; gives one EnergyBreakdown per row.
+    one entry per row of a batch; gives per row an EnergyBreakdown, or a
+    SolverError naming the first partial sum that is not finite (V(rho0) / Q
+    may overflow).
     """
     rho0, w, beta, lbar, v0 = np.array([(g.rho0, g.w, g.beta, g.lbar, g.v0) for g in geoms]).T
     lambdas = np.array([t.lambdas[:max_order] for t in tables])
@@ -582,11 +584,14 @@ def assemble_energy(geoms: list, tables: list, max_order: int) -> list:
             ((Q * e_minus2)[:, None], corrections[:, :1], corrections[:, 1:] / lbar_k), axis=1),
             axis=1)
 
-    return [
-        EnergyBreakdown(e_minus2=e2, corrections=tuple(c), partial_sums=tuple(s), e_minus1=e1)
-        for e2, c, s, e1 in zip(e_minus2.tolist(), corrections.tolist(), sums.tolist(),
-                                e_minus1.tolist())
-    ]
+    out = []
+    for e2, c, s, e1 in zip(e_minus2.tolist(), corrections.tolist(), sums.tolist(),
+                            e_minus1.tolist()):
+        bad = next((k for k, x in enumerate(s) if not math.isfinite(x)), None)
+        out.append(SolverError(f"partial sum EN{bad} = {s[bad]} is not finite") if bad is not None
+                   else EnergyBreakdown(e_minus2=e2, corrections=tuple(c), partial_sums=tuple(s),
+                                        e_minus1=e1))
+    return out
 
 
 def solve(
@@ -658,7 +663,7 @@ def _solve_rows(rows: list[BoundPotential], l: int, max_order: int) -> list:
         geoms = [out[i] for i in live]
         for i, geom, table, energy in zip(live, geoms, tables,
                                           assemble_energy(geoms, tables, max_order)):
-            out[i] = (geom, table, energy)
+            out[i] = energy if isinstance(energy, Exception) else (geom, table, energy)
     return out
 
 

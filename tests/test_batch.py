@@ -246,7 +246,7 @@ def test_float_frame_equals_its_array_entry():
             if math.isnan(F1):
                 assert math.isnan(F[1]), (text, params, rho, l)
             else:  # repr tells every bit but a NaN's sign and payload
-                entry = tuple(map(float, (F[1], w[1], a[0, 1])))
+                entry = tuple(map(float, (F[1], w[1], a[0][1])))
                 assert repr((F1, w1, a1[0])) == repr(entry), (text, params, rho, l)
     assert seen == {"V' <= 0", "rad <= 0", "not finite", "defined"}
 
@@ -379,6 +379,17 @@ def test_non_finite_residual_fails_only_its_row(value):
         table, = engine.solve_hierarchy(alone[r], geoms[r:r + 1], 3)
         assert [w.tobytes() for w in batch[r].W] == [w.tobytes() for w in table.W]
         assert (batch[r].lambdas, batch[r].residuals) == (table.lambdas, table.residuals)
+
+
+def test_an_infinite_partial_sum_fails_only_its_row():
+    # V(rho0) / lbar^2 overflows at a = 1e308 and 1.7e308, so EN0 is inf; five
+    # rows take the array lift, and the rows beside them keep their lone bits
+    rows = [{"a": 1e307}, {"a": 1e308}, {"a": 1.0}, {"a": 1.7e308}, {"a": -2.0}]
+    batch = solve_batch([_bound("rho^2 - 2/rho + a", row) for row in rows], 0)
+    assert [_key(r) for r in batch] == [_key(_lone("rho^2 - 2/rho + a", row, 0)) for row in rows]
+    for r in (1, 3):
+        assert _key(batch[r]) == ("SolverError", "partial sum EN0 = inf is not finite")
+    assert not any(isinstance(batch[r], Exception) for r in (0, 2, 4))
 
 
 def test_v_series_overflow_fails_only_its_row():

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pslet2d import cli, engine
@@ -142,6 +142,27 @@ def test_v_series_overflow_exit_code(capsys):
     )
     assert code == EXIT_SOLVER
     assert "v-series overflow" in err
+
+
+def test_an_infinite_partial_sum_exit_code(capsys):
+    # V(rho0) / lbar^2 overflows, and EN0 = inf would print as Infinity, not JSON
+    code, out, err = run_cli(capsys, "compute", "-V", "rho^2 - 2/rho + a", "-p", "a=1e308",
+                             "--format", "json")
+    assert (code, out) == (EXIT_SOLVER, "")
+    assert err == "solver error: partial sum EN0 = inf is not finite\n"
+
+
+def test_a_sweep_row_with_an_infinite_partial_sum_fails_alone(monkeypatch, capsys):
+    results, batch = [], cli.solve_batch
+    monkeypatch.setattr(cli, "solve_batch", lambda *a: results.extend(batch(*a)) or results)
+    code, out, err = run_cli(capsys, "sweep", "-V", "rho^2 - 2/rho + a", "--sweep-param", "a",
+                             "--range", "1e307,1e308,2")
+    assert code == 0, err
+    geom, _, breakdown = solve(bind_params(parse_potential("rho^2 - 2/rho + a"), {"a": 1e307}), 0)
+    assert results[0][0] == geom and results[0][2] == breakdown  # the lone solve's bits
+    _, *rows = csv.reader(io.StringIO(out))
+    assert rows == [["1e+307", cli._fmt(geom.rho0), *map(cli._fmt, breakdown.partial_sums), ""],
+                    ["1e+308", "", "", "", "", "", "partial sum EN0 = inf is not finite"]]
 
 
 def test_main_reuses_one_parser(capsys):
@@ -753,11 +774,25 @@ def _requests(draw):
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_requests())
+# EN0 overflows in both: compute exits 4, and the sweep row holds an error
+@example(["compute", "-V", "1e308-2/rho+rho*rho", "-m", "0"])
+@example(["sweep", "-V", "1e308*a-2/rho+rho*rho", "-m", "0", "--sweep-param", "a",
+          "--range", "1,2,2", "--oracle"])
 def test_cli_never_raises(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, EXIT_USAGE, EXIT_PARSE, EXIT_SOLVER), (argv, code)
+    # every partial sum printed at exit 0 is a finite number
+    if code == 0 and argv[0] == "compute":
+        sums = [line.split("=")[1] for line in out.getvalue().splitlines()
+                if line.lstrip().startswith("EN")]
+    elif code == 0 and argv[0] == "sweep":
+        sums = [v for row in csv.DictReader(io.StringIO(out.getvalue()))
+                for k, v in row.items() if k.startswith("EN") and v]
+    else:
+        sums = []
+    assert all(math.isfinite(float(v)) for v in sums), (argv, out.getvalue())
 
 
 STAGES = ("solve_geometry", "build_v_series", "solve_hierarchy", "assemble_energy")

@@ -205,13 +205,15 @@ def _nan_bits(a):
 
 @pytest.mark.parametrize("order", [2, 8, 32, 62, 122])
 def test_point_jets_equal_their_batch_entries(order):
-    # a point's coefficients are Python floats and a batch's numpy rows; where
-    # a float would raise (a pole, a zero or negative base under a real
-    # power), the point's quotient or power runs on numpy scalars and its
-    # result goes back to floats.  Order 122 is the lift of K = 60
+    # a point's coefficients are Python floats and a batch's arrays of the
+    # batch's shape, even where the tree reduces to a constant; where a float
+    # would raise (a pole, a zero or negative base under a real power), the
+    # point's quotient or power runs on numpy scalars and its result goes
+    # back to floats.  Order 122 is the lift of K = 60
     rng = random.Random(order)
     cases = [("1/(rho-1)", {}, 1.0), ("(rho-1)^0.5", {}, 1.0), ("(1-rho)^1.5", {}, 2.0),
-             ("1/rho + rho^-1.5", {}, 1e-300)]  # the last overflows
+             ("1/rho + rho^-1.5", {}, 1e-300),  # the last overflows
+             ("rho^0", {}, 1.0), ("a*rho^0", {"a": -0.0}, 1.0)]
     while len(cases) < 40:
         text = _random_text(rng, 4)
         if "rho" in text:
@@ -222,12 +224,22 @@ def test_point_jets_equal_their_batch_entries(order):
         bound = _bound(text, params)
         centers = [0.5, center, 2.5]
         try:
-            batch = np.asarray(taylor_jet(bound, np.array(centers), order))
+            batch = taylor_jet(bound, np.array(centers), order)
         except ArithmeticError:  # a term of the parameters alone fails
             with pytest.raises(ArithmeticError):
                 np.asarray(taylor_jet(bound, center, order))
             continue
+        assert all(type(x) is np.ndarray and x.shape == (3,) for x in batch), (text, params)
+        batch = np.array(batch)
         for i, c in enumerate(centers):
             point = taylor_jet(bound, c, order)
             assert all(type(x) is float for x in point), (text, params, c)
             assert _nan_bits(point) == _nan_bits(batch[:, i]), (text, params, c)
+    # a tree reduced to a constant with a parameter column gives arrays too
+    spec, a, centers = parse_potential("a*rho^0"), [1.5, -0.0, 3.0], [0.5, 1.0, 2.5]
+    batch = taylor_jet(BoundPotential(spec, {"a": np.array(a)}), np.array(centers), order)
+    assert all(type(x) is np.ndarray and x.shape == (3,) for x in batch)
+    for i, (x, c) in enumerate(zip(a, centers)):
+        point = taylor_jet(bind_params(spec, {"a": x}), c, order)
+        assert all(type(v) is float for v in point), x
+        assert _nan_bits(point) == _nan_bits(np.array(batch)[:, i]), x
