@@ -230,6 +230,8 @@ def cmd_sweep(args) -> int:
                         f"FD mesh too coarse for the oracle: rho0 = {geom.rho0:.3g} spans "
                         f"{cells:.3g} cells of the {MIN_CELLS_PER_RHO0} needed")
                 fd, fd_err = fd_ground_energy(bound, geom.l, rho_max, ORACLE_CELLS)
+                if not math.isfinite(fd):
+                    raise SolverError(f"FD energy {fd} is not finite")
                 row += [_fmt(fd), f"{fd_err:.1e}"]
             row.append("")
         except (SolverError, PotentialEvalError) as exc:

@@ -32,8 +32,12 @@ import numpy as np
 
 from .expressions import (
     BoundPotential,
+    Neg,
+    Num,
+    Param,
     PotentialEvalError,
     PotentialSpec,
+    Rho,
     evaluate,
     float_pow,
 )
@@ -164,7 +168,9 @@ def _frame(bound: BoundPotential, rho, l: int, rho3=None):
     return select(ok, F), w, a
 
 
-_FEW = 3  # up to this many points or rows go one by one on floats (BENCH_small_batch.json)
+# up to this many points or rows go one by one on floats (BENCH_small_batch.json;
+# BENCH_batch_once.json for the hierarchy's back-substitution)
+_FEW = 3
 
 # brentq's stopping rule, scipy's with xtol ~ 0: rtol = 4 eps is the only stop
 _RTOL, _MAXITER = 8.9e-16, 100
@@ -270,15 +276,17 @@ def _columns(rows: list) -> dict:
 def _scan(spec: PotentialSpec, values, n: int, l: int) -> np.ndarray:
     """F of each of ``n`` rows on the scan grid, shape (n, SCAN_POINTS), in one walk.
 
+    The grid is one row against (n, 1) parameter columns, so a term of rho
+    alone is formed once and broadcast; the result may be a read-only view.
     Each entry equals ``_frame`` at that grid point alone.
     """
-    grid = np.broadcast_to(_SCAN_GRID, (n, SCAN_POINTS))
     columns = {k: v[:, None] if isinstance(v, np.ndarray) else v for k, v in values.items()}
     try:
-        return _frame(BoundPotential(spec, columns), grid, l, _SCAN_CUBES)[0]
+        F = _frame(BoundPotential(spec, columns), _SCAN_GRID[None, :], l, _SCAN_CUBES)[0]
     except ArithmeticError:
         # rho-independent failure (rho^rho, 1/(0)*rho): undefined everywhere
-        return np.full(grid.shape, np.nan)
+        F = np.nan
+    return np.broadcast_to(F, (n, SCAN_POINTS))
 
 
 def solve_geometry(rows: list, m: int) -> list:
@@ -293,18 +301,26 @@ def solve_geometry(rows: list, m: int) -> list:
     a root that no step expanded (a grid root, or one on a bracket end) is
     expanded then.  ``_finish_frame`` validates every root from its order-2
     expansion (no finite differences).  A row with a parameter-only term
-    that fails has a frame equation undefined everywhere.  If a row has
-    several stable frames, the one with the lowest leading energy wins (with
-    a warning).
+    that fails has a frame equation undefined everywhere: in a batch with a
+    parameter column, ``_fails_alone`` walks each row for it, but only where
+    ``_a_parameter_can_raise`` finds a term that can (never in the hybrid).
+    If a row has several stable frames, the one with the lowest leading
+    energy wins (with a warning).
     """
     l = abs(m)
     values = _columns(rows)
-    scan = _scan(rows[0].spec, values, len(rows), l)
-    if any(isinstance(v, np.ndarray) for v in values.values()):
+    spec = rows[0].spec
+    scan = _scan(spec, values, len(rows), l)
+    if (any(isinstance(v, np.ndarray) for v in values.values())
+            and _a_parameter_can_raise(spec.tree)[2]):
         # alone, such a row's walk raises; in a batch, only its entries go bad
-        scan[[i for i, row in enumerate(rows) if _fails_alone(row)]] = np.nan
+        failed = np.array([_fails_alone(row) for row in rows])
+        scan = np.where(failed[:, None], np.nan, scan)
 
-    roots = [[float(r) for r in _SCAN_GRID[row == 0.0]] for row in scan]
+    roots: list = [[] for _ in rows]
+    owners, cells = np.nonzero(scan == 0.0)  # row-major: each row's grid roots ascend
+    for i, root in zip(owners.tolist(), _SCAN_GRID[cells].tolist()):
+        roots[i].append(root)
     sign = np.sign(scan)  # NaN where undefined, so no bracket touches it
     owners, cells = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
     walked: dict = {}  # (row, rho) -> (rho, F, w, V) of every point expanded after the scan
@@ -481,7 +497,9 @@ def solve_hierarchy(v: list, geoms: list, max_order: int) -> list:
     with RHS_2 = beta^2 - 1/4 + lambda^(0), RHS_{2k} = lambda^(k-1) for k >= 2
     and RHS_s = 0 at odd s.  Its x^k equation (k+1) c_{k+1} - w c_{k-1} = K_k,
     k >= 1, is triangular in the coefficients c of W_s, solved from the top
-    down in Python floats, row by row; at even s the leftover x^0 equation
+    down by c_(k-1) = ((k+1) c_(k+1) - K_k) / w: on each row's Python floats
+    up to ``_FEW`` rows, else once per order on numpy row columns, the same
+    IEEE operations entry by entry; at even s the leftover x^0 equation
     yields the lambda.  Once every order is solved, each order's full
     residual is checked: one above RESIDUAL_TOL, or not finite, is an error.
 
@@ -503,7 +521,7 @@ def solve_hierarchy(v: list, geoms: list, max_order: int) -> list:
     """
     n_orders = 2 * max_order
     w, beta = np.array([(g.w, g.beta) for g in geoms]).T
-    w_rows = w.tolist()
+    w_rows, few = w.tolist(), len(geoms) <= _FEW
     blocks = np.zeros((n_orders + 2, _STRIDE, len(geoms)))
     blocks[0, 1:3] = [[-0.0], [1.0]]
     B = blocks.reshape(-1, len(geoms))
@@ -520,13 +538,17 @@ def solve_hierarchy(v: list, geoms: list, max_order: int) -> list:
             x = B.take(ab, axis=0)
             sums = np.add.reduce(x[0] * x[1], axis=0).reshape(-1, s // 2 + 2, len(geoms))
             K[s, s % 2:s + 3:2] = np.subtract.reduce(sums.take(terms, axis=0), axis=0)
-            top = []
-            for k, w_row in zip(K[s, :s + 3].T.tolist(), w_rows):
-                c = [0.0] * (s + 4)
+            if few:
+                top = []
+                for k, w_row in zip(K[s, :s + 3].T.tolist(), w_rows):
+                    c = [0.0] * (s + 4)
+                    for j in range(s + 2, 0, -2):
+                        c[j - 1] = ((j + 1) * c[j + 1] - k[j]) / w_row
+                    top.append(c[:s + 2])
+                W[s, 1:s + 3].T[...] = top
+            else:  # the same recurrence on row columns; W[s, j + 1] is c_j
                 for j in range(s + 2, 0, -2):
-                    c[j - 1] = ((j + 1) * c[j + 1] - k[j]) / w_row
-                top.append(c[:s + 2])
-            W[s, 1:s + 3].T[...] = top
+                    W[s, j] = ((j + 1) * W[s, j + 2] - K[s, j]) / w
 
         # the lambdas from each even order's x^0 equation, then every order's
         # residual K_s - RHS_s - ((j+1) W_s[j+1] - w W_s[j-1]), padding included
@@ -618,6 +640,32 @@ def _fails_alone(bound: BoundPotential) -> bool:
     except ArithmeticError:
         return True
     return False
+
+
+def _a_parameter_can_raise(node) -> tuple[bool, bool, bool]:
+    """(depends on a parameter, may be a plain float, a parameter can make a term raise).
+
+    Read from the tree alone, for a lone solve's walk, where a term free of
+    rho is a plain float and only a plain float raises: at a ``/`` by zero,
+    or at a ``^`` of a non-positive base, an overflow or a non-finite
+    exponent.  So a parameter can make a term raise only at a ``/`` whose
+    divisor depends on a parameter and may be a plain float (free of rho, or
+    rho raised to a power that may be 0), or at a ``^`` whose exponent
+    depends on a parameter, or whose base depends on a parameter, may be a
+    plain float and is raised to anything but a non-negative integer
+    literal.  Where the last entry is False, ``_fails_alone`` gives every row
+    of a batch one verdict, and the batch's scan already holds it.
+    """
+    if isinstance(node, (Num, Rho, Param)):
+        return isinstance(node, Param), not isinstance(node, Rho), False
+    if isinstance(node, Neg):
+        return _a_parameter_can_raise(node.arg)
+    (pa, fa, ra), (pb, fb, rb) = _a_parameter_can_raise(node.lhs), _a_parameter_can_raise(node.rhs)
+    if node.op != "^":
+        return pa or pb, fa and fb, ra or rb or (node.op == "/" and pb and fb)
+    p = node.rhs.value if isinstance(node.rhs, Num) else None
+    literal = p is not None and 0.0 <= p < 2.0 ** 53 and p.is_integer()
+    return pa or pb, fa or p is None or p == 0.0, ra or rb or pb or (pa and fa and not literal)
 
 
 def solve_batch(rows: list[BoundPotential], m: int, max_order: int = 3) -> list:

@@ -76,7 +76,8 @@ class _Series:
         out = [a[0] * x for x in b]
         for j in range(1, len(a)):
             for k in range(j, len(a)):
-                out[k] += a[j] * b[k - j]  # out[k] is a fresh float or array
+                # not +=: a term may broadcast out[k] (rho-only terms of a scan)
+                out[k] = out[k] + a[j] * b[k - j]
         return _Series(out)
 
     __rmul__ = __mul__
@@ -126,7 +127,7 @@ def _series_pow(f, p: float):
     for k in range(1, len(f)):
         acc = 0.0
         for j in range(1, k + 1):
-            acc += (j * p - (k - j)) * f[j] * g[k - j]
+            acc = acc + (j * p - (k - j)) * f[j] * g[k - j]
         g.append(acc / (k * f[0]))
     return g
 

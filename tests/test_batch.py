@@ -184,6 +184,11 @@ def test_solve_batch_hands_brentq_only_scan_brackets(monkeypatch):
         ("a*rho^1.5 + b*rho - c/rho^0.5", {"a": [1.3, 0.2, -1.0], "b": [0.4, 0.0, 2.0],
                                            "c": 1.0}),
         ("(rho^2 + a)^2.5 - 2/rho", {"a": [1.0, -3.0, 0.5]}),
+        # the terms of rho alone, with a pole inside the window, carry most of
+        # the tree: the scan forms them once and broadcasts them over the rows
+        ("a*rho + 1/(rho - 1.5)^2 - 2/rho", {"a": [0.5, 1.0, 2.0, -1.0]}),
+        # a product's terms of rho alone broadcast against its terms with a column
+        ("rho*(rho + a) - 2/rho", {"a": [0.5, -1.0, 3.0]}),
     ],
 )
 def test_batched_scan_equals_lone_points(text, rows):
@@ -197,8 +202,8 @@ def test_batched_scan_equals_lone_points(text, rows):
                                      for k, v in values.items()})
             alone = _scan(spec, row.values, 1, l)[0]
             np.testing.assert_array_equal(batch[i], alone)  # NaN-aware and exact
-            points = np.array([float(_frame(row, r, l)[0]) for r in _SCAN_GRID[::7]])
-            np.testing.assert_array_equal(alone[::7], points)
+            points = np.array([_frame(row, r, l)[0] for r in _SCAN_GRID.tolist()])
+            np.testing.assert_array_equal(alone, points)
 
 
 def test_array_frames_equal_float_frames():
@@ -329,8 +334,7 @@ def test_fails_alone_exactly_when_a_lone_expansion_raises():
         if "rho" not in text:
             continue
         spec = parse_potential(text)
-        row = bind_params(spec, {k: rng.choice((0.0, -0.0, 1.5, -2.0, 3.0, 1e200, 1e-300))
-                                 for k in spec.params})
+        row = bind_params(spec, {k: rng.choice(_ROW_VALUES) for k in spec.params})
         try:
             np.asarray(jets.taylor_jet(row, 1.7, 2))
             raised = False
@@ -339,6 +343,57 @@ def test_fails_alone_exactly_when_a_lone_expansion_raises():
         assert engine._fails_alone(row) == raised, (text, row.values)
         verdicts.append(raised)
     assert 300 < sum(verdicts) < 2700  # both verdicts are well represented
+
+
+_ROW_VALUES = (0.0, -0.0, 1.5, -2.0, 3.0, 1e200, 1e-300)
+
+
+def test_where_no_parameter_can_raise_every_row_fails_alone_or_none_does():
+    # the tree rule that spares a batch its per-row walks: where it finds no
+    # term that a parameter can make raise, _fails_alone gives every row one
+    # verdict, and where that verdict is True the batch's scan is all NaN
+    rng = random.Random(33)
+    # rho to a power that is or may be 0 is a plain float, which can raise
+    texts = ["rho + 1/(b*rho^0)", "rho - 2/(a - 3*rho^(1-1))", "rho + (b*rho^0)^0.5"]
+    spared = raising = 0
+    while len(texts) < 1500:
+        text = _random_text(rng, 4)
+        if "rho" in text and parse_potential(text).params:
+            texts.append(text)
+    for text in texts:
+        spec = parse_potential(text)
+        if engine._a_parameter_can_raise(spec.tree)[2]:
+            continue
+        spared += 1
+        # every value in every parameter, then mixed rows
+        rows = [bind_params(spec, dict.fromkeys(spec.params, v)) for v in _ROW_VALUES]
+        rows += [bind_params(spec, {k: rng.choice(_ROW_VALUES) for k in spec.params})
+                 for _ in range(3)]
+        verdicts = {engine._fails_alone(row) for row in rows}
+        assert len(verdicts) == 1, text
+        if verdicts == {True}:
+            raising += 1
+            values = engine._columns(rows)
+            for l in (0, 2):
+                assert np.isnan(_scan(spec, values, len(rows), l)).all(), text
+    assert spared > 300 and raising > 20  # both verdicts are reached
+
+
+def test_fails_alone_walks_only_where_a_parameter_can_raise(monkeypatch):
+    calls, fails_alone = [], engine._fails_alone
+    monkeypatch.setattr(engine, "_fails_alone", lambda row: calls.append(row) or fails_alone(row))
+    # the hybrid's one candidate, g^2, is a literal square: no preset row is walked
+    for preset in tables.PRESETS.values():
+        rows = [bind_params(HYBRID, {"m": float(preset.m), "g": preset.gamma(x)})
+                for x in preset.rows]
+        solve_batch(rows, preset.m)
+    assert calls == []
+    # 1/b can raise alone, so each row of a batch with a column is walked once
+    text = "a*rho + c/rho + 1/b"
+    rows = [_bound(text, dict(zip("acb", r))) for r in
+            [(1.0, -2.0, 1.0), (-1.0, 2.0, 1.0), (1.0, -2.0, 0.0), (2.0, -1.0, 3.0)]]
+    solve_batch(rows, 1)
+    assert calls == rows
 
 
 def test_a_failed_batch_lift_gives_each_row_its_lone_error(monkeypatch):

@@ -532,6 +532,20 @@ def test_sweep_oracle_refuses_a_mesh_that_cannot_resolve_rho0(capsys):
         assert r[-1].endswith(f"cells of the {cli.MIN_CELLS_PER_RHO0} needed")
 
 
+def test_a_non_finite_fd_energy_fails_only_its_rows_oracle(capsys):
+    # at a = 1e307 the FD matrix's entries are finite, but the eigensolve
+    # gives NaN: the row keeps its EN, blanks fd and fd_err and says why;
+    # at a = 1e308 EN0 itself overflows
+    code, out, err = run_cli(capsys, "sweep", "-V", "rho^2 - 2/rho + a", "--sweep-param", "a",
+                             "--range", "1e307,1e308,2", "--oracle")
+    assert code == 0, err
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert header == ["a", "rho0", "EN0", "EN1", "EN2", "EN3", "fd", "fd_err", "error"]
+    assert rows[0][:2] == ["1e+307", "0.258251005"]
+    assert rows[0][2:6] == ["1.000000000e+307"] * 4
+    assert rows[0][6:] == ["", "", "FD energy nan is not finite"]
+    assert rows[1] == ["1e+308"] + [""] * 7 + ["partial sum EN0 = inf is not finite"]
+
 def test_wavefunction_csv(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -778,18 +792,21 @@ def _requests(draw):
 @example(["compute", "-V", "1e308-2/rho+rho*rho", "-m", "0"])
 @example(["sweep", "-V", "1e308*a-2/rho+rho*rho", "-m", "0", "--sweep-param", "a",
           "--range", "1,2,2", "--oracle"])
+# EN is finite and the FD energy is NaN: the row's oracle cells stay blank
+@example(["sweep", "-V", "1e307*a-2/rho+rho*rho", "-m", "0", "--sweep-param", "a",
+          "--range", "1,2,2", "--oracle"])
 def test_cli_never_raises(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, EXIT_USAGE, EXIT_PARSE, EXIT_SOLVER), (argv, code)
-    # every partial sum printed at exit 0 is a finite number
+    # every partial sum and every FD energy printed at exit 0 is a finite number
     if code == 0 and argv[0] == "compute":
         sums = [line.split("=")[1] for line in out.getvalue().splitlines()
                 if line.lstrip().startswith("EN")]
     elif code == 0 and argv[0] == "sweep":
         sums = [v for row in csv.DictReader(io.StringIO(out.getvalue()))
-                for k, v in row.items() if k.startswith("EN") and v]
+                for k, v in row.items() if (k.startswith("EN") or k == "fd") and v]
     else:
         sums = []
     assert all(math.isfinite(float(v)) for v in sums), (argv, out.getvalue())
