@@ -31,22 +31,27 @@ Coulomb and oscillator states).
 The lowest eigenvalue of each tridiagonal matrix T comes from inverse
 iteration with Rayleigh-quotient shifts (Parlett, The Symmetric Eigenvalue
 Problem, 1980, ch. 4), one LAPACK ``dgtsv`` solve per step.  The base mesh
-starts from a constant vector and LAPACK ``dstebz``'s Sturm-sequence
-bisection to ``SEED_TOL`` = 1e-3 Ry, which costs mostly its search for the
-lowest eigenvalue's index, whatever the tolerance (on 500 cells about 90,
-120 and 240 us at 0.1, 1e-3 and 0).  Each finer mesh starts from the
-eigenvalue below it and that mesh's eigenvector with every entry repeated.
-The first iterate that passes a certificate is the result: T's
+starts from a constant vector and a first shift: the caller's estimate of
+the energy where it passes a finite one (``sweep --oracle`` passes its row's
+expansion energy, usually within 1e-2 Ry), else LAPACK ``dstebz``'s
+Sturm-sequence bisection to ``SEED_TOL`` = 1e-3 Ry, which costs mostly its
+search for the lowest eigenvalue's index, whatever the tolerance (on 500
+cells about 90, 120 and 240 us at 0.1, 1e-3 and 0).  Each finer mesh starts
+from the eigenvalue below it and that mesh's eigenvector with every entry
+repeated.  The first iterate that passes a certificate is the result: T's
 off-diagonal is negative, so by Perron-Frobenius the ground eigenvector is
 its only nonnegative one, and ``dpttrf`` must factor T - (lambda - delta) I
 as positive definite, so that no eigenvalue lies below lambda - delta,
 delta being bisection's tolerance; a Rayleigh quotient never lies below the
-lowest eigenvalue.  That holds converged or not, and the step size is only
-a reason to give up: a singular shift, an iterate whose norm under- or
-overflows, a step below delta or ``MAX_SHIFTS`` uncertified steps send the
-matrix to bisection to full precision, so the seed needs no more digits than
-the first shift can use.  The pass that builds the meshes also gives each
-one's delta and the row sums of its Rayleigh residual.
+lowest eigenvalue.  That holds converged or not, and whatever the first
+shift was, so a poor estimate costs steps, never more than delta of the
+answer; the step size is only a reason to give up: a singular shift, an
+iterate whose norm under- or overflows, a step below delta (as where a shift
+near an excited state converges there) or ``MAX_SHIFTS`` uncertified steps
+send the matrix to bisection to full precision, so the first shift's digits
+speed the iteration but do not bound its accuracy.  The pass that builds
+the meshes also gives each one's delta and the row sums of its Rayleigh
+residual.
 
 LAPACK is scipy's ``_flapack`` extension, loaded by file on the first FD call:
 no other command imports scipy, and the oracle skips ``scipy.linalg``'s init.
@@ -193,17 +198,22 @@ def _shift_invert(diag: np.ndarray, off: np.ndarray, lam: float, x: np.ndarray, 
     return eigvalsh_tridiagonal(diag, off), None
 
 
-def fd_ground_energy(bound: BoundPotential, l: int, rho_max: float,
-                     points: int) -> tuple[float, float]:
+def fd_ground_energy(bound: BoundPotential, l: int, rho_max: float, points: int,
+                     shift: float | None = None) -> tuple[float, float]:
     """Lowest eigenvalue on (0, rho_max] and its error bar, (energy, error), by
     Romberg over ``points``, ``2 * points`` and ``4 * points`` uniform cells with
-    a hard wall at rho_max; the module docstring gives the seed, certificate and bar."""
+    a hard wall at rho_max; a finite ``shift`` (an estimate of the energy) starts
+    the base mesh's iteration in place of the seed bisection.  The module
+    docstring gives the seed, certificate and bar."""
     if points < 200:
         raise ValueError(f"need at least 200 points, got {points}")
     if not 0.0 < rho_max < np.inf:
         raise ValueError(f"rho_max must be positive and finite, got {rho_max}")
     meshes = _meshes(bound, l, rho_max, (points, 2 * points, 4 * points))
-    lam = eigvalsh_tridiagonal(*meshes[0][:2], SEED_TOL)
+    if shift is not None and math.isfinite(shift):
+        lam = float(shift)
+    else:
+        lam = eigvalsh_tridiagonal(*meshes[0][:2], SEED_TOL)
     x, wall, energies = None, np.inf, []
     for diag, off, delta, sums in meshes:
         x = np.ones(len(diag)) if x is None else x.repeat(2)

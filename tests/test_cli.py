@@ -433,7 +433,8 @@ def _lone_solve_sweep(text, name, lo, hi, steps, m=0, oracle=False):
             cells = [f"{geom.rho0:.9f}"] + [f"{s:.9f}" for s in breakdown.partial_sums]
             if oracle:
                 rho_max = max(20.0, 8.0 * geom.rho0)
-                fd, fd_err = fd_ground_energy(bound, geom.l, rho_max, cli.ORACLE_CELLS)
+                fd, fd_err = fd_ground_energy(bound, geom.l, rho_max, cli.ORACLE_CELLS,
+                                              cli._oracle_shift(breakdown.partial_sums))
                 cells += [f"{fd:.9f}", f"{fd_err:.1e}"]
             cells.append("")
         except (SolverError, PotentialEvalError) as exc:
@@ -715,8 +716,9 @@ def test_the_oracle_falls_back_to_scipy_linalg_where_the_extension_is_not_found(
 
 
 def test_the_oracle_prints_no_nan_where_an_iterate_underflows(capsys):
-    # ||T|| is about 1e195 at g = 1; the 1000-cell mesh's iterate underflows,
-    # and its NaN once passed the certificate (dpttrf lets a NaN diagonal through)
+    # ||T|| is about 1e195 at g = 1; started by bisection, the 1000-cell mesh's
+    # iterate underflows, and its NaN once passed the certificate (dpttrf lets
+    # a NaN diagonal through): test_oracle keeps that unshifted call
     with pytest.warns(UserWarning) as record:  # the engine's choice among stable frames
         code, out, _ = run_cli(capsys, "sweep", "-V", "g*rho^150 - 2/rho", "-m", "0",
                                "--sweep-param", "g", "--range", "1,2,2", "--oracle")
@@ -725,18 +727,17 @@ def test_the_oracle_prints_no_nan_where_an_iterate_underflows(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     for row in rows:
         assert math.isfinite(float(row["fd"])) or row["error"]
-    # fd is 2.83e171 at g = 1: in exponent form, not its 182 fixed-point characters
-    fd = rows[0]["fd"]
-    assert rows[0]["g"] == "1" and fd.startswith("2.83") and math.isfinite(float(fd))
-    assert len(fd) == len("2.830117782e+171")
+    # started from EN3 = -4, fd at g = 1 is near the wall's ground state (FD
+    # on (0, 1.1] gives -2.9638), though its bar stays inf (ROADMAP item 7)
+    assert rows[0]["g"] == "1" and rows[0]["fd"] == "-2.963412311"
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 7: the oracle's rho_max = max(20, 8 rho0) ignores the "
                    "wall near rho = 1")
 def test_the_sweep_oracle_resolves_a_steep_wall(capsys):
-    # on (0, 20] T's norm is about 1e195: fd_err reads inf at g = 1 and 1.1e180
-    # at g = 2, where rho_max = 1.1 gives bars of 5.5e-9 and 6.1e-9
+    # on (0, 20] T's norm is about 1e195: fd_err reads inf at g = 1 and 2 (fd
+    # about -2.963 and -2.945), where rho_max = 1.1 gives bars of 5.5e-9 and 6.1e-9
     with pytest.warns(UserWarning, match="3 stable frames"):
         code, out, _ = run_cli(capsys, "sweep", "-V", "g*rho^150 - 2/rho", "-m", "0",
                                "--sweep-param", "g", "--range", "1,2,2", "--oracle")

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 from pslet2d import cli, oracle
-from pslet2d.engine import solve
+from pslet2d.engine import SolverError, solve
 from pslet2d.expressions import PotentialEvalError, bind_params, parse_potential
 from pslet2d.oracle import (
     coulomb_exact,
@@ -140,9 +140,10 @@ def test_eigenvalues_match_long_double_bisection(monkeypatch, text, params, l):
 
 
 def test_an_iterate_that_underflows_hands_its_mesh_to_bisection(monkeypatch):
-    # the sweep's mesh of g rho^150 - 2/rho at g = 1: on 1000 cells y @ y
-    # underflows to 0 and the iterate turns NaN, which dpttrf factors with
-    # info = 0, so a NaN lambda used to pass the certificate
+    # the sweep's mesh of g rho^150 - 2/rho at g = 1, started by bisection (the
+    # sweep starts it from EN3): on 1000 cells y @ y underflows to 0 and the
+    # iterate turns NaN, which dpttrf factors with info = 0, so a NaN lambda
+    # used to pass the certificate
     solved = []
 
     def spy(*args):
@@ -254,27 +255,110 @@ def test_certificate_contract_on_a_seeded_corpus(monkeypatch):
     assert fallbacks == 0
 
 
-def test_lapack_budget_on_the_published_sweep(monkeypatch):
-    # the hybrid at every published compactified field, as the sweep's oracle
-    # column solves it: three meshes, each seeded by the one below it
-    sizes = []
-    dgtsv = oracle.dgtsv
-    monkeypatch.setattr(oracle, "dgtsv", lambda *a: sizes.append(len(a[1])) or dgtsv(*a))
+def _published_rows():
+    """The hybrid at every published compactified field as the sweep's oracle
+    column solves it: (bound, l, rho_max, base cells, order-3 partial sums)."""
     spec = parse_potential(HYBRID)
-    n = cli.ORACLE_CELLS
-    work, finest_solves = 0, []
     for m in (0, -1, -2):
         for g_prime in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
             bound = bind_params(spec, {"m": float(m), "g": g_prime / (1.0 - g_prime)})
-            geom, _, _ = solve(bound, m, 3)
-            sizes.clear()
-            fd_ground_energy(bound, geom.l, max(20.0, 8.0 * geom.rho0), n)
-            assert set(sizes) == {n, 2 * n, 4 * n}
-            finest_solves.append(sizes.count(4 * n))
-            work += sum(sizes)
+            geom, _, breakdown = solve(bound, m, 3)
+            yield (bound, geom.l, max(20.0, 8.0 * geom.rho0), cli.ORACLE_CELLS,
+                   breakdown.partial_sums)
+
+
+def test_lapack_budget_on_the_published_sweep(monkeypatch):
+    # three meshes, the base one started from the row's expansion energy and
+    # each finer one from the mesh below it: no bisection, neither to start
+    # nor as a fallback
+    sizes = []
+    dgtsv = oracle.dgtsv
+    monkeypatch.setattr(oracle, "dgtsv", lambda *a: sizes.append(len(a[1])) or dgtsv(*a))
+    bisections = []
+    bisect = oracle.eigvalsh_tridiagonal
+    monkeypatch.setattr(oracle, "eigvalsh_tridiagonal",
+                        lambda *a: bisections.append(len(a[0])) or bisect(*a))
+    work, finest_solves = 0, []
+    for bound, l, rho_max, n, sums in _published_rows():
+        sizes.clear()
+        fd_ground_energy(bound, l, rho_max, n, cli._oracle_shift(sums))
+        assert set(sizes) == {n, 2 * n, 4 * n}
+        finest_solves.append(sizes.count(4 * n))
+        work += sum(sizes)
+    assert len(finest_solves) == 27 and bisections == []
     # cells times dgtsv solves: 512,000 when 4000 and 8000 cells were extrapolated
     assert work <= 125_000
     assert max(finest_solves) <= 2
+
+
+def _contract_rows():
+    """The published rows and the bits corpus, each with its order-3 partial
+    sums where the expansion solves it (the corpus's rho^0 rows have none)."""
+    yield from _published_rows()
+    for text, l, rho_max, points in _bits_corpus():
+        bound = _bound(text)
+        try:
+            sums = solve(bound, l, 3)[2].partial_sums
+        except SolverError:
+            sums = None
+        yield bound, l, rho_max, points, sums
+
+
+def test_any_finite_shift_keeps_the_certificate_contract(monkeypatch):
+    # a start from the expansion's energy, from an excited state or from far
+    # outside the spectrum certifies each mesh's lambda within 2 delta of
+    # bisection's, or hands the mesh to bisection itself, so fd moves from the
+    # unshifted fd by no more than the Romberg-weighted sum of those bounds
+    solved = []
+
+    def spy(diag, off, lam, x, delta, sums):
+        result = _shift_invert(diag, off, lam, x, delta, sums)
+        solved.append((diag, off, result))
+        return result
+
+    monkeypatch.setattr(oracle, "_shift_invert", spy)
+    rows = excited = 0
+    for bound, l, rho_max, points, sums in _contract_rows():
+        unshifted = fd_ground_energy(bound, l, rho_max, points)
+        for shift in (None, np.nan, np.inf, -np.inf):  # no start: bisection's, bit for bit
+            assert fd_ground_energy(bound, l, rho_max, points, shift) == unshifted
+        diag, off, _, _ = _meshes(bound, l, rho_max, (points,))[0]
+        second = eigvalsh_tridiagonal(diag, off, select="i", select_range=(1, 1))[0]
+        shifts = [second, -1e6, 1e6] + ([cli._oracle_shift(sums)] if sums else [])
+        for shift in shifts:
+            solved.clear()
+            energy, _ = fd_ground_energy(bound, l, rho_max, points, shift)
+            bounds = []
+            for d, o, (lam, vector) in solved:
+                exact = oracle.eigvalsh_tridiagonal(d, o)
+                bounds.append(2 * _delta(d, o))
+                if vector is None:
+                    assert lam == exact
+                else:
+                    assert abs(lam - exact) <= bounds[-1], (bound, l, shift)
+            b1, b2, b4 = bounds
+            assert abs(energy - unshifted[0]) <= (64.0 * b4 + 20.0 * b2 + b1) / 45.0
+            excited += shift == second and solved[0][2][1] is None
+        rows += 1
+    assert rows == 27 + 51
+    assert excited > 0  # some starts near lambda_2 do converge there and fall back
+
+
+def test_a_high_order_sweep_starts_its_oracle_without_bisection(monkeypatch, capsys):
+    # at K = 15 and m = 0 the last partial sum is rounding noise (EN15 reads
+    # -3.96e5 at g = 1, and a start there ends in bisection); the sum that
+    # ends with the smallest correction starts every mesh without it
+    bisections = []
+    bisect = oracle.eigvalsh_tridiagonal
+    monkeypatch.setattr(oracle, "eigvalsh_tridiagonal",
+                        lambda *a: bisections.append(len(a[0])) or bisect(*a))
+    code = cli.main(["sweep", "-V", HYBRID, "-m", "0", "--sweep-param", "g",
+                     "--range", "1,4,2", "--order", "15", "--oracle"])
+    out = capsys.readouterr().out
+    rows = out.splitlines()[1:]
+    assert code == 0 and len(rows) == 2
+    assert [row.split(",")[-3] for row in rows] == ["-3.910319365", "-2.919174268"]
+    assert bisections == []
 
 
 @pytest.mark.parametrize("m", range(4))
