@@ -30,17 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import (
-    BoundPotential,
-    Neg,
-    Num,
-    Param,
-    PotentialEvalError,
-    PotentialSpec,
-    Rho,
-    evaluate,
-    float_pow,
-)
+from .expressions import BoundPotential, PotentialEvalError, PotentialSpec, float_pow
 from .jets import jet_lift, taylor_jet
 
 __all__ = [
@@ -284,7 +274,7 @@ def _scan(spec: PotentialSpec, values, n: int, l: int) -> np.ndarray:
     try:
         F = _frame(BoundPotential(spec, columns), _SCAN_GRID[None, :], l, _SCAN_CUBES)[0]
     except ArithmeticError:
-        # rho-independent failure (rho^rho, 1/(0)*rho): undefined everywhere
+        # the whole walk fails (1/(0)*rho, rho^rho's exponent of rho): undefined everywhere
         F = np.nan
     return np.broadcast_to(F, (n, SCAN_POINTS))
 
@@ -301,9 +291,10 @@ def solve_geometry(rows: list, m: int) -> list:
     a root that no step expanded (a grid root, or one on a bracket end) is
     expanded then.  ``_finish_frame`` validates every root from its order-2
     expansion (no finite differences).  A row with a parameter-only term
-    that fails has a frame equation undefined everywhere: in a batch with a
-    parameter column, ``_fails_alone`` walks each row for it, but only where
-    ``_a_parameter_can_raise`` finds a term that can (never in the hybrid).
+    that raises has a frame equation undefined everywhere: where the rows
+    differ in one of ``spec.raising_params`` (never in the hybrid),
+    ``_fails_alone`` walks each row for it, and elsewhere the scan holds
+    every row's one verdict.
     If a row has several stable frames, the one with the lowest leading
     energy wins (with a warning).
     """
@@ -311,8 +302,7 @@ def solve_geometry(rows: list, m: int) -> list:
     values = _columns(rows)
     spec = rows[0].spec
     scan = _scan(spec, values, len(rows), l)
-    if (any(isinstance(v, np.ndarray) for v in values.values())
-            and _a_parameter_can_raise(spec.tree)[2]):
+    if any(isinstance(values[k], np.ndarray) for k in spec.raising_params):
         # alone, such a row's walk raises; in a batch, only its entries go bad
         failed = np.array([_fails_alone(row) for row in rows])
         scan = np.where(failed[:, None], np.nan, scan)
@@ -636,36 +626,10 @@ def _fails_alone(bound: BoundPotential) -> bool:
     only a term of the parameters alone can.
     """
     try:
-        evaluate(bound.spec.tree, math.nan, bound.values)
+        bound(math.nan)
     except ArithmeticError:
         return True
     return False
-
-
-def _a_parameter_can_raise(node) -> tuple[bool, bool, bool]:
-    """(depends on a parameter, may be a plain float, a parameter can make a term raise).
-
-    Read from the tree alone, for a lone solve's walk, where a term free of
-    rho is a plain float and only a plain float raises: at a ``/`` by zero,
-    or at a ``^`` of a non-positive base, an overflow or a non-finite
-    exponent.  So a parameter can make a term raise only at a ``/`` whose
-    divisor depends on a parameter and may be a plain float (free of rho, or
-    rho raised to a power that may be 0), or at a ``^`` whose exponent
-    depends on a parameter, or whose base depends on a parameter, may be a
-    plain float and is raised to anything but a non-negative integer
-    literal.  Where the last entry is False, ``_fails_alone`` gives every row
-    of a batch one verdict, and the batch's scan already holds it.
-    """
-    if isinstance(node, (Num, Rho, Param)):
-        return isinstance(node, Param), not isinstance(node, Rho), False
-    if isinstance(node, Neg):
-        return _a_parameter_can_raise(node.arg)
-    (pa, fa, ra), (pb, fb, rb) = _a_parameter_can_raise(node.lhs), _a_parameter_can_raise(node.rhs)
-    if node.op != "^":
-        return pa or pb, fa and fb, ra or rb or (node.op == "/" and pb and fb)
-    p = node.rhs.value if isinstance(node.rhs, Num) else None
-    literal = p is not None and 0.0 <= p < 2.0 ** 53 and p.is_integer()
-    return pa or pb, fa or p is None or p == 0.0, ra or rb or pb or (pa and fa and not literal)
 
 
 def solve_batch(rows: list[BoundPotential], m: int, max_order: int = 3) -> list:

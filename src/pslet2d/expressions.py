@@ -236,31 +236,48 @@ def render(node: Node) -> str:
 # ---------------------------------------------------------------------------
 # Public types
 
-def _collect_params(node: Node, out: set[str], in_exponent: set[str]) -> bool:
-    """Accumulate parameter names, those inside an exponent into ``in_exponent``
-    and the others into ``out``; return True iff the subtree mentions rho."""
-    if isinstance(node, Rho):
-        return True
-    if isinstance(node, Param):
-        out.add(node.name)
-        return False
-    if isinstance(node, Num):
-        return False
+def _collect_params(node: Node, in_exponent: set[str],
+                    raising: set[str]) -> tuple[set[str], bool, bool]:
+    """(parameter names, mentions rho, may be a plain float) of the subtree.
+
+    A lone walk holds a term free of rho, or with rho to a power that may be
+    0, as a plain float, and only a plain float raises: at a ``/`` by zero or
+    at a ``^`` of a non-positive base, an overflow or a non-finite exponent.
+    Adds to ``in_exponent`` the names inside an exponent, and to ``raising``
+    those of each divisor that may be a plain float and of each base that may
+    be one raised to anything but a non-negative integer literal.
+    """
+    if isinstance(node, (Num, Rho, Param)):
+        names = {node.name} if isinstance(node, Param) else set()
+        return names, isinstance(node, Rho), not isinstance(node, Rho)
     if isinstance(node, Neg):
-        return _collect_params(node.arg, out, in_exponent)
-    assert isinstance(node, BinOp)
-    a = _collect_params(node.lhs, out, in_exponent)
-    b = _collect_params(node.rhs, in_exponent if node.op == "^" else out, in_exponent)
-    return a or b
+        return _collect_params(node.arg, in_exponent, raising)
+    (na, ra, fa), (nb, rb, fb) = (_collect_params(n, in_exponent, raising)
+                                  for n in (node.lhs, node.rhs))
+    if node.op != "^":
+        if node.op == "/" and fb:
+            raising |= nb
+        return na | nb, ra or rb, fa and fb
+    in_exponent |= nb
+    p = node.rhs.value if isinstance(node.rhs, Num) else None
+    if fa and not (p is not None and p >= 0.0 and _is_int(p)):
+        raising |= na
+    return na | nb, ra or rb, fa or p is None or p == 0.0
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Parsed expression tree for V(rho), its free parameter names and those in an exponent."""
+    """Parsed expression tree for V(rho) and its free parameter names.
+
+    ``exponent_params`` lie in an exponent, which ``evaluate`` needs as a
+    float; ``raising_params`` are the others that can make a lone walk raise
+    (see ``_collect_params``).
+    """
 
     tree: Node
     params: tuple[str, ...]
     exponent_params: tuple[str, ...]
+    raising_params: tuple[str, ...]
 
     def __str__(self) -> str:
         return render(self.tree)
@@ -295,14 +312,15 @@ def parse_potential(text: str) -> PotentialSpec:
     tok = parser.peek()
     if tok.kind != "end":
         raise PotentialSyntaxError(f"unexpected {tok.text!r}", tok.offset)
-    names: set[str] = set()
-    in_exponent: set[str] = set()
-    if not _collect_params(tree, names, in_exponent):
+    in_exponent, raising = set(), set()
+    names, has_rho, _ = _collect_params(tree, in_exponent, raising)
+    if not has_rho:
         raise ConstantPotentialError(
             "potential does not depend on rho: no stable frame exists"
         )
-    return PotentialSpec(tree=tree, params=tuple(sorted(names | in_exponent)),
-                         exponent_params=tuple(sorted(in_exponent)))
+    return PotentialSpec(tree=tree, params=tuple(sorted(names)),
+                         exponent_params=tuple(sorted(in_exponent)),
+                         raising_params=tuple(sorted(raising - in_exponent)))
 
 
 def bind_params(spec: PotentialSpec, values: Mapping[str, float]) -> BoundPotential:

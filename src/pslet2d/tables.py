@@ -100,7 +100,6 @@ class PublishedCell:
 @dataclass(frozen=True)
 class TableRowResult:
     x: float
-    gamma: float
     breakdown: EnergyBreakdown
 
 
@@ -134,11 +133,10 @@ def solve_hybrid(gamma: float, m: int, max_order: int = 3):
 
 def run_preset(preset: TablePreset, max_order: int = 3) -> list[TableRowResult]:
     """Solve every row of a preset in one batch; a failing row raises its error."""
-    gammas = [preset.gamma(x) for x in preset.rows]
-    rows = [bind_params(_HYBRID_SPEC, {"m": float(preset.m), "g": g}) for g in gammas]
-    results = []
-    for x, gamma, row in zip(preset.rows, gammas, solve_batch(rows, preset.m, max_order)):
+    rows = [bind_params(_HYBRID_SPEC, {"m": float(preset.m), "g": preset.gamma(x)})
+            for x in preset.rows]
+    solved = solve_batch(rows, preset.m, max_order)
+    for row in solved:
         if isinstance(row, Exception):
             raise row
-        results.append(TableRowResult(x=x, gamma=gamma, breakdown=row[2]))
-    return results
+    return [TableRowResult(x=x, breakdown=row[2]) for x, row in zip(preset.rows, solved)]

@@ -6,6 +6,7 @@ compare with ``==``, never with a tolerance.
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -349,9 +350,10 @@ _ROW_VALUES = (0.0, -0.0, 1.5, -2.0, 3.0, 1e200, 1e-300)
 
 
 def test_where_no_parameter_can_raise_every_row_fails_alone_or_none_does():
-    # the tree rule that spares a batch its per-row walks: where it finds no
-    # term that a parameter can make raise, _fails_alone gives every row one
-    # verdict, and where that verdict is True the batch's scan is all NaN
+    # the parse's rule that spares a batch its per-row walks: where the rows
+    # share each raising parameter (and each exponent parameter, which a
+    # batch always shares), _fails_alone gives every row one verdict, and
+    # where that verdict is True the batch's scan is all NaN
     rng = random.Random(33)
     # rho to a power that is or may be 0 is a plain float, which can raise
     texts = ["rho + 1/(b*rho^0)", "rho - 2/(a - 3*rho^(1-1))", "rho + (b*rho^0)^0.5"]
@@ -362,33 +364,70 @@ def test_where_no_parameter_can_raise_every_row_fails_alone_or_none_does():
             texts.append(text)
     for text in texts:
         spec = parse_potential(text)
-        if engine._a_parameter_can_raise(spec.tree)[2]:
+        held = {k: rng.choice(_ROW_VALUES) for k in spec.raising_params + spec.exponent_params}
+        free = [k for k in spec.params if k not in held]
+        if not free:
             continue
         spared += 1
-        # every value in every parameter, then mixed rows
-        rows = [bind_params(spec, dict.fromkeys(spec.params, v)) for v in _ROW_VALUES]
-        rows += [bind_params(spec, {k: rng.choice(_ROW_VALUES) for k in spec.params})
+        # every value in every free parameter, then mixed rows
+        rows = [bind_params(spec, {**held, **dict.fromkeys(free, v)}) for v in _ROW_VALUES]
+        rows += [bind_params(spec, {**held, **{k: rng.choice(_ROW_VALUES) for k in free}})
                  for _ in range(3)]
         verdicts = {engine._fails_alone(row) for row in rows}
-        assert len(verdicts) == 1, text
+        assert len(verdicts) == 1, (text, held)
         if verdicts == {True}:
             raising += 1
             values = engine._columns(rows)
             for l in (0, 2):
-                assert np.isnan(_scan(spec, values, len(rows), l)).all(), text
+                assert np.isnan(_scan(spec, values, len(rows), l)).all(), (text, held)
     assert spared > 300 and raising > 20  # both verdicts are reached
+
+
+def test_random_batches_equal_lone_solves():
+    # 5-row batches of random trees, every parameter drawn per row: poles,
+    # overflows and negative bases leave many rows without a frame, and each
+    # row's numbers, error or warnings must be those of its lone solve
+    rng = random.Random(35)
+    trees = solved = failed = 0
+    while trees < 600:
+        text = _random_text(rng, 4)
+        if "rho" not in text or not parse_potential(text).params:
+            continue
+        trees += 1
+        spec = parse_potential(text)
+        rows = [{k: rng.choice(_ROW_VALUES) for k in spec.params} for _ in range(5)]
+        with warnings.catch_warnings(record=True) as batch_warnings:
+            warnings.simplefilter("always")
+            batch = solve_batch([bind_params(spec, row) for row in rows], 1)
+        with warnings.catch_warnings(record=True) as lone_warnings:
+            warnings.simplefilter("always")
+            lone = [_lone(text, row, 1) for row in rows]
+        assert [_key(r) for r in batch] == [_key(r) for r in lone], text
+        assert (sorted(str(w.message) for w in batch_warnings)
+                == sorted(str(w.message) for w in lone_warnings)), text
+        solved += sum(not isinstance(r, Exception) for r in batch)
+        failed += sum(isinstance(r, Exception) for r in batch)
+    assert solved > 200 and failed > 2000  # both outcomes are well represented
 
 
 def test_fails_alone_walks_only_where_a_parameter_can_raise(monkeypatch):
     calls, fails_alone = [], engine._fails_alone
     monkeypatch.setattr(engine, "_fails_alone", lambda row: calls.append(row) or fails_alone(row))
-    # the hybrid's one candidate, g^2, is a literal square: no preset row is walked
+    # the hybrid has no raising parameter (g^2 is a literal square): no
+    # preset row is walked
     for preset in tables.PRESETS.values():
         rows = [bind_params(HYBRID, {"m": float(preset.m), "g": preset.gamma(x)})
                 for x in preset.rows]
         solve_batch(rows, preset.m)
     assert calls == []
-    # 1/b can raise alone, so each row of a batch with a column is walked once
+    # a sits in an exponent, which a batch shares, and b in no raising term;
+    # 1/b can raise, but every row shares b
+    for text, rows in [("b*rho^a - 2/rho", [{"a": 2.0, "b": b} for b in (0.5, 1.0, 0.0, 2.0)]),
+                       ("a*rho + c/rho + 1/b",
+                        [{"a": a, "c": -2.0, "b": 1.0} for a in (1.0, -1.0, 2.0, 0.5)])]:
+        solve_batch([_bound(text, row) for row in rows], 1)
+        assert calls == [], text
+    # 1/b can raise alone, so each row of a batch with a b column is walked once
     text = "a*rho + c/rho + 1/b"
     rows = [_bound(text, dict(zip("acb", r))) for r in
             [(1.0, -2.0, 1.0), (-1.0, 2.0, 1.0), (1.0, -2.0, 0.0), (2.0, -1.0, 3.0)]]

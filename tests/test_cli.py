@@ -745,6 +745,20 @@ def test_the_sweep_oracle_resolves_a_steep_wall(capsys):
     assert all(float(row["fd_err"]) < 1e-6 for row in csv.DictReader(io.StringIO(out)))
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 4: an evaluation error that leaves V undefined "
+                   "everywhere reads as a frame equation with no root")
+@pytest.mark.parametrize("text, params", [("rho^2 - 2/rho + 1/b", ["-p", "b=0"]),
+                                          ("rho^2 - 2/rho + (-1)^0.5", []),
+                                          ("rho^rho", [])])
+def test_an_evaluation_error_names_its_cause(capsys, text, params):
+    # a pole of 1/b, a negative base under a real power and an exponent that
+    # depends on rho: the message should name that, not a missing root
+    code, _, err = run_cli(capsys, "compute", "-V", text, *params)
+    assert code == EXIT_SOLVER
+    assert "no stable frame" not in err
+
+
 def test_values_print_in_fixed_point_below_1e15_and_in_exponent_form_above():
     below = math.nextafter(1e15, 0.0)
     for v in (0.0, -0.0, -4.0, 1.25e-12, below, -below, math.inf, -math.inf, math.nan):

@@ -175,7 +175,7 @@ def test_print_parse_round_trip():
         text = render(tree)
         from pslet2d.expressions import _collect_params
 
-        if not _collect_params(tree, set(), set()):
+        if not _collect_params(tree, set(), set())[1]:
             continue  # constant trees are rejected by design
         spec = parse_potential(text)
         assert spec.tree == tree, text
@@ -184,19 +184,28 @@ def test_print_parse_round_trip():
 
 
 @pytest.mark.parametrize(
-    "text, params, exponent_params",
+    "text, params, exponent_params, raising_params",
     [
-        ("rho^a", ("a",), ("a",)),
-        ("(a*rho)^a", ("a",), ("a",)),  # in the base and in the exponent
-        ("rho^(b^c)", ("b", "c"), ("b", "c")),
-        ("-rho^-a", ("a",), ("a",)),
-        ("2^a*rho", ("a",), ("a",)),
-        ("rho^2+b", ("b",), ()),
+        ("rho^a", ("a",), ("a",), ()),
+        ("(a*rho)^a", ("a",), ("a",), ()),  # in the base and in the exponent
+        ("rho^(b^c)", ("b", "c"), ("b", "c"), ()),
+        ("-rho^-a", ("a",), ("a",), ()),
+        ("2^a*rho", ("a",), ("a",), ()),
+        ("rho^2+b", ("b",), (), ()),
+        ("m*g - 2/rho + g^2*rho^2/4", ("g", "m"), (), ()),  # g^2: a literal square
+        ("b*rho^a - 2/rho", ("a", "b"), ("a",), ()),
+        ("(b*rho)^1.5 - 2/rho", ("b",), (), ()),  # the base is never a plain float
+        ("rho^2/b - 2/rho", ("b",), (), ("b",)),
+        ("b^1.5*rho - 2/rho", ("b",), (), ("b",)),
+        ("rho + 1/(b*rho^0)", ("b",), (), ("b",)),  # rho^0 is a plain 1.0
+        ("rho - 2/(a - 3*rho^(1-1))", ("a",), (), ("a",)),
     ],
 )
-def test_spec_names_the_parameters_in_an_exponent(text, params, exponent_params):
+def test_spec_names_the_parameters_in_an_exponent(text, params, exponent_params,
+                                                  raising_params):
     spec = parse_potential(text)
-    assert (spec.params, spec.exponent_params) == (params, exponent_params)
+    assert (spec.params, spec.exponent_params, spec.raising_params) == (
+        params, exponent_params, raising_params)
 
 
 def test_eval_matches_hand_corpus():

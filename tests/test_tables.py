@@ -63,5 +63,8 @@ def test_run_preset_row_order():
     preset = tables.PRESETS["hybrid-3d-minus"]
     results = tables.run_preset(preset)
     assert [r.x for r in results] == list(preset.rows)
-    assert results[0].gamma == 0.0
-    assert results[-1].gamma == pytest.approx(4.0)
+    # each row holds the solve at its own field, g = 0 first and g = 4 last
+    for r, g in [(results[0], 0.0), (results[-1], 4.0)]:
+        bound = bind_params(parse_potential(tables.HYBRID_EXPRESSION), {"m": -2.0, "g": g})
+        assert r.breakdown.partial_sums == pytest.approx(solve(bound, -2)[2].partial_sums,
+                                                         rel=1e-12)
