@@ -268,14 +268,10 @@ def _scan(spec: PotentialSpec, values, n: int, l: int) -> np.ndarray:
 
     The grid is one row against (n, 1) parameter columns, so a term of rho
     alone is formed once and broadcast; the result may be a read-only view.
-    Each entry equals ``_frame`` at that grid point alone.
+    Each entry equals ``_frame`` at that grid point alone; raises where the walk raises.
     """
     columns = {k: v[:, None] if isinstance(v, np.ndarray) else v for k, v in values.items()}
-    try:
-        F = _frame(BoundPotential(spec, columns), _SCAN_GRID[None, :], l, _SCAN_CUBES)[0]
-    except ArithmeticError:
-        # the whole walk fails (1/(0)*rho, rho^rho's exponent of rho): undefined everywhere
-        F = np.nan
+    F = _frame(BoundPotential(spec, columns), _SCAN_GRID[None, :], l, _SCAN_CUBES)[0]
     return np.broadcast_to(F, (n, SCAN_POINTS))
 
 
@@ -290,22 +286,26 @@ def solve_geometry(rows: list, m: int) -> list:
     ``brentq`` refines on the same function, keeping each step's expansion;
     a root that no step expanded (a grid root, or one on a bracket end) is
     expanded then.  ``_finish_frame`` validates every root from its order-2
-    expansion (no finite differences).  A row with a parameter-only term
-    that raises has a frame equation undefined everywhere: where the rows
+    expansion (no finite differences).  A row whose walk raises ends in
+    that ArithmeticError, the first its lone walk meets: where the rows
     differ in one of ``spec.raising_params`` (never in the hybrid),
-    ``_fails_alone`` walks each row for it, and elsewhere the scan holds
-    every row's one verdict.
+    ``_fails_alone`` walks each row for it, and elsewhere the scan raises
+    for every row or for none.
     If a row has several stable frames, the one with the lowest leading
     energy wins (with a warning).
     """
     l = abs(m)
     values = _columns(rows)
     spec = rows[0].spec
-    scan = _scan(spec, values, len(rows), l)
-    if any(isinstance(values[k], np.ndarray) for k in spec.raising_params):
-        # alone, such a row's walk raises; in a batch, only its entries go bad
-        failed = np.array([_fails_alone(row) for row in rows])
-        scan = np.where(failed[:, None], np.nan, scan)
+    # alone, a row's walk may raise where in a batch only its entries go bad
+    differ = any(isinstance(values[k], np.ndarray) for k in spec.raising_params)
+    errors = [_walk_error(row) if differ and _fails_alone(row) else None for row in rows]
+    try:
+        scan = _scan(spec, values, len(rows), l)
+    except ArithmeticError as exc:  # 1/(0)*rho, rho^rho's exponent of rho: every row's error
+        return [error or exc for error in errors]
+    if any(errors):
+        scan = np.where(np.array([e is not None for e in errors])[:, None], np.nan, scan)
 
     roots: list = [[] for _ in rows]
     owners, cells = np.nonzero(scan == 0.0)  # row-major: each row's grid roots ascend
@@ -358,7 +358,7 @@ def solve_geometry(rows: list, m: int) -> list:
                 stacklevel=level,
             )
         frames.append(candidates[0])
-    return frames
+    return [error or frame for error, frame in zip(errors, frames)]
 
 
 def _finish_frame(points: list, l: int) -> list:
@@ -632,16 +632,29 @@ def _fails_alone(bound: BoundPotential) -> bool:
     return False
 
 
+def _walk_error(bound: BoundPotential) -> ArithmeticError:
+    """The error of a lone walk of a row for which ``_fails_alone`` holds.
+
+    About rho = NaN an order-0 jet keeps each term of rho a series, as the scan
+    does, where a float NaN would make rho^rho's exponent a plain NaN.
+    """
+    try:
+        taylor_jet(bound, math.nan, 0)
+    except ArithmeticError as exc:
+        return exc
+
+
 def solve_batch(rows: list[BoundPotential], m: int, max_order: int = 3) -> list:
     """Solve the BoundPotentials ``rows``, all of one PotentialSpec, at ``m`` in one pass.
 
     Returns one entry per row: the row's (Geometry, CoefficientTable,
-    EnergyBreakdown), or the SolverError or PotentialEvalError that ``solve``
+    EnergyBreakdown), or the SolverError or ArithmeticError that ``solve``
     raises for that row alone.  Every row's numbers equal its lone solve bit
     for bit.  A value that every row shares bit for bit stays a float, as in
     a lone solve, and any other value becomes an array with one entry per
     row.  ``evaluate`` needs an exponent as a float, so rows that differ in a
-    parameter that appears in an exponent are solved as separate batches.
+    parameter that appears in an exponent are each solved alone; other rows
+    go through the four stages together.
     """
     if not 1 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must be in 1..{MAX_ORDER}, got {max_order}")
@@ -650,20 +663,9 @@ def solve_batch(rows: list[BoundPotential], m: int, max_order: int = 3) -> list:
     spec = rows[0].spec
     if any(row.spec != spec for row in rows):
         raise ValueError("solve_batch rows must share one PotentialSpec")
-    groups: dict = {}  # bit patterns of the exponent parameters -> row indices
-    for i, row in enumerate(rows):
-        groups.setdefault(tuple(float.hex(row.values[k]) for k in spec.exponent_params),
-                          []).append(i)
-    out: list = [None] * len(rows)
-    for members in groups.values():
-        for i, result in zip(members, _solve_rows([rows[i] for i in members], abs(m), max_order)):
-            out[i] = result
-    return out
-
-
-def _solve_rows(rows: list[BoundPotential], l: int, max_order: int) -> list:
-    """``solve_batch`` for rows that share every exponent parameter: the four stages in turn."""
-    out = solve_geometry(rows, l)
+    if any(len({float.hex(row.values[k]) for row in rows}) > 1 for k in spec.exponent_params):
+        return [solve_batch([row], m, max_order)[0] for row in rows]
+    out = solve_geometry(rows, m)
     live = [i for i, g in enumerate(out) if isinstance(g, Geometry)]
     if live:
         v, failed = build_v_series([rows[i] for i in live], [out[i] for i in live], 2 * max_order)

@@ -237,32 +237,28 @@ def render(node: Node) -> str:
 # Public types
 
 def _collect_params(node: Node, in_exponent: set[str],
-                    raising: set[str]) -> tuple[set[str], bool, bool]:
-    """(parameter names, mentions rho, may be a plain float) of the subtree.
+                    raising: set[str]) -> tuple[set[str], bool]:
+    """(parameter names, mentions rho) of the subtree.
 
-    A lone walk holds a term free of rho, or with rho to a power that may be
-    0, as a plain float, and only a plain float raises: at a ``/`` by zero or
-    at a ``^`` of a non-positive base, an overflow or a non-finite exponent.
     Adds to ``in_exponent`` the names inside an exponent, and to ``raising``
-    those of each divisor that may be a plain float and of each base that may
-    be one raised to anything but a non-negative integer literal.
+    those inside a divisor or inside a base raised to anything but a
+    non-negative integer literal: the only operands at which ``evaluate``
+    (a check, or a float power that overflows) can raise.
     """
     if isinstance(node, (Num, Rho, Param)):
         names = {node.name} if isinstance(node, Param) else set()
-        return names, isinstance(node, Rho), not isinstance(node, Rho)
+        return names, isinstance(node, Rho)
     if isinstance(node, Neg):
         return _collect_params(node.arg, in_exponent, raising)
-    (na, ra, fa), (nb, rb, fb) = (_collect_params(n, in_exponent, raising)
-                                  for n in (node.lhs, node.rhs))
-    if node.op != "^":
-        if node.op == "/" and fb:
-            raising |= nb
-        return na | nb, ra or rb, fa and fb
-    in_exponent |= nb
-    p = node.rhs.value if isinstance(node.rhs, Num) else None
-    if fa and not (p is not None and p >= 0.0 and _is_int(p)):
-        raising |= na
-    return na | nb, ra or rb, fa or p is None or p == 0.0
+    (na, ra), (nb, rb) = (_collect_params(n, in_exponent, raising) for n in (node.lhs, node.rhs))
+    if node.op == "/":
+        raising |= nb
+    elif node.op == "^":
+        in_exponent |= nb
+        p = node.rhs.value if isinstance(node.rhs, Num) else -1.0
+        if not (p >= 0.0 and _is_int(p)):
+            raising |= na
+    return na | nb, ra or rb
 
 
 @dataclass(frozen=True)
@@ -270,7 +266,7 @@ class PotentialSpec:
     """Parsed expression tree for V(rho) and its free parameter names.
 
     ``exponent_params`` lie in an exponent, which ``evaluate`` needs as a
-    float; ``raising_params`` are the others that can make a lone walk raise
+    float; ``raising_params`` are the others that can make a walk raise
     (see ``_collect_params``).
     """
 
@@ -313,7 +309,7 @@ def parse_potential(text: str) -> PotentialSpec:
     if tok.kind != "end":
         raise PotentialSyntaxError(f"unexpected {tok.text!r}", tok.offset)
     in_exponent, raising = set(), set()
-    names, has_rho, _ = _collect_params(tree, in_exponent, raising)
+    names, has_rho = _collect_params(tree, in_exponent, raising)
     if not has_rho:
         raise ConstantPotentialError(
             "potential does not depend on rho: no stable frame exists"

@@ -304,16 +304,16 @@ def test_random_rows_equal_lone_solves(max_order):
 @pytest.mark.parametrize("last", ["1/b", "1/(1/b)", "(1/b)^0"])
 def test_mixed_batch_keeps_each_rows_error(last):
     # rows: a stable frame, V' < 0 everywhere (no frame), a parameter-only
-    # pole (b = 0), and a stable frame again.  Alone, the pole row raises;
-    # in array arithmetic 1/(1/0) and (1/0)^0 are finite, so a check on V
-    # alone would let that row solve in the batch
+    # pole (b = 0), and a stable frame again.  Alone, the pole row raises
+    # and ends in that error; in array arithmetic 1/(1/0) and (1/0)^0 are
+    # finite, so a check on V alone would let that row solve in the batch
     text = f"a*rho + c/rho + {last}"
     rows = [dict(zip("acb", r)) for r in
             [(1.0, -2.0, 1.0), (-1.0, 2.0, 1.0), (1.0, -2.0, 0.0), (2.0, -1.0, 3.0)]]
     batch = solve_batch([_bound(text, row) for row in rows], 1)
     assert [_key(r) for r in batch] == [_key(_lone(text, row, 1)) for row in rows]
     assert isinstance(batch[1], engine.NoStableFrameError)
-    assert isinstance(batch[2], engine.NoStableFrameError)
+    assert _key(batch[2]) == ("PotentialEvalError", "division by zero (pole)")
     assert not isinstance(batch[0], Exception) and not isinstance(batch[3], Exception)
 
 
@@ -327,7 +327,8 @@ def _random_text(rng, depth):
 
 def test_fails_alone_exactly_when_a_lone_expansion_raises():
     # the check walks the tree with rho = NaN; a check in evaluate that
-    # raised on a NaN operand would make it fail rows that solve alone
+    # raised on a NaN operand would make it fail rows that solve alone.
+    # Where it fails, _walk_error gives the expansion's own first error
     rng = random.Random(18)
     verdicts = []
     while len(verdicts) < 3000:
@@ -339,8 +340,9 @@ def test_fails_alone_exactly_when_a_lone_expansion_raises():
         try:
             np.asarray(jets.taylor_jet(row, 1.7, 2))
             raised = False
-        except ArithmeticError:
+        except ArithmeticError as exc:
             raised = True
+            assert _key(engine._walk_error(row)) == _key(exc), (text, row.values)
         assert engine._fails_alone(row) == raised, (text, row.values)
         verdicts.append(raised)
     assert 300 < sum(verdicts) < 2700  # both verdicts are well represented
@@ -353,7 +355,7 @@ def test_where_no_parameter_can_raise_every_row_fails_alone_or_none_does():
     # the parse's rule that spares a batch its per-row walks: where the rows
     # share each raising parameter (and each exponent parameter, which a
     # batch always shares), _fails_alone gives every row one verdict, and
-    # where that verdict is True the batch's scan is all NaN
+    # where that verdict is True the batch's scan raises
     rng = random.Random(33)
     # rho to a power that is or may be 0 is a plain float, which can raise
     texts = ["rho + 1/(b*rho^0)", "rho - 2/(a - 3*rho^(1-1))", "rho + (b*rho^0)^0.5"]
@@ -379,7 +381,8 @@ def test_where_no_parameter_can_raise_every_row_fails_alone_or_none_does():
             raising += 1
             values = engine._columns(rows)
             for l in (0, 2):
-                assert np.isnan(_scan(spec, values, len(rows), l)).all(), (text, held)
+                with pytest.raises(ArithmeticError):
+                    _scan(spec, values, len(rows), l)
     assert spared > 300 and raising > 20  # both verdicts are reached
 
 
@@ -414,12 +417,16 @@ def test_fails_alone_walks_only_where_a_parameter_can_raise(monkeypatch):
     calls, fails_alone = [], engine._fails_alone
     monkeypatch.setattr(engine, "_fails_alone", lambda row: calls.append(row) or fails_alone(row))
     # the hybrid has no raising parameter (g^2 is a literal square): no
-    # preset row is walked
+    # preset row is walked, nor a row of the other benchmark potentials
     for preset in tables.PRESETS.values():
         rows = [bind_params(HYBRID, {"m": float(preset.m), "g": preset.gamma(x)})
                 for x in preset.rows]
         solve_batch(rows, preset.m)
     assert calls == []
+    for text, name in [("-2/rho", None), ("g^2*rho^2/4", "g"), ("b*rho^2 - 2/rho", "b")]:
+        rows = [_bound(text, {name: x} if name else {}) for x in (0.5, 1.0, 2.0, 0.0)]
+        solve_batch(rows, 0)
+        assert calls == [], text
     # a sits in an exponent, which a batch shares, and b in no raising term;
     # 1/b can raise, but every row shares b
     for text, rows in [("b*rho^a - 2/rho", [{"a": 2.0, "b": b} for b in (0.5, 1.0, 0.0, 2.0)]),
@@ -522,7 +529,7 @@ def test_one_batch_keeps_a_lift_failure_an_overflow_and_solved_rows():
 
 
 def test_order_above_max_is_refused_before_any_solve(monkeypatch):
-    monkeypatch.setattr(engine, "_solve_rows", None)  # a solve would fail the test here
+    monkeypatch.setattr(engine, "solve_geometry", None)  # a solve would fail the test here
     with pytest.raises(ValueError, match="max_order"):
         solve_batch([_bound("-2/rho")], 0, engine.MAX_ORDER + 1)
 
@@ -535,18 +542,17 @@ def _assert_rows_equal_lone_solves(text, rows, m, max_order=3):
 @pytest.mark.parametrize("m", [0, -2])
 def test_rows_that_differ_in_an_exponent_equal_lone_solves(monkeypatch, m):
     # a and p sit in exponents (in the second text a sits in an exponent's
-    # exponent), so the rows form one batch per (a, p) pair; the batch of
-    # a = 1.5, p = 2 holds three rows that differ in b
+    # exponent), and the rows differ in them, so each row is solved alone
     rows = [{"a": a, "p": p, "b": b} for a, p, b in
             [(1.5, 2.0, 0.3), (2.0, 2.0, 0.3), (1.5, 2.0, 0.7), (1.0, 3.0, 0.3),
              (1.5, 2.0, 1.1), (2.0, 2.0, 0.5)]]
-    solve_rows = engine._solve_rows
+    solve_geometry = engine.solve_geometry
     for text in ("b*rho^a + rho^p/10 - 2/rho", "b*rho^(p^(a/2)) - 2/rho"):
         sizes = []
-        monkeypatch.setattr(engine, "_solve_rows", lambda rows, *a: sizes.append(len(rows))
-                            or solve_rows(rows, *a))
+        monkeypatch.setattr(engine, "solve_geometry", lambda rows, *a: sizes.append(len(rows))
+                            or solve_geometry(rows, *a))
         _assert_rows_equal_lone_solves(text, rows, m)
-        assert sizes == [3, 2, 1] + [1] * len(rows)  # the batches, then the lone solves
+        assert sizes == [1] * 2 * len(rows)  # the batch's rows, then the lone solves
 
 
 def test_signed_zeros_are_distinct_values(monkeypatch):
@@ -562,7 +568,8 @@ def test_signed_zeros_are_distinct_values(monkeypatch):
                 for v in seen[:-len(rows)]]  # the last len(rows) are the lone solves
 
     zeros = [{"a": 0.0}, {"a": -0.0}, {"a": 0.0}]
-    assert columns("rho^(a+2) - 2/rho", zeros, 1) == [("float", [1.0]), ("float", [-1.0])]
+    assert columns("rho^(a+2) - 2/rho", zeros, 1) == [("float", [1.0]), ("float", [-1.0]),
+                                                      ("float", [1.0])]
     assert columns("a/rho^2 + rho^2 - 2/rho", zeros, 1) == [("ndarray", [1.0, -1.0, 1.0])]
     assert columns("a/rho^2 + rho^2 - 2/rho", zeros[1:2] * 2, 0) == [("float", [-1.0])]
 

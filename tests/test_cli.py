@@ -189,7 +189,7 @@ def test_main_reuses_one_parser(capsys):
 def test_negative_number_under_real_power_exit_code(capsys):
     code, out, err = run_cli(capsys, "compute", "-V", "(0-8)^0.5*rho - 2/rho", "-m", "0")
     assert code == EXIT_SOLVER
-    assert "solver error" in err and "no stable frame" in err
+    assert err == "solver error: negative number raised to a non-integer power\n"
     assert out == ""
 
 
@@ -251,7 +251,7 @@ def test_order_below_one_is_usage_error(capsys, order):
 
 def test_order_above_max_is_usage_error(capsys, monkeypatch):
     # refused before any solve starts: a solve would fail the test here
-    monkeypatch.setattr(engine, "_solve_rows", None)
+    monkeypatch.setattr(engine, "solve_geometry", None)
     for argv in (("compute", "-V", "-2/rho"), ("table", "hybrid-1s-gamma")):
         code, out, err = run_cli(capsys, *argv, "--order", str(engine.MAX_ORDER + 1))
         assert code == EXIT_USAGE
@@ -455,12 +455,13 @@ def _lone_solve_sweep(text, name, lo, hi, steps, m=0, oracle=False):
 )
 def test_batched_sweep_equals_lone_solves(monkeypatch, capsys, text, name, lo, hi,
                                           steps, m, oracle, batches):
-    # a sweep makes one solve_batch call; the engine solves one batch per
-    # distinct value of the parameters that sit in an exponent
+    # a sweep makes one solve_batch call; the engine solves its rows as one
+    # batch, or each alone where they differ in a parameter in an exponent
     calls, batch = [], cli.solve_batch
     monkeypatch.setattr(cli, "solve_batch", lambda *a: calls.append(a) or batch(*a))
-    groups, solve_rows = [], engine._solve_rows
-    monkeypatch.setattr(engine, "_solve_rows", lambda *a: groups.append(a) or solve_rows(*a))
+    groups, solve_geometry = [], engine.solve_geometry
+    monkeypatch.setattr(engine, "solve_geometry",
+                        lambda *a: groups.append(a) or solve_geometry(*a))
     argv = ["sweep", "-V", text, "-m", str(m), "--sweep-param", name,
             "--range", f"{lo},{hi},{steps}"] + ["--oracle"] * oracle
     code, out, err = run_cli(capsys, *argv)
@@ -745,18 +746,33 @@ def test_the_sweep_oracle_resolves_a_steep_wall(capsys):
     assert all(float(row["fd_err"]) < 1e-6 for row in csv.DictReader(io.StringIO(out)))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 4: an evaluation error that leaves V undefined "
-                   "everywhere reads as a frame equation with no root")
 @pytest.mark.parametrize("text, params", [("rho^2 - 2/rho + 1/b", ["-p", "b=0"]),
                                           ("rho^2 - 2/rho + (-1)^0.5", []),
                                           ("rho^rho", [])])
 def test_an_evaluation_error_names_its_cause(capsys, text, params):
     # a pole of 1/b, a negative base under a real power and an exponent that
-    # depends on rho: the message should name that, not a missing root
+    # depends on rho: the message names that, not a missing root
+    cause = {"rho^2 - 2/rho + 1/b": "division by zero (pole)",
+             "rho^2 - 2/rho + (-1)^0.5": "negative number raised to a non-integer power",
+             "rho^rho": "exponent must not depend on rho"}[text]
     code, _, err = run_cli(capsys, "compute", "-V", text, *params)
     assert code == EXIT_SOLVER
-    assert "no stable frame" not in err
+    assert err == f"solver error: {cause}\n"
+
+
+def test_a_sweep_row_that_raises_alone_names_its_cause(capsys):
+    # b = 0 makes 1/b a pole in that row only: the row's error column names
+    # it, and the other rows print what a lone compute prints
+    text = "rho^2 - 2/rho + 1/b"
+    code, out, _ = run_cli(capsys, "sweep", "-V", text, "--sweep-param", "b",
+                           "--range", "0,1,3")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[0] for row in rows] == ["0", "0.5", "1"]
+    assert rows[0][1:] == [""] * 5 + ["division by zero (pole)"]
+    for row in rows[1:]:
+        lone = run_cli(capsys, "compute", "-V", text, "-p", f"b={row[0]}", "--format", "csv")
+        assert lone[0] == 0 and row[2:] == lone[1].splitlines()[1].split(",") + [""]
 
 
 def test_values_print_in_fixed_point_below_1e15_and_in_exponent_form_above():

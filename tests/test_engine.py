@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pslet2d import cli
-from pslet2d.expressions import bind_params, parse_potential
+from pslet2d.expressions import PotentialEvalError, bind_params, parse_potential
 from pslet2d.engine import (
     RESIDUAL_TOL,
     RHO_HI,
@@ -249,8 +249,13 @@ def test_coulomb_solves_beyond_the_scan_window(c):
 
 @pytest.mark.parametrize("text", ["rho^rho", "1/(0)*rho", "0^(-1)*rho"])
 def test_structural_evaluation_error_has_no_stable_frame(text):
-    with pytest.raises(NoStableFrameError, match="no root"):
+    # V is undefined everywhere: the frame is the walk's error, not a missing root
+    cause = {"rho^rho": "exponent must not depend on rho",
+             "1/(0)*rho": "division by zero (pole)",
+             "0^(-1)*rho": "zero raised to a negative power (pole)"}[text]
+    with pytest.raises(PotentialEvalError) as caught:
         _geometry(_bound(text), 0)
+    assert str(caught.value) == cause
 
 
 @pytest.mark.parametrize(

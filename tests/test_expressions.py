@@ -194,10 +194,10 @@ def test_print_parse_round_trip():
         ("rho^2+b", ("b",), (), ()),
         ("m*g - 2/rho + g^2*rho^2/4", ("g", "m"), (), ()),  # g^2: a literal square
         ("b*rho^a - 2/rho", ("a", "b"), ("a",), ()),
-        ("(b*rho)^1.5 - 2/rho", ("b",), (), ()),  # the base is never a plain float
+        ("(b*rho)^1.5 - 2/rho", ("b",), (), ("b",)),  # in a real power's base
         ("rho^2/b - 2/rho", ("b",), (), ("b",)),
         ("b^1.5*rho - 2/rho", ("b",), (), ("b",)),
-        ("rho + 1/(b*rho^0)", ("b",), (), ("b",)),  # rho^0 is a plain 1.0
+        ("rho + 1/(b*rho^0)", ("b",), (), ("b",)),  # in a divisor
         ("rho - 2/(a - 3*rho^(1-1))", ("a",), (), ("a",)),
     ],
 )
