@@ -18,6 +18,7 @@ from . import tables
 from .expressions import (
     BoundPotential,
     ConstantPotentialError,
+    PotentialEvalError,
     PotentialSpec,
     PotentialSyntaxError,
     bind_params,
@@ -241,7 +242,7 @@ def cmd_sweep(args) -> int:
                     raise SolverError(f"FD energy {fd} is not finite")
                 row += [_fmt(fd), f"{fd_err:.1e}"]
             row.append("")
-        except (SolverError, ArithmeticError) as exc:
+        except (SolverError, PotentialEvalError) as exc:
             # keep what was solved: a failed oracle blanks only its own cells
             row += [""] * (len(header) - 1 - len(row)) + [str(exc).replace(",", ";")]
         print(",".join(row))
@@ -372,7 +373,7 @@ def main(argv=None) -> int:
         # the args, not str(exc): str() of a KeyError quotes its message
         print("parameter error:", *exc.args, file=sys.stderr)
         return EXIT_PARSE
-    except (SolverError, ConstantPotentialError, ArithmeticError, GridError) as exc:
+    except (SolverError, ConstantPotentialError, PotentialEvalError, GridError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -287,9 +287,9 @@ def solve_geometry(rows: list, m: int) -> list:
     a root that no step expanded (a grid root, or one on a bracket end) is
     expanded then.  ``_finish_frame`` validates every root from its order-2
     expansion (no finite differences).  A row whose walk raises ends in
-    that ArithmeticError, the first its lone walk meets: where the rows
-    differ in one of ``spec.raising_params`` (never in the hybrid),
-    ``_fails_alone`` walks each row for it, and elsewhere the scan raises
+    that PotentialEvalError, the first its lone walk meets: where the rows
+    differ in one of ``spec.raising_params`` (never in the hybrid), one
+    ``_lone_error`` jet walk per row decides, and elsewhere the scan raises
     for every row or for none.
     If a row has several stable frames, the one with the lowest leading
     energy wins (with a warning).
@@ -299,10 +299,10 @@ def solve_geometry(rows: list, m: int) -> list:
     spec = rows[0].spec
     # alone, a row's walk may raise where in a batch only its entries go bad
     differ = any(isinstance(values[k], np.ndarray) for k in spec.raising_params)
-    errors = [_walk_error(row) if differ and _fails_alone(row) else None for row in rows]
+    errors = [_lone_error(row) if differ else None for row in rows]
     try:
         scan = _scan(spec, values, len(rows), l)
-    except ArithmeticError as exc:  # 1/(0)*rho, rho^rho's exponent of rho: every row's error
+    except PotentialEvalError as exc:  # 1/(0)*rho, rho^rho's exponent of rho: every row's error
         return [error or exc for error in errors]
     if any(errors):
         scan = np.where(np.array([e is not None for e in errors])[:, None], np.nan, scan)
@@ -618,37 +618,25 @@ def solve(
     return result
 
 
-def _fails_alone(bound: BoundPotential) -> bool:
-    """True if a parameter-only term raises, as it would in a solve of this row alone.
+def _lone_error(bound: BoundPotential) -> PotentialEvalError | None:
+    """The error that a walk of this row alone raises, or None.
 
-    The walk takes rho = NaN: every term that depends on rho is then a float
-    NaN, on which neither ``evaluate``'s checks nor float ``**`` raise, so
-    only a term of the parameters alone can.
-    """
-    try:
-        bound(math.nan)
-    except ArithmeticError:
-        return True
-    return False
-
-
-def _walk_error(bound: BoundPotential) -> ArithmeticError:
-    """The error of a lone walk of a row for which ``_fails_alone`` holds.
-
-    About rho = NaN an order-0 jet keeps each term of rho a series, as the scan
-    does, where a float NaN would make rho^rho's exponent a plain NaN.
+    An order-0 jet about rho = NaN keeps each term of rho a series, as the
+    scan does, and series never raise: only a term of the parameters alone
+    (a plain float) or an exponent of rho can.
     """
     try:
         taylor_jet(bound, math.nan, 0)
-    except ArithmeticError as exc:
+    except PotentialEvalError as exc:
         return exc
+    return None
 
 
 def solve_batch(rows: list[BoundPotential], m: int, max_order: int = 3) -> list:
     """Solve the BoundPotentials ``rows``, all of one PotentialSpec, at ``m`` in one pass.
 
     Returns one entry per row: the row's (Geometry, CoefficientTable,
-    EnergyBreakdown), or the SolverError or ArithmeticError that ``solve``
+    EnergyBreakdown), or the SolverError or PotentialEvalError that ``solve``
     raises for that row alone.  Every row's numbers equal its lone solve bit
     for bit.  A value that every row shares bit for bit stays a float, as in
     a lone solve, and any other value becomes an array with one entry per

@@ -364,8 +364,15 @@ def evaluate(node: Node, rho, params: Mapping[str, float]):
             raise PotentialEvalError(f"non-finite exponent {p}")
         if _is_int(p):
             return _int_pow(a, int(p))
-        if isinstance(a, (int, float)) and a < 0.0:
-            raise PotentialEvalError("negative number raised to a non-integer power")
+        if isinstance(a, (int, float)):
+            if a < 0.0:
+                raise PotentialEvalError("negative number raised to a non-integer power")
+            if a == 0.0 and p < 0.0:
+                raise PotentialEvalError("zero raised to a negative power (pole)")
+            try:
+                return a ** p
+            except OverflowError:
+                raise PotentialEvalError(f"{a!r}^{p!r} overflows") from None
         if isinstance(a, np.ndarray) and not isinstance(rho, np.ndarray):
             # a batch of parameter values: each row as its lone float gets
             # it; a rho mesh (the oracle's) keeps numpy's faster power
@@ -415,7 +422,10 @@ def _int_pow(base, n: int):
     if n < 0:
         if isinstance(base, (int, float)) and base == 0.0:
             raise PotentialEvalError("zero raised to a negative power (pole)")
-        return 1.0 / _int_pow(base, -n)
+        try:
+            return 1.0 / _int_pow(base, -n)
+        except ZeroDivisionError:  # a float base's power underflowed to zero
+            raise PotentialEvalError(f"{base!r}^{n} overflows") from None
     result = None
     acc = base
     while n:

@@ -326,9 +326,9 @@ def _random_text(rng, depth):
 
 
 def test_fails_alone_exactly_when_a_lone_expansion_raises():
-    # the check walks the tree with rho = NaN; a check in evaluate that
-    # raised on a NaN operand would make it fail rows that solve alone.
-    # Where it fails, _walk_error gives the expansion's own first error
+    # the check walks the tree as a jet about rho = NaN; a check in evaluate
+    # that raised on a NaN operand would make it fail rows that solve alone.
+    # Where it fails, it gives the expansion's own first error
     rng = random.Random(18)
     verdicts = []
     while len(verdicts) < 3000:
@@ -337,14 +337,14 @@ def test_fails_alone_exactly_when_a_lone_expansion_raises():
             continue
         spec = parse_potential(text)
         row = bind_params(spec, {k: rng.choice(_ROW_VALUES) for k in spec.params})
+        error = engine._lone_error(row)
         try:
             np.asarray(jets.taylor_jet(row, 1.7, 2))
-            raised = False
-        except ArithmeticError as exc:
-            raised = True
-            assert _key(engine._walk_error(row)) == _key(exc), (text, row.values)
-        assert engine._fails_alone(row) == raised, (text, row.values)
-        verdicts.append(raised)
+        except engine.PotentialEvalError as exc:
+            assert _key(error) == _key(exc), (text, row.values)
+        else:
+            assert error is None, (text, row.values)
+        verdicts.append(error is not None)
     assert 300 < sum(verdicts) < 2700  # both verdicts are well represented
 
 
@@ -354,7 +354,7 @@ _ROW_VALUES = (0.0, -0.0, 1.5, -2.0, 3.0, 1e200, 1e-300)
 def test_where_no_parameter_can_raise_every_row_fails_alone_or_none_does():
     # the parse's rule that spares a batch its per-row walks: where the rows
     # share each raising parameter (and each exponent parameter, which a
-    # batch always shares), _fails_alone gives every row one verdict, and
+    # batch always shares), _lone_error gives every row one verdict, and
     # where that verdict is True the batch's scan raises
     rng = random.Random(33)
     # rho to a power that is or may be 0 is a plain float, which can raise
@@ -375,13 +375,13 @@ def test_where_no_parameter_can_raise_every_row_fails_alone_or_none_does():
         rows = [bind_params(spec, {**held, **dict.fromkeys(free, v)}) for v in _ROW_VALUES]
         rows += [bind_params(spec, {**held, **{k: rng.choice(_ROW_VALUES) for k in free}})
                  for _ in range(3)]
-        verdicts = {engine._fails_alone(row) for row in rows}
+        verdicts = {engine._lone_error(row) is not None for row in rows}
         assert len(verdicts) == 1, (text, held)
         if verdicts == {True}:
             raising += 1
             values = engine._columns(rows)
             for l in (0, 2):
-                with pytest.raises(ArithmeticError):
+                with pytest.raises(engine.PotentialEvalError):
                     _scan(spec, values, len(rows), l)
     assert spared > 300 and raising > 20  # both verdicts are reached
 
@@ -414,8 +414,8 @@ def test_random_batches_equal_lone_solves():
 
 
 def test_fails_alone_walks_only_where_a_parameter_can_raise(monkeypatch):
-    calls, fails_alone = [], engine._fails_alone
-    monkeypatch.setattr(engine, "_fails_alone", lambda row: calls.append(row) or fails_alone(row))
+    calls, lone_error = [], engine._lone_error
+    monkeypatch.setattr(engine, "_lone_error", lambda row: calls.append(row) or lone_error(row))
     # the hybrid has no raising parameter (g^2 is a literal square): no
     # preset row is walked, nor a row of the other benchmark potentials
     for preset in tables.PRESETS.values():

@@ -748,13 +748,20 @@ def test_the_sweep_oracle_resolves_a_steep_wall(capsys):
 
 @pytest.mark.parametrize("text, params", [("rho^2 - 2/rho + 1/b", ["-p", "b=0"]),
                                           ("rho^2 - 2/rho + (-1)^0.5", []),
-                                          ("rho^rho", [])])
+                                          ("rho^rho", []),
+                                          ("rho^2 - 2/rho + b^(0-1.5)", ["-p", "b=0"]),
+                                          ("rho + 2^1e200", []),
+                                          ("rho + 1e-300^(0-8)", [])])
 def test_an_evaluation_error_names_its_cause(capsys, text, params):
-    # a pole of 1/b, a negative base under a real power and an exponent that
-    # depends on rho: the message names that, not a missing root
+    # a pole of 1/b, a negative base under a real power, an exponent that
+    # depends on rho, a pole of a real power and a float power out of range:
+    # the message names that, not a missing root nor Python's own text
     cause = {"rho^2 - 2/rho + 1/b": "division by zero (pole)",
              "rho^2 - 2/rho + (-1)^0.5": "negative number raised to a non-integer power",
-             "rho^rho": "exponent must not depend on rho"}[text]
+             "rho^rho": "exponent must not depend on rho",
+             "rho^2 - 2/rho + b^(0-1.5)": "zero raised to a negative power (pole)",
+             "rho + 2^1e200": "2.0^1e+200 overflows",
+             "rho + 1e-300^(0-8)": "1e-300^-8 overflows"}[text]
     code, _, err = run_cli(capsys, "compute", "-V", text, *params)
     assert code == EXIT_SOLVER
     assert err == f"solver error: {cause}\n"
